@@ -9,6 +9,7 @@ BLAS thread pools before numpy loads.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -216,13 +217,7 @@ def cmd_generate(args) -> int:
         }
         fh.write(json.dumps(header) + "\n")
         for idx, example in enumerate(examples):
-            per_example = GenerationConfig(
-                mode=gen_cfg.mode,
-                top_p=gen_cfg.top_p,
-                max_len=gen_cfg.max_len,
-                num_samples=gen_cfg.num_samples,
-                seed=_mix_seed(gen_cfg.seed, idx),
-            )
+            per_example = dataclasses.replace(gen_cfg, seed=_mix_seed(gen_cfg.seed, idx))
             sequences = generate(model, vocab, example, per_example, use_event=use_event)
             record = {
                 "source_id": example.source_id,

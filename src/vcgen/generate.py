@@ -90,9 +90,14 @@ def generate(
     """Decode ``num_samples`` token-id sequences for one example.
 
     Decoding starts the decoder at <s> and stops at </s> or max_len; the
-    returned sequences carry neither. Greedy ignores top_p and yields the
-    same sequence for every sample; nucleus sample k draws from a generator
+    returned sequences carry neither. Greedy ignores top_p, decodes one row
+    and repeats it for every sample; nucleus sample k draws from a generator
     seeded by (config.seed, k), so different examples can share a config.
+
+    The example is encoded once and its rows advance together through a KV
+    cache; a row that emits </s> leaves the batch. Rows are computed
+    independently, so sample k does not depend on ``num_samples`` or on when
+    the other rows stop.
     """
     config.validate()
     if example.task not in GENERATION_TASKS:
@@ -105,18 +110,26 @@ def generate(
     enc_out, enc_mask = model.encoder_states(assembled, example.rois)
     max_len = min(config.max_len, model.config.max_positions - 1)
 
-    sequences: list[list[int]] = []
-    for k in range(config.num_samples):
-        rng = np.random.default_rng([config.seed, k]) if config.mode == "nucleus" else None
-        dec_ids = [BOS_ID]
-        out: list[int] = []
-        for _ in range(max_len):
-            hidden = model.decode_ids(np.asarray(dec_ids, dtype=np.int64), enc_out, enc_mask)
-            logits = model.lm_head(hidden).data[-1]
-            nxt = sample_next_token(logits, config, rng)
-            if nxt == EOS_ID:
-                break
-            out.append(nxt)
-            dec_ids.append(nxt)
-        sequences.append(out)
+    if config.mode == "nucleus":
+        rngs = [np.random.default_rng([config.seed, k]) for k in range(config.num_samples)]
+    else:
+        rngs = [None]
+    cache = model.start_decoding(enc_out, enc_mask, len(rngs), max_len)
+    sequences: list[list[int]] = [[] for _ in rngs]
+    live = list(range(len(rngs)))  # sample index of each cache row
+    ids = np.full(len(rngs), BOS_ID, dtype=np.int64)
+    for _ in range(max_len):
+        logits = model.lm_head(model.decode_step(ids, cache)).data[:, 0]
+        nxt = [sample_next_token(row, config, rngs[k]) for k, row in zip(live, logits)]
+        kept = [j for j, token in enumerate(nxt) if token != EOS_ID]
+        if not kept:
+            break
+        if len(kept) < len(live):
+            cache.keep(kept)
+            live = [live[j] for j in kept]
+        ids = np.asarray([nxt[j] for j in kept], dtype=np.int64)
+        for k, token in zip(live, ids):
+            sequences[k].append(int(token))
+    if config.mode == "greedy":
+        return [list(sequences[0]) for _ in range(config.num_samples)]
     return sequences

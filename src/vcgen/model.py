@@ -357,8 +357,39 @@ def zero_params(config: ModelConfig, dtype=np.float32) -> dict[str, Tensor]:
 # model
 
 
+@dataclass
+class DecoderCache:
+    """Incremental decoding state of one example's live rows.
+
+    ``cross`` holds each decoder layer's cross-attention keys and values
+    over the encoder states, [H, T_enc, dk], shared by every row.
+    ``self_k``/``self_v`` hold each layer's self-attention keys and values,
+    [rows, H, max_len, dk], filled for the first ``length`` positions.
+    """
+
+    cross: list[tuple[np.ndarray, np.ndarray]]
+    key_bias: Tensor | None
+    self_k: list[np.ndarray]
+    self_v: list[np.ndarray]
+    length: int = 0
+
+    def keep(self, rows: Sequence[int]) -> None:
+        """Retain only the given rows, in the given order."""
+        idx = np.asarray(rows, dtype=np.int64)
+        self.self_k = [k[idx] for k in self.self_k]
+        self.self_v = [v[idx] for v in self.self_v]
+
+
 def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return add(matmul(x, w), b)
+
+
+def _swap_heads_axis(ndim: int) -> tuple[int, ...]:
+    """Axis order that swaps the heads axis with the positions axis:
+    [..., T, H, dk] <-> [..., H, T, dk]."""
+    axes = list(range(ndim))
+    axes[-3], axes[-2] = axes[-2], axes[-3]
+    return tuple(axes)
 
 
 class Model:
@@ -452,6 +483,26 @@ class Model:
 
     # -- transformer stacks -------------------------------------------------
 
+    def _heads(self, x: Tensor, prefix: str, part: str) -> Tensor:
+        """Project ``x`` [..., T, d] with ``{prefix}.{part}`` and split it
+        into heads: [..., H, T, dk]."""
+        p = self.params
+        heads = self.config.n_heads
+        projected = _linear(x, p[f"{prefix}.{part}.weight"], p[f"{prefix}.{part}.bias"])
+        split = reshape(projected, x.shape[:-1] + (heads, self.config.d_model // heads))
+        return permute(split, _swap_heads_axis(split.ndim))
+
+    def _attend(self, q: Tensor, k: Tensor, v: Tensor, prefix: str, bias: Tensor | None) -> Tensor:
+        """Scaled dot-product attention of split heads, merged back to
+        [..., T_q, d] and passed through the output projection."""
+        p = self.params
+        scores = scale(matmul(q, transpose(k)), 1.0 / math.sqrt(q.shape[-1]))
+        if bias is not None:
+            scores = add(scores, bias)
+        ctx = permute(matmul(softmax(scores, axis=-1), v), _swap_heads_axis(q.ndim))
+        merged = reshape(ctx, ctx.shape[:-2] + (self.config.d_model,))
+        return _linear(merged, p[f"{prefix}.o.weight"], p[f"{prefix}.o.bias"])
+
     def _attention(
         self,
         x: Tensor,
@@ -459,24 +510,8 @@ class Model:
         prefix: str,
         bias: Tensor | None,
     ) -> Tensor:
-        p = self.params
-        d = self.config.d_model
-        heads = self.config.n_heads
-        dk = d // heads
-        t_q, t_k = x.shape[0], kv.shape[0]
-
-        def split(t: Tensor, length: int) -> Tensor:
-            return permute(reshape(t, (length, heads, dk)), (1, 0, 2))
-
-        q = split(_linear(x, p[f"{prefix}.q.weight"], p[f"{prefix}.q.bias"]), t_q)
-        k = split(_linear(kv, p[f"{prefix}.k.weight"], p[f"{prefix}.k.bias"]), t_k)
-        v = split(_linear(kv, p[f"{prefix}.v.weight"], p[f"{prefix}.v.bias"]), t_k)
-        scores = scale(matmul(q, transpose(k)), 1.0 / math.sqrt(dk))
-        if bias is not None:
-            scores = add(scores, bias)
-        ctx = matmul(softmax(scores, axis=-1), v)
-        merged = reshape(permute(ctx, (1, 0, 2)), (t_q, d))
-        return _linear(merged, p[f"{prefix}.o.weight"], p[f"{prefix}.o.bias"])
+        q = self._heads(x, prefix, "q")
+        return self._attend(q, self._heads(kv, prefix, "k"), self._heads(kv, prefix, "v"), prefix, bias)
 
     def _key_bias(self, pad_mask: np.ndarray) -> Tensor | None:
         """(1, 1, T) additive bias hiding padded key positions."""
@@ -539,6 +574,63 @@ class Model:
             x = add(x, self._drop(c, train, rng))
             f = self._ffn(self._norm(x, f"dec.{i}.ln3"), f"dec.{i}.ffn")
             x = add(x, self._drop(f, train, rng))
+        return self._norm(x, "dec.ln")
+
+    def start_decoding(
+        self, enc_out: Tensor, enc_pad_mask: np.ndarray, rows: int, max_len: int
+    ) -> DecoderCache:
+        """Incremental decoding state for ``rows`` rows over one encoding.
+
+        Each decoder layer's cross-attention keys and values are projected
+        here, once; the self-attention caches hold ``max_len`` positions.
+        """
+        heads = self.config.n_heads
+        shape = (rows, heads, max_len, self.config.d_model // heads)
+        layers = range(self.config.n_dec_layers)
+        return DecoderCache(
+            cross=[
+                tuple(self._heads(enc_out, f"dec.{i}.cross_attn", part).data for part in ("k", "v"))
+                for i in layers
+            ],
+            key_bias=self._key_bias(enc_pad_mask),
+            self_k=[np.zeros(shape, dtype=self.dtype) for _ in layers],
+            self_v=[np.zeros(shape, dtype=self.dtype) for _ in layers],
+        )
+
+    def decode_step(self, ids: np.ndarray, cache: DecoderCache) -> Tensor:
+        """Run the decoder at position ``cache.length`` for every cached row.
+
+        ``ids`` holds each row's token at that position. Rows are stacked
+        [rows, 1, d] slices, never one [rows, d] matrix, so each matmul acts
+        per slice and a row's states do not depend on the other rows. Writes
+        the position's self-attention keys and values into the cache and
+        returns the final decoder states [rows, 1, d]. Inference only: no
+        dropout.
+        """
+        t = cache.length
+        if t >= cache.self_k[0].shape[2]:
+            raise ValueError(f"decoder cache holds {t} positions and is full")
+        rows = len(ids)
+        p = self.params
+        x = add(
+            gather_rows(p["tok_emb.weight"], np.asarray(ids, dtype=np.int64)[:, None]),
+            gather_rows(p["pos_emb.weight"], [t]),
+        )
+        for i in range(self.config.n_dec_layers):
+            prefix = f"dec.{i}.self_attn"
+            normed = self._norm(x, f"dec.{i}.ln1")
+            cache.self_k[i][:, :, t : t + 1] = self._heads(normed, prefix, "k").data
+            cache.self_v[i][:, :, t : t + 1] = self._heads(normed, prefix, "v").data
+            keys = Tensor(cache.self_k[i][:, :, : t + 1])
+            values = Tensor(cache.self_v[i][:, :, : t + 1])
+            x = add(x, self._attend(self._heads(normed, prefix, "q"), keys, values, prefix, None))
+
+            prefix = f"dec.{i}.cross_attn"
+            q = self._heads(self._norm(x, f"dec.{i}.ln2"), prefix, "q")
+            keys, values = (Tensor(np.broadcast_to(kv, (rows,) + kv.shape)) for kv in cache.cross[i])
+            x = add(x, self._attend(q, keys, values, prefix, cache.key_bias))
+            x = add(x, self._ffn(self._norm(x, f"dec.{i}.ln3"), f"dec.{i}.ffn"))
+        cache.length += 1
         return self._norm(x, "dec.ln")
 
     # -- heads ---------------------------------------------------------------

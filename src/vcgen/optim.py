@@ -39,10 +39,6 @@ class AdamW:
         self._m = {name: np.zeros_like(p.data) for name, p in params.items()}
         self._v = {name: np.zeros_like(p.data) for name, p in params.items()}
 
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.grad = None
-
     def step(self) -> None:
         self.step_count += 1
         t = self.step_count

@@ -210,19 +210,25 @@ def scale(x: Tensor, factor: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product; 2-D, or stacked 3-D with identical leading dims."""
+    """Matrix product over the last two axes.
+
+    Either both operands are stacked with identical leading dims, or ``b``
+    is 2-D and is applied to every [m, k] slice of ``a``. Each slice of the
+    stacked product is the same numpy product as that slice alone, so a
+    row's result does not depend on how many rows share the stack.
+    """
     if (
         a.ndim < 2
         or b.ndim < 2
         or a.shape[-1] != b.shape[-2]
-        or a.shape[:-2] != b.shape[:-2]
+        or (b.ndim > 2 and a.shape[:-2] != b.shape[:-2])
     ):
         raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
     data = a.data @ b.data
 
     def bw(g):
         ga = g @ np.swapaxes(b.data, -1, -2) if a.requires_grad else None
-        gb = np.swapaxes(a.data, -1, -2) @ g if b.requires_grad else None
+        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape) if b.requires_grad else None
         return ga, gb
 
     return _make(data, (a, b), bw)
@@ -301,10 +307,6 @@ def gather_rows(x: Tensor, indices) -> Tensor:
         return (full,)
 
     return _make(data, (x,), bw)
-
-
-# Embedding tables are plain 2-D tensors, so a lookup is a row gather.
-embedding_lookup = gather_rows
 
 
 def scatter_rows(rows: Tensor, indices, length: int) -> Tensor:

@@ -279,7 +279,8 @@ def test_finetune_use_event_false_shrinks_assembled_inputs(workspace):
 # filter
 
 
-def make_zero_checkpoint(tmp_path, vocab_path, name="zero.kmbt"):
+def make_zero_checkpoint(tmp_path, vocab_path, name="zero.kmbt", init_seed=None):
+    """A tiny checkpoint, all zeros or random from ``init_seed``."""
     from vcgen.checkpoint import save_checkpoint
     from vcgen.config import RunConfig, to_dict
     from vcgen.model import Model
@@ -292,7 +293,7 @@ def make_zero_checkpoint(tmp_path, vocab_path, name="zero.kmbt"):
     config.d_visual = 16
     config.n_classes = 10
     config.max_positions = 48
-    model = Model.init_zeros(config)
+    model = Model.init_zeros(config) if init_seed is None else Model.init_random(config, init_seed)
     path = tmp_path / name
     save_checkpoint(path, to_dict(RunConfig(model=config)), model.params)
     return path, vocab
@@ -408,6 +409,25 @@ def test_generate_nucleus_five_samples_and_header(workspace, tmp_path):
     for line in lines[1:]:
         record = json.loads(line)
         assert len(record["generations"]) == 5
+
+
+@pytest.mark.parametrize("mode,index", [("greedy", 0), ("greedy", 5), ("nucleus", 0)])
+def test_generate_rows_do_not_depend_on_other_examples(workspace, tmp_path, mode, index):
+    """An example decoded alone gets the rows it got in the full file. Nucleus
+    streams are seeded by file position, so only the first example compares."""
+    ckpt, _ = make_zero_checkpoint(tmp_path, workspace / "vocab.txt", name="rand.kmbt", init_seed=3)
+    extra = ("--num-samples", "5", "--max-len", "8")
+    full_out = tmp_path / "full.jsonl"
+    assert main(generate_args(workspace, ckpt, full_out, mode, extra)) == 0
+    single = tmp_path / "single.jsonl"
+    single.write_text((workspace / "vcg_val.jsonl").read_text().splitlines()[index] + "\n")
+    args = generate_args(workspace, ckpt, tmp_path / "alone.jsonl", mode, extra)
+    args[args.index("--dataset") + 1] = str(single)
+    assert main(args) == 0
+    full_rows = read_log(full_out)[1:]
+    alone = read_log(tmp_path / "alone.jsonl")[1:]
+    assert any(g for row in full_rows for g in row["generations"])
+    assert alone == [full_rows[index]]
 
 
 def test_generate_unknown_task_errors_with_source_id(workspace, tmp_path, capsys):

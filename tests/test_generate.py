@@ -13,8 +13,8 @@ from vcgen.generate import (
     nucleus_candidates,
     sample_next_token,
 )
-from vcgen.model import Model
-from vcgen.vocab import EOS_ID, N_RESERVED
+from vcgen.model import Model, assemble_input
+from vcgen.vocab import BOS_ID, EOS_ID, N_RESERVED
 
 from helpers import tiny_config, tiny_examples, tiny_vocab
 
@@ -149,3 +149,59 @@ def test_generate_rejects_non_generation_task(gen_setup):
     vocab, model, _, region = gen_setup
     with pytest.raises(ValueError, match="reg-0"):
         generate(model, vocab, region, GenerationConfig())
+
+
+@pytest.mark.parametrize("use_event", [True, False])
+def test_cached_decoding_matches_full_prefix_recompute(use_event):
+    """In float64, every cached step agrees with re-running the decoder over
+    the whole prefix, also after rows have left the cache."""
+    vocab = tiny_vocab()
+    model = Model.init_random(tiny_config(len(vocab)), 0, dtype=np.float64)
+    kcg, _, _ = tiny_examples()
+    assembled = assemble_input(kcg, vocab, "gen", use_event=use_event)
+    enc_out, enc_mask = model.encoder_states(assembled, kcg.rois)
+    max_len = 8
+    cache = model.start_decoding(enc_out, enc_mask, 3, max_len)
+    prefixes = [[BOS_ID] for _ in range(3)]
+    rng = np.random.default_rng(11)
+    for step in range(max_len):
+        ids = np.asarray([prefix[-1] for prefix in prefixes])
+        logits = model.lm_head(model.decode_step(ids, cache)).data[:, 0]
+        assert logits.shape == (len(prefixes), len(vocab))
+        for row, prefix in zip(logits, prefixes):
+            oracle = model.lm_head(model.decode_ids(np.asarray(prefix), enc_out, enc_mask)).data[-1]
+            assert np.max(np.abs(row - oracle)) < 1e-9
+        if step == 3:
+            cache.keep([2, 0])
+            prefixes = [prefixes[2], prefixes[0]]
+        for prefix in prefixes:
+            prefix.append(int(rng.integers(N_RESERVED, len(vocab))))
+    assert cache.length == max_len
+    with pytest.raises(ValueError, match="full"):
+        model.decode_step(ids[:2], cache)
+
+
+def test_decode_step_rows_are_bitwise_independent():
+    """In float32 at d=128, stepping rows together gives each row exactly
+    the states it gets when stepped alone."""
+    vocab = tiny_vocab()
+    config = tiny_config(len(vocab))
+    config.d_model, config.n_heads, config.d_ffn = 128, 4, 256
+    model = Model.init_random(config, 0)
+    kcg, _, _ = tiny_examples()
+    enc_out, enc_mask = model.encoder_states(assemble_input(kcg, vocab, "gen"), kcg.rois)
+    tokens = np.random.default_rng(5).integers(N_RESERVED, len(vocab), size=(6, 3))
+    together = model.start_decoding(enc_out, enc_mask, 3, 6)
+    alone = [model.start_decoding(enc_out, enc_mask, 1, 6) for _ in range(3)]
+    for step_ids in tokens:
+        states = model.decode_step(step_ids, together).data
+        for row, cache in enumerate(alone):
+            assert np.array_equal(states[row], model.decode_step(step_ids[row : row + 1], cache).data[0])
+
+
+def test_nucleus_rows_do_not_depend_on_other_rows(gen_setup):
+    vocab, model, kcg, _ = gen_setup
+    five = generate(model, vocab, kcg, GenerationConfig(mode="nucleus", max_len=8, num_samples=5, seed=7))
+    three = generate(model, vocab, kcg, GenerationConfig(mode="nucleus", max_len=8, num_samples=3, seed=7))
+    assert sorted({len(seq) for seq in five}) != [8]  # some row stopped at </s> and left the batch
+    assert five[:3] == three

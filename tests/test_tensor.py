@@ -58,6 +58,44 @@ def test_matmul_shape_mismatch_names_both_shapes():
         matmul(t64(np.zeros((2, 3))), t64(np.zeros((2, 3))))
 
 
+def test_matmul_2d_right_operand_matches_per_slice_loop():
+    rng = np.random.default_rng(3)
+    a = t64(rng.normal(size=(2, 3, 4, 5)), requires_grad=True)
+    b = t64(rng.normal(size=(5, 6)), requires_grad=True)
+    upstream = rng.normal(size=(2, 3, 4, 6))
+    with Tape() as tape:
+        out = matmul(a, b)
+        loss = sum_all(mul(out, t64(upstream)))
+    tape.backward(loss)
+    grad_b = np.zeros_like(b.data)
+    for idx in np.ndindex(2, 3):
+        assert np.allclose(out.data[idx], a.data[idx] @ b.data, rtol=0, atol=1e-12)
+        assert np.allclose(a.grad[idx], upstream[idx] @ b.data.T, rtol=0, atol=1e-12)
+        grad_b += a.data[idx].T @ upstream[idx]
+    assert b.grad.shape == b.shape
+    assert np.allclose(b.grad, grad_b, rtol=0, atol=1e-12)
+
+
+def test_matmul_stacked_rows_are_bitwise_single_row_products():
+    """Each [1, d] slice of a stacked [S, 1, d] @ [d, d] product equals the
+    1-row product alone, so cached decoding rows cannot see each other."""
+    rng = np.random.default_rng(4)
+    d = 128
+    w = Tensor(rng.normal(size=(d, d)).astype(np.float32))
+    for rows in (2, 3, 5, 8):
+        x = Tensor(rng.normal(size=(rows, 1, d)).astype(np.float32))
+        stacked = matmul(x, w).data
+        for r in range(rows):
+            assert np.array_equal(stacked[r], matmul(Tensor(x.data[r]), w).data)
+
+
+def test_matmul_rejects_stacked_right_operand_with_other_leading_dims():
+    with pytest.raises(ValueError, match="matmul shape mismatch"):
+        matmul(t64(np.zeros((3, 4))), t64(np.zeros((2, 4, 5))))
+    with pytest.raises(ValueError, match="matmul shape mismatch"):
+        matmul(t64(np.zeros((3, 2, 4))), t64(np.zeros((2, 4, 5))))
+
+
 def test_softmax_uniform_logits():
     out = softmax(t64([0.0, 0.0, 0.0, 0.0]))
     assert np.allclose(out.data, 0.25)
