@@ -151,7 +151,11 @@ def backward(loss: Tensor, tape: Tape) -> None:
 
 
 def _make(data: np.ndarray, inputs: tuple[Tensor, ...], bw) -> Tensor:
-    requires = any(t.requires_grad for t in inputs)
+    requires = False
+    for t in inputs:
+        if t.requires_grad:
+            requires = True
+            break
     out = _wrap(data, requires)
     if requires and _ACTIVE_TAPES:
         _ACTIVE_TAPES[-1]._record(out, inputs, bw)
@@ -217,13 +221,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     stacked product is the same numpy product as that slice alone, so a
     row's result does not depend on how many rows share the stack.
     """
+    a_shape, b_shape = a.data.shape, b.data.shape
     if (
-        a.ndim < 2
-        or b.ndim < 2
-        or a.shape[-1] != b.shape[-2]
-        or (b.ndim > 2 and a.shape[:-2] != b.shape[:-2])
+        len(a_shape) < 2
+        or len(b_shape) < 2
+        or a_shape[-1] != b_shape[-2]
+        or (len(b_shape) > 2 and a_shape[:-2] != b_shape[:-2])
     ):
-        raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
+        raise ValueError(f"matmul shape mismatch: {a_shape} x {b_shape}")
     data = a.data @ b.data
 
     def bw(g):
@@ -236,21 +241,20 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def transpose(x: Tensor) -> Tensor:
     """Swap the last two axes."""
-    data = np.swapaxes(x.data, -1, -2)
+    data = x.data.swapaxes(-1, -2)
 
     def bw(g):
-        return (np.swapaxes(g, -1, -2),)
+        return (g.swapaxes(-1, -2),)
 
     return _make(data, (x,), bw)
 
 
 def permute(x: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
-    data = np.transpose(x.data, axes)
+    data = x.data.transpose(axes)
 
     def bw(g):
-        return (np.transpose(g, inv),)
+        return (g.transpose(np.argsort(axes)),)
 
     return _make(data, (x,), bw)
 
@@ -384,15 +388,21 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _make(data, (x,), bw)
 
 
+def _mean_last(a: np.ndarray) -> np.ndarray:
+    """``a.mean(axis=-1, keepdims=True)``, bit for bit, without the python
+    wrapper numpy puts around ``mean``."""
+    return np.add.reduce(a, axis=-1, keepdims=True) / a.dtype.type(a.shape[-1])
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     if gain.shape != x.shape[-1:] or bias.shape != x.shape[-1:]:
         raise ValueError(
             f"layer_norm affine shape mismatch: x {x.shape}, gain {gain.shape}, bias {bias.shape}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
+    mu = _mean_last(x.data)
     centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    var = _mean_last(centered * centered)
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv_std
     data = xhat * gain.data + bias.data
@@ -405,8 +415,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             dxhat = g * gain.data
             gx = inv_std * (
                 dxhat
-                - dxhat.mean(axis=-1, keepdims=True)
-                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+                - _mean_last(dxhat)
+                - xhat * _mean_last(dxhat * xhat)
             )
         else:
             gx = None
