@@ -143,7 +143,7 @@ def cmd_filter(args) -> int:
         filter_report,
         load_candidates_jsonl,
         save_jsonl,
-        score_description,
+        score_dataset,
     )
     from .model import Model
     from .vocab import Vocabulary
@@ -158,11 +158,9 @@ def cmd_filter(args) -> int:
     use_event = args.use_event != "false"
 
     candidates = load_candidates_jsonl(args.candidates)
-    scored = []
-    for relation, example in candidates:
-        s = score_description(model, vocab, example, use_event=use_event)
+    scored = score_dataset(model, vocab, [example for _, example in candidates], use_event=use_event)
+    for (relation, _), s in zip(candidates, scored):
         s.relation = relation
-        scored.append(s)
     kept, dropped = filter_dataset(scored, threshold=args.threshold)
 
     def write(path: str, subset) -> None:

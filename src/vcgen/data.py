@@ -26,7 +26,6 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .model import AssembledInput, RoIFeature, assemble_input
-from .tensor import cross_entropy
 from .vocab import GENERATION_TASKS, PAD_ID, TaskType, Vocabulary
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -73,6 +72,7 @@ class MultimodalExample:
 class ScoredExample:
     example: MultimodalExample
     avg_ce: float
+    n_tokens: int  # scored labels: target tokens plus </s>
     relation: str | None = None  # original relation for filter candidates
 
 
@@ -236,29 +236,63 @@ def load_candidates_jsonl(path: str | Path) -> list[tuple[str, MultimodalExample
 # ---------------------------------------------------------------------------
 # scoring and filtering
 
+# Rows per scoring forward pass. Bounds the [rows, T, V] logits held at once
+# on large candidate files.
+SCORE_CHUNK_ROWS = 64
+
 
 def score_description(
     model: "Model", vocab: Vocabulary, example: MultimodalExample, use_event: bool = True
 ) -> ScoredExample:
-    """Teacher-forced per-token mean cross-entropy of the target, in nats.
-
-    Runs in eval mode (no dropout), conditioning on the example's task token,
-    regions, and event text; the end-of-sequence token counts as the final
-    label, matching the generation training objective.
-    """
-    assembled = assemble_input(
-        example, vocab, "kcg", use_event=use_event, max_positions=model.config.max_positions
-    )
-    hidden = model.forward(assembled, example.rois, train=False)
-    logits = model.lm_head(hidden)
-    ce = cross_entropy(logits, assembled.dec_labels, ignore_index=PAD_ID)
-    return ScoredExample(example=example, avg_ce=float(ce.data))
+    """Score one example alone; see ``score_dataset``."""
+    return score_dataset(model, vocab, [example], use_event)[0]
 
 
 def score_dataset(
     model: "Model", vocab: Vocabulary, examples: Sequence[MultimodalExample], use_event: bool = True
 ) -> list[ScoredExample]:
-    return [score_description(model, vocab, ex, use_event) for ex in examples]
+    """Teacher-forced per-token mean cross-entropy of each target, in nats.
+
+    Runs in eval mode (no dropout), conditioning on the example's task token,
+    regions, and event text; the end-of-sequence token counts as the final
+    label, matching the generation training objective.
+
+    Examples are grouped by their exact encoder length, decoder length and
+    region count, so a forward pass holds no padding and every row's score
+    is bit for bit the score it gets alone. Results keep the input order.
+    """
+    items = [
+        (assemble_input(ex, vocab, "kcg", use_event=use_event, max_positions=model.config.max_positions), ex)
+        for ex in examples
+    ]
+    buckets: dict[tuple[int, int, int], list[int]] = {}
+    for i, (assembled, _) in enumerate(items):
+        key = (assembled.enc_len, assembled.dec_len, len(assembled.visual_slots))
+        buckets.setdefault(key, []).append(i)
+    scored: list[ScoredExample | None] = [None] * len(items)
+    for rows in buckets.values():
+        for start in range(0, len(rows), SCORE_CHUNK_ROWS):
+            chunk = rows[start : start + SCORE_CHUNK_ROWS]
+            batch = pad_batch([items[i] for i in chunk])
+            logits = model.lm_head(model.forward(batch)).data
+            for i, avg_ce in zip(chunk, _mean_token_nll(logits, batch.dec_labels)):
+                n_tokens = len(items[i][0].dec_labels)
+                scored[i] = ScoredExample(example=examples[i], avg_ce=avg_ce, n_tokens=n_tokens)
+    return scored
+
+
+def _mean_token_nll(logits: np.ndarray, labels: np.ndarray) -> list[float]:
+    """Mean of -log softmax(logits)[label] along each row of [B, T, V] logits.
+
+    Takes the same numpy steps, in the same order, as ``cross_entropy`` on
+    one row's [T, V] slice, so each row's value is the one it gets alone.
+    """
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    rows, positions = np.indices(labels.shape)
+    nll = -logp[rows, positions, labels]
+    n = labels.shape[1]
+    return [float(np.asarray(row.sum() / n, dtype=logits.dtype)) for row in nll]
 
 
 DEFAULT_FILTER_THRESHOLD = 3.5
@@ -305,7 +339,14 @@ def filter_report(kept: Sequence[ScoredExample], dropped: Sequence[ScoredExample
 
 @dataclass
 class PaddedBatch:
-    """A batch of assembled examples right-padded to the batch max lengths."""
+    """A batch of assembled examples right-padded to the batch max lengths.
+
+    Region features are stacked per item, [B, R, d_visual] with R the
+    largest region count, zero beyond each item's regions and at the
+    regions its denoising pass masks. ``roi_index`` lists the real regions
+    as flat rows of that stack; ``slot_index`` lists their visual slots as
+    flat rows of the [B, enc_len] encoder positions.
+    """
 
     items: list[tuple[AssembledInput, MultimodalExample]]
     enc_len: int
@@ -314,15 +355,61 @@ class PaddedBatch:
     enc_mask: np.ndarray  # [B, enc_len] bool, True at real positions
     dec_ids: np.ndarray  # [B, dec_len]
     dec_labels: np.ndarray | None  # [B, dec_len], pad id at ignored positions
+    roi_feats: np.ndarray  # [B, R, d_visual]
+    roi_index: np.ndarray  # [n_regions] flat rows of roi_feats
+    slot_index: np.ndarray  # [n_regions] flat rows of [B, enc_len]
 
     def __len__(self) -> int:
         return len(self.items)
 
 
+def pad_batch(items: Sequence[tuple[AssembledInput, MultimodalExample]]) -> PaddedBatch:
+    """Pad (assembled, example) pairs into one batch, in the given order."""
+    items = list(items)
+    if not items:
+        raise ValueError("pad_batch needs at least one item")
+    n = len(items)
+    enc_len = max(a.enc_len for a, _ in items)
+    dec_len = max(a.dec_len for a, _ in items)
+    n_rois = max(len(ex.rois) for _, ex in items)
+    d_visual = next((len(ex.rois[0].feat) for _, ex in items if ex.rois), 0)
+    enc_ids = np.full((n, enc_len), PAD_ID, dtype=np.int64)
+    enc_mask = np.zeros((n, enc_len), dtype=bool)
+    dec_ids = np.full((n, dec_len), PAD_ID, dtype=np.int64)
+    any_labels = any(a.dec_labels is not None for a, _ in items)
+    dec_labels = np.full((n, dec_len), PAD_ID, dtype=np.int64) if any_labels else None
+    roi_feats = np.zeros((n, n_rois, d_visual))
+    roi_index, slot_index = [], []
+    for row, (a, ex) in enumerate(items):
+        if len(a.visual_slots) != len(ex.rois):
+            raise ValueError(f"{len(a.visual_slots)} visual slots but {len(ex.rois)} RoI features")
+        enc_ids[row, : a.enc_len] = a.enc_ids
+        enc_mask[row, : a.enc_len] = True
+        dec_ids[row, : a.dec_len] = a.dec_ids
+        if dec_labels is not None and a.dec_labels is not None:
+            dec_labels[row, : len(a.dec_labels)] = a.dec_labels
+        if ex.rois:
+            roi_feats[row, : len(ex.rois)] = np.stack([r.feat for r in ex.rois])
+            roi_feats[row, a.mrm_roi_indices] = 0.0
+        roi_index.extend(row * n_rois + np.arange(len(ex.rois)))
+        slot_index.extend(row * enc_len + a.visual_slots)
+    return PaddedBatch(
+        items=items,
+        enc_len=enc_len,
+        dec_len=dec_len,
+        enc_ids=enc_ids,
+        enc_mask=enc_mask,
+        dec_ids=dec_ids,
+        dec_labels=dec_labels,
+        roi_feats=roi_feats,
+        roi_index=np.asarray(roi_index, dtype=np.int64),
+        slot_index=np.asarray(slot_index, dtype=np.int64),
+    )
+
+
 def make_batches(
     items: Sequence[tuple[AssembledInput, MultimodalExample]],
     batch_size: int,
-    pad_id: int = PAD_ID,
     seed=0,
     shuffle: bool = True,
 ) -> list[PaddedBatch]:
@@ -336,31 +423,7 @@ def make_batches(
     order = np.arange(len(items))
     if shuffle:
         order = np.random.default_rng(seed).permutation(order)
-    batches = []
-    for start in range(0, len(items), batch_size):
-        chunk = [items[i] for i in order[start : start + batch_size]]
-        enc_len = max(a.enc_len for a, _ in chunk)
-        dec_len = max(a.dec_len for a, _ in chunk)
-        enc_ids = np.full((len(chunk), enc_len), pad_id, dtype=np.int64)
-        enc_mask = np.zeros((len(chunk), enc_len), dtype=bool)
-        dec_ids = np.full((len(chunk), dec_len), pad_id, dtype=np.int64)
-        any_labels = any(a.dec_labels is not None for a, _ in chunk)
-        dec_labels = np.full((len(chunk), dec_len), pad_id, dtype=np.int64) if any_labels else None
-        for row, (a, _) in enumerate(chunk):
-            enc_ids[row, : a.enc_len] = a.enc_ids
-            enc_mask[row, : a.enc_len] = True
-            dec_ids[row, : a.dec_len] = a.dec_ids
-            if dec_labels is not None and a.dec_labels is not None:
-                dec_labels[row, : len(a.dec_labels)] = a.dec_labels
-        batches.append(
-            PaddedBatch(
-                items=chunk,
-                enc_len=enc_len,
-                dec_len=dec_len,
-                enc_ids=enc_ids,
-                enc_mask=enc_mask,
-                dec_ids=dec_ids,
-                dec_labels=dec_labels,
-            )
-        )
-    return batches
+    return [
+        pad_batch([items[i] for i in order[start : start + batch_size]])
+        for start in range(0, len(items), batch_size)
+    ]

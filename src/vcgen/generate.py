@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .data import pad_batch
 from .model import assemble_input
 from .vocab import BOS_ID, EOS_ID, N_RESERVED, GENERATION_TASKS, Vocabulary
 
@@ -53,9 +55,13 @@ def nucleus_candidates(probs: np.ndarray, top_p: float) -> tuple[np.ndarray, np.
     return ids, chosen / chosen.sum()
 
 
+@functools.cache
 def _allowed_token_ids(vocab_size: int) -> np.ndarray:
-    """Everything a decoder may emit: regular tokens plus </s>."""
-    return np.concatenate(([EOS_ID], np.arange(N_RESERVED, vocab_size)))
+    """Everything a decoder may emit: regular tokens plus </s>. Built once
+    per vocabulary size and shared read-only."""
+    ids = np.concatenate(([EOS_ID], np.arange(N_RESERVED, vocab_size)))
+    ids.setflags(write=False)
+    return ids
 
 
 def sample_next_token(
@@ -107,7 +113,7 @@ def generate(
     assembled = assemble_input(
         example, vocab, "gen", use_event=use_event, max_positions=model.config.max_positions
     )
-    enc_out, enc_mask = model.encoder_states(assembled, example.rois)
+    enc_out, enc_mask = model.encoder_states(pad_batch([(assembled, example)]))
     max_len = min(config.max_len, model.config.max_positions - 1)
 
     if config.mode == "nucleus":

@@ -14,20 +14,20 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
+from .data import PaddedBatch, pad_batch
 from .tensor import (
     Tensor,
     add,
-    concat,
     cross_entropy,
     gather_rows,
     kl_divergence,
     log_softmax,
+    reshape,
     scale,
 )
 from .vocab import PAD_ID
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .data import PaddedBatch
     from .model import Model
 
 LOSS_ORDER = ("kcg", "ap", "rp", "mlm", "mrm")
@@ -146,78 +146,73 @@ def compute_losses(
     train: bool = False,
     rng: np.random.Generator | None = None,
 ) -> dict[str, Tensor]:
-    """Forward every example of the batch once and build the wanted terms.
+    """Forward the batch once and build the wanted terms.
 
     ``batch`` is a PaddedBatch or a plain sequence of (assembled, example)
-    pairs. Units are pooled across the batch before each head so every term
-    is a mean over all of its units, matching the singleton decomposition.
+    pairs. Each term gathers its units from every row of the batch with one
+    flat row index into the [B * T_dec, d] decoder states, so every term is
+    a mean over all of its units, matching the singleton decomposition.
     """
     wanted = set(wanted)
     unknown = wanted - set(LOSS_ORDER)
     if unknown:
         raise ValueError(f"unknown loss terms {sorted(unknown)}")
+    if not isinstance(batch, PaddedBatch):
+        batch = pad_batch(batch)
 
-    items = getattr(batch, "items", batch)
-    enc_pad_to = getattr(batch, "enc_len", None)
-    dec_pad_to = getattr(batch, "dec_len", None)
-
-    kcg_rows, kcg_labels = [], []
+    width = batch.dec_len
     ap_rows, ap_labels = [], []
     rp_rows, rp_labels = [], []
     mlm_rows, mlm_targets = [], []
     mrm_rows, mrm_probs = [], []
-
-    for assembled, example in items:
-        hidden = model.forward(
-            assembled,
-            example.rois,
-            train=train,
-            rng=rng,
-            enc_pad_to=enc_pad_to,
-            dec_pad_to=dec_pad_to,
-        )
-        if "kcg" in wanted and assembled.dec_labels is not None:
-            kcg_rows.append(gather_rows(hidden, np.arange(assembled.dec_len)))
-            kcg_labels.append(assembled.dec_labels)
-        if "ap" in wanted and example.attributes:
-            slots = assembled.visual_slots
-            positions = [slots[roi_idx] for roi_idx, _ in example.attributes]
-            ap_rows.append(gather_rows(hidden, positions))
-            ap_labels.extend(label for _, label in example.attributes)
-        if "rp" in wanted and example.relations:
-            slots = assembled.visual_slots
+    for row, (assembled, example) in enumerate(batch.items):
+        offset = row * width
+        slots = assembled.visual_slots
+        if "ap" in wanted:
+            for roi_idx, label in example.attributes:
+                ap_rows.append(offset + slots[roi_idx])
+                ap_labels.append(label)
+        if "rp" in wanted:
             n = len(slots)
-            for subj, obj, _ in example.relations:
+            for subj, obj, label in example.relations:
                 if not (0 <= subj < n and 0 <= obj < n) or subj == obj:
                     raise ValueError(
                         f"relation pair ({subj}, {obj}) out of range for {n} regions"
                     )
-            subj_rows = gather_rows(hidden, [slots[s] for s, _, _ in example.relations])
-            obj_rows = gather_rows(hidden, [slots[o] for _, o, _ in example.relations])
-            rp_rows.append(concat([subj_rows, obj_rows], axis=1))
-            rp_labels.extend(label for _, _, label in example.relations)
-        if "mlm" in wanted and len(assembled.mlm_positions) > 0:
-            mlm_rows.append(gather_rows(hidden, assembled.mlm_positions))
-            mlm_targets.append(assembled.mlm_targets)
-        if "mrm" in wanted and len(assembled.mrm_positions) > 0:
-            mrm_rows.append(gather_rows(hidden, assembled.mrm_positions))
+                rp_rows.extend((offset + slots[subj], offset + slots[obj]))
+                rp_labels.append(label)
+        if "mlm" in wanted:
+            mlm_rows.extend(offset + assembled.mlm_positions)
+            mlm_targets.extend(assembled.mlm_targets)
+        if "mrm" in wanted:
+            mrm_rows.extend(offset + assembled.mrm_positions)
             mrm_probs.extend(example.rois[r].class_probs for r in assembled.mrm_roi_indices)
 
+    kcg_rows = kcg_labels = ()
+    if "kcg" in wanted and batch.dec_labels is not None:
+        labels = batch.dec_labels.reshape(-1)
+        kcg_rows = np.flatnonzero(labels != PAD_ID)
+        kcg_labels = labels[kcg_rows]
+
+    hidden = model.forward(batch, train=train, rng=rng)
+    d = hidden.shape[-1]
+    flat = reshape(hidden, (-1, d))
     terms: dict[str, Tensor] = {}
-    if kcg_rows:
-        logits = model.lm_head(concat(kcg_rows, axis=0))
-        terms["kcg"] = loss_kcg(logits, np.concatenate(kcg_labels))
+    if len(kcg_rows):
+        logits = model.lm_head(gather_rows(flat, kcg_rows))
+        terms["kcg"] = loss_kcg(logits, kcg_labels)
     if ap_rows:
-        logits = model.ap_head(concat(ap_rows, axis=0))
+        logits = model.ap_head(gather_rows(flat, ap_rows))
         terms["ap"] = loss_ap(logits, ap_labels)
     if rp_rows:
-        logits = model.rp_head(concat(rp_rows, axis=0))
-        terms["rp"] = loss_rp(logits, rp_labels)
+        # subject and object rows interleave, so each pair is one [2d] row
+        pairs = reshape(gather_rows(flat, rp_rows), (-1, 2 * d))
+        terms["rp"] = loss_rp(model.rp_head(pairs), rp_labels)
     if mlm_rows:
-        logits = model.lm_head(concat(mlm_rows, axis=0))
-        terms["mlm"] = loss_mlm(logits, np.concatenate(mlm_targets))
+        logits = model.lm_head(gather_rows(flat, mlm_rows))
+        terms["mlm"] = loss_mlm(logits, mlm_targets)
     if mrm_rows:
-        logits = model.mrm_head(concat(mrm_rows, axis=0))
+        logits = model.mrm_head(gather_rows(flat, mrm_rows))
         probs = np.stack(mrm_probs).astype(logits.dtype)
         terms["mrm"] = loss_mrm(logits, probs)
     return terms

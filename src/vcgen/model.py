@@ -57,14 +57,13 @@ from .vocab import (
     MASK_ID,
     MLM_END_ID,
     MLM_ID,
-    PAD_ID,
     TaskType,
     Vocabulary,
     task_token_id,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .data import MultimodalExample
+    from .data import MultimodalExample, PaddedBatch
 
 SEG_TASK = 0
 SEG_VISUAL = 1
@@ -362,7 +361,7 @@ class DecoderCache:
     """Incremental decoding state of one example's live rows.
 
     ``cross`` holds each decoder layer's cross-attention keys and values
-    over the encoder states, [H, T_enc, dk], shared by every row.
+    over the encoder states, [1, H, T_enc, dk], shared by every row.
     ``self_k``/``self_v`` hold each layer's self-attention keys and values,
     [rows, H, max_len, dk], filled for the first ``length`` positions.
     """
@@ -428,58 +427,39 @@ class Model:
 
     # -- embedding ----------------------------------------------------------
 
-    def project_rois(self, rois: Sequence[RoIFeature], zero_fill: Sequence[int] = ()) -> Tensor:
-        """Project raw region features (d_visual) into model width.
-
-        ``zero_fill`` lists RoI indices whose raw feature is replaced by a
-        zero vector before projection, so the model sees bias + position only.
-        """
-        feats = np.stack([r.feat for r in rois]).astype(self.dtype)
-        for idx in zero_fill:
-            feats[idx] = 0.0
-        return _linear(
-            Tensor(feats), self.params["vis_proj.weight"], self.params["vis_proj.bias"]
-        )
-
     def _positions(self, length: int) -> Tensor:
         if length > self.config.max_positions:
             raise ValueError(f"sequence length {length} exceeds max_positions {self.config.max_positions}")
         return gather_rows(self.params["pos_emb.weight"], np.arange(length))
 
-    def embed(
-        self,
-        assembled: AssembledInput,
-        rois: Sequence[RoIFeature],
-        pad_to: int | None = None,
-    ) -> Tensor:
-        """Encoder-side embedding: tokens + projected regions + positions."""
-        slots = assembled.visual_slots
-        if len(slots) != len(rois):
-            raise ValueError(f"{len(slots)} visual slots but {len(rois)} RoI features")
-        ids = assembled.enc_ids
-        length = len(ids) if pad_to is None else pad_to
-        if pad_to is not None and pad_to < len(ids):
-            raise ValueError("pad_to shorter than the assembled sequence")
-        padded = np.full(length, PAD_ID, dtype=np.int64)
-        padded[: len(ids)] = ids
-        tok = gather_rows(self.params["tok_emb.weight"], padded)
-        pos = self._positions(length)
-        if len(slots) == 0:
-            return add(tok, pos)
-        keep = np.ones((length, 1), dtype=self.dtype)
-        keep[slots] = 0.0
-        projected = self.project_rois(rois, zero_fill=assembled.mrm_roi_indices)
-        visual = scatter_rows(projected, slots, length)
-        return add(add(mul(tok, Tensor(keep)), visual), pos)
+    def embed(self, batch: "PaddedBatch") -> Tensor:
+        """Encoder-side embedding [B, T, d]: tokens + projected regions + positions.
 
-    def embed_decoder(self, dec_ids: np.ndarray, pad_to: int | None = None) -> Tensor:
-        length = len(dec_ids) if pad_to is None else pad_to
-        if pad_to is not None and pad_to < len(dec_ids):
-            raise ValueError("pad_to shorter than the decoder sequence")
-        padded = np.full(length, PAD_ID, dtype=np.int64)
-        padded[: len(dec_ids)] = dec_ids
-        tok = gather_rows(self.params["tok_emb.weight"], padded)
-        return add(tok, self._positions(length))
+        Each item's regions are projected as one [R, d_visual] product of
+        the stacked features, then moved to their visual slots, where they
+        replace the <img_feat> token embedding.
+        """
+        ids = batch.enc_ids
+        rows, length = ids.shape
+        tok = gather_rows(self.params["tok_emb.weight"], ids)
+        pos = self._positions(length)
+        if len(batch.slot_index) == 0:
+            return add(tok, pos)
+        keep = np.ones((rows * length, 1), dtype=self.dtype)
+        keep[batch.slot_index] = 0.0
+        projected = _linear(
+            Tensor(batch.roi_feats.astype(self.dtype)),
+            self.params["vis_proj.weight"],
+            self.params["vis_proj.bias"],
+        )
+        regions = gather_rows(reshape(projected, (-1, self.config.d_model)), batch.roi_index)
+        visual = reshape(scatter_rows(regions, batch.slot_index, rows * length), tok.shape)
+        return add(add(mul(tok, Tensor(keep.reshape(rows, length, 1))), visual), pos)
+
+    def embed_decoder(self, dec_ids: np.ndarray) -> Tensor:
+        """Decoder-side embedding [B, T, d] of [B, T] token ids."""
+        tok = gather_rows(self.params["tok_emb.weight"], dec_ids)
+        return add(tok, self._positions(dec_ids.shape[-1]))
 
     # -- transformer stacks -------------------------------------------------
 
@@ -514,11 +494,12 @@ class Model:
         return self._attend(q, self._heads(kv, prefix, "k"), self._heads(kv, prefix, "v"), prefix, bias)
 
     def _key_bias(self, pad_mask: np.ndarray) -> Tensor | None:
-        """(1, 1, T) additive bias hiding padded key positions."""
+        """[B, 1, 1, T] additive bias hiding the padded key positions of a
+        [B, T] mask; None when nothing is padded."""
         if pad_mask.all():
             return None
         bias = np.where(pad_mask, 0.0, NEG_MASK_VALUE).astype(self.dtype)
-        return Tensor(bias.reshape(1, 1, -1))
+        return Tensor(bias[:, None, None, :])
 
     def _causal_bias(self, length: int) -> Tensor:
         bias = np.triu(np.full((length, length), NEG_MASK_VALUE, dtype=self.dtype), k=1)
@@ -542,7 +523,8 @@ class Model:
         train: bool = False,
         rng: np.random.Generator | None = None,
     ) -> Tensor:
-        """Bidirectional pre-norm encoder stack; pad positions are hidden from keys."""
+        """Bidirectional pre-norm encoder stack over [B, T, d]; pad positions
+        are hidden from keys."""
         key_bias = self._key_bias(pad_mask)
         x = embedded
         for i in range(self.config.n_enc_layers):
@@ -561,8 +543,12 @@ class Model:
         train: bool = False,
         rng: np.random.Generator | None = None,
     ) -> Tensor:
-        """Causal self-attention plus cross-attention over encoder states."""
-        length = dec_embedded.shape[0]
+        """Causal self-attention plus cross-attention over encoder states.
+
+        Padding sits after each row's real positions, which the causal mask
+        already hides from them.
+        """
+        length = dec_embedded.shape[-2]
         causal = self._causal_bias(length)
         key_bias = self._key_bias(enc_pad_mask)
         x = dec_embedded
@@ -579,7 +565,8 @@ class Model:
     def start_decoding(
         self, enc_out: Tensor, enc_pad_mask: np.ndarray, rows: int, max_len: int
     ) -> DecoderCache:
-        """Incremental decoding state for ``rows`` rows over one encoding.
+        """Incremental decoding state for ``rows`` rows over one encoding,
+        ``enc_out`` [1, T_enc, d].
 
         Each decoder layer's cross-attention keys and values are projected
         here, once; the self-attention caches hold ``max_len`` positions.
@@ -627,7 +614,7 @@ class Model:
 
             prefix = f"dec.{i}.cross_attn"
             q = self._heads(self._norm(x, f"dec.{i}.ln2"), prefix, "q")
-            keys, values = (Tensor(np.broadcast_to(kv, (rows,) + kv.shape)) for kv in cache.cross[i])
+            keys, values = (Tensor(np.broadcast_to(kv, (rows,) + kv.shape[1:])) for kv in cache.cross[i])
             x = add(x, self._attend(q, keys, values, prefix, cache.key_bias))
             x = add(x, self._ffn(self._norm(x, f"dec.{i}.ln3"), f"dec.{i}.ffn"))
         cache.length += 1
@@ -661,16 +648,12 @@ class Model:
 
     def encoder_states(
         self,
-        assembled: AssembledInput,
-        rois: Sequence[RoIFeature],
+        batch: "PaddedBatch",
         train: bool = False,
         rng: np.random.Generator | None = None,
-        pad_to: int | None = None,
     ) -> tuple[Tensor, np.ndarray]:
-        length = assembled.enc_len if pad_to is None else pad_to
-        pad_mask = np.arange(length) < assembled.enc_len
-        embedded = self.embed(assembled, rois, pad_to=pad_to)
-        return self.encode(embedded, pad_mask, train, rng), pad_mask
+        """Encoder states [B, T_enc, d] and the [B, T_enc] real-position mask."""
+        return self.encode(self.embed(batch), batch.enc_mask, train, rng), batch.enc_mask
 
     def decode_ids(
         self,
@@ -679,19 +662,16 @@ class Model:
         enc_pad_mask: np.ndarray,
         train: bool = False,
         rng: np.random.Generator | None = None,
-        pad_to: int | None = None,
     ) -> Tensor:
-        return self.decode(self.embed_decoder(dec_ids, pad_to=pad_to), enc_out, enc_pad_mask, train, rng)
+        """Decoder states [B, T_dec, d] for [B, T_dec] ids over ``enc_out``."""
+        return self.decode(self.embed_decoder(dec_ids), enc_out, enc_pad_mask, train, rng)
 
     def forward(
         self,
-        assembled: AssembledInput,
-        rois: Sequence[RoIFeature],
+        batch: "PaddedBatch",
         train: bool = False,
         rng: np.random.Generator | None = None,
-        enc_pad_to: int | None = None,
-        dec_pad_to: int | None = None,
     ) -> Tensor:
-        """Run encoder and decoder; returns decoder hidden states [L, d]."""
-        enc_out, pad_mask = self.encoder_states(assembled, rois, train, rng, pad_to=enc_pad_to)
-        return self.decode_ids(assembled.dec_ids, enc_out, pad_mask, train, rng, pad_to=dec_pad_to)
+        """Run encoder and decoder; returns decoder hidden states [B, T_dec, d]."""
+        enc_out, enc_mask = self.encoder_states(batch, train, rng)
+        return self.decode_ids(batch.dec_ids, enc_out, enc_mask, train, rng)

@@ -231,10 +231,21 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"matmul shape mismatch: {a_shape} x {b_shape}")
     data = a.data @ b.data
 
-    def bw(g):
-        ga = g @ np.swapaxes(b.data, -1, -2) if a.requires_grad else None
-        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape) if b.requires_grad else None
-        return ga, gb
+    if len(b_shape) == 2:
+        # Backward treats the stacked rows of ``a`` as one [rows, k] matrix,
+        # so each gradient is a single 2-D GEMM with no per-slice reduction.
+        def bw(g):
+            rows = g.reshape(-1, g.shape[-1])
+            ga = (rows @ b.data.T).reshape(a_shape) if a.requires_grad else None
+            gb = a.data.reshape(-1, a_shape[-1]).T @ rows if b.requires_grad else None
+            return ga, gb
+
+    else:
+
+        def bw(g):
+            ga = g @ np.swapaxes(b.data, -1, -2) if a.requires_grad else None
+            gb = np.swapaxes(a.data, -1, -2) @ g if b.requires_grad else None
+            return ga, gb
 
     return _make(data, (a, b), bw)
 
@@ -301,7 +312,9 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
 
 
 def gather_rows(x: Tensor, indices) -> Tensor:
-    """Select rows of a 2-D tensor; duplicate indices accumulate in backward."""
+    """Select rows of a 2-D tensor by an integer index array of any shape
+    (the result has shape ``indices.shape + (d,)``); duplicate indices
+    accumulate in backward."""
     idx = np.asarray(indices, dtype=np.int64)
     data = x.data[idx]
 

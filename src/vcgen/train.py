@@ -24,7 +24,8 @@ from .checkpoint import (
     save_checkpoint,
 )
 from .config import RunConfig, config_hash, to_dict
-from .data import MultimodalExample, PaddedBatch, load_jsonl, make_batches, score_description
+from .data import MultimodalExample, PaddedBatch, load_jsonl, make_batches, score_dataset
+from .data import score_description  # noqa: F401  (unused here; the benchmark traces this name)
 from .losses import LOSS_ORDER, LossWeights, combine_losses, compute_losses
 from .model import Model, assemble_input
 from .optim import AdamW
@@ -153,16 +154,11 @@ def evaluate_kcg(
     model: Model, vocab: Vocabulary, examples: Sequence[MultimodalExample], use_event: bool = True
 ) -> float:
     """Per-token mean cross-entropy over a dataset, eval mode."""
-    total_nll = 0.0
-    total_tokens = 0
-    for example in examples:
-        scored = score_description(model, vocab, example, use_event=use_event)
-        n_tokens = len(vocab.encode(example.target_text)) + 1  # plus </s>
-        total_nll += scored.avg_ce * n_tokens
-        total_tokens += n_tokens
+    scored = score_dataset(model, vocab, examples, use_event=use_event)
+    total_tokens = sum(s.n_tokens for s in scored)
     if total_tokens == 0:
         raise ValueError("evaluate_kcg needs a non-empty dataset")
-    return total_nll / total_tokens
+    return sum(s.avg_ce * s.n_tokens for s in scored) / total_tokens
 
 
 def _run_epochs(

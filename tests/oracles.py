@@ -11,6 +11,25 @@ from collections import Counter
 
 import numpy as np
 
+from vcgen.losses import loss_ap, loss_kcg, loss_mlm, loss_mrm, loss_rp
+from vcgen.tensor import (
+    NEG_MASK_VALUE,
+    Tensor,
+    add,
+    concat,
+    gather_rows,
+    gelu,
+    layer_norm,
+    matmul,
+    mul,
+    permute,
+    reshape,
+    scale,
+    scatter_rows,
+    softmax,
+    transpose,
+)
+
 
 def central_difference_grads(eval_fn, params, step=1e-3):
     """Central finite differences of every parameter entry.
@@ -52,6 +71,115 @@ def assert_grads_close(analytic, numeric, rtol=1e-3, atol=1e-8, label=""):
             f"|ana-fd|={diff.max():.3e} at {np.unravel_index(diff.argmax(), diff.shape)}, "
             f"ana={ana.flat[diff.argmax()]:.6e} fd={num.flat[diff.argmax()]:.6e}"
         )
+
+
+# ---------------------------------------------------------------------------
+# per-example forward
+
+
+def per_example_forward(model, assembled, rois):
+    """Decoder states [T_dec, d] of one unpadded example, without dropout.
+
+    Built op by op from the parameters, one example at a time, as the model
+    ran before it took whole batches: the reference the batched forward is
+    checked against. The ops are the package's taped tensor ops, so
+    gradients flow through it.
+    """
+    p = model.params
+    cfg = model.config
+    heads, d = cfg.n_heads, cfg.d_model
+    dk = d // heads
+
+    def linear(x, name):
+        return add(matmul(x, p[f"{name}.weight"]), p[f"{name}.bias"])
+
+    def norm(x, name):
+        return layer_norm(x, p[f"{name}.gain"], p[f"{name}.bias"])
+
+    def split(x, name):
+        return permute(reshape(linear(x, name), (x.shape[0], heads, dk)), (1, 0, 2))
+
+    def attention(x, kv, name, bias):
+        q, k, v = split(x, f"{name}.q"), split(kv, f"{name}.k"), split(kv, f"{name}.v")
+        scores = scale(matmul(q, transpose(k)), 1.0 / math.sqrt(dk))
+        if bias is not None:
+            scores = add(scores, bias)
+        ctx = permute(matmul(softmax(scores, axis=-1), v), (1, 0, 2))
+        return linear(reshape(ctx, (x.shape[0], d)), f"{name}.o")
+
+    def ffn(x, name):
+        return linear(gelu(linear(x, f"{name}.fc1")), f"{name}.fc2")
+
+    enc_len = assembled.enc_len
+    tok = gather_rows(p["tok_emb.weight"], assembled.enc_ids)
+    pos = gather_rows(p["pos_emb.weight"], np.arange(enc_len))
+    slots = assembled.visual_slots
+    if len(slots) == 0:
+        x = add(tok, pos)
+    else:
+        feats = np.stack([r.feat for r in rois]).astype(model.dtype)
+        feats[assembled.mrm_roi_indices] = 0.0
+        keep = np.ones((enc_len, 1), dtype=model.dtype)
+        keep[slots] = 0.0
+        visual = scatter_rows(linear(Tensor(feats), "vis_proj"), slots, enc_len)
+        x = add(add(mul(tok, Tensor(keep)), visual), pos)
+    for i in range(cfg.n_enc_layers):
+        h = norm(x, f"enc.{i}.ln1")
+        x = add(x, attention(h, h, f"enc.{i}.attn", None))
+        x = add(x, ffn(norm(x, f"enc.{i}.ln2"), f"enc.{i}.ffn"))
+    enc = norm(x, "enc.ln")
+
+    dec_len = assembled.dec_len
+    y = add(
+        gather_rows(p["tok_emb.weight"], assembled.dec_ids),
+        gather_rows(p["pos_emb.weight"], np.arange(dec_len)),
+    )
+    causal = Tensor(np.triu(np.full((1, dec_len, dec_len), NEG_MASK_VALUE, dtype=model.dtype), k=1))
+    for i in range(cfg.n_dec_layers):
+        h = norm(y, f"dec.{i}.ln1")
+        y = add(y, attention(h, h, f"dec.{i}.self_attn", causal))
+        y = add(y, attention(norm(y, f"dec.{i}.ln2"), enc, f"dec.{i}.cross_attn", None))
+        y = add(y, ffn(norm(y, f"dec.{i}.ln3"), f"dec.{i}.ffn"))
+    return norm(y, "dec.ln")
+
+
+def per_example_losses(model, items, wanted):
+    """The loss terms of ``compute_losses``, from one unpadded forward per
+    (assembled, example) item and one gather per item and term."""
+    kcg, ap, rp, mlm, mrm = ([], []), ([], []), ([], []), ([], []), ([], [])
+    for assembled, example in items:
+        hidden = per_example_forward(model, assembled, example.rois)
+        slots = assembled.visual_slots
+        if "kcg" in wanted and assembled.dec_labels is not None:
+            kcg[0].append(hidden)
+            kcg[1].extend(assembled.dec_labels)
+        if "ap" in wanted and example.attributes:
+            ap[0].append(gather_rows(hidden, [slots[r] for r, _ in example.attributes]))
+            ap[1].extend(label for _, label in example.attributes)
+        if "rp" in wanted and example.relations:
+            subj = gather_rows(hidden, [slots[s] for s, _, _ in example.relations])
+            obj = gather_rows(hidden, [slots[o] for _, o, _ in example.relations])
+            rp[0].append(concat([subj, obj], axis=1))
+            rp[1].extend(label for _, _, label in example.relations)
+        if "mlm" in wanted and len(assembled.mlm_positions):
+            mlm[0].append(gather_rows(hidden, assembled.mlm_positions))
+            mlm[1].extend(assembled.mlm_targets)
+        if "mrm" in wanted and len(assembled.mrm_positions):
+            mrm[0].append(gather_rows(hidden, assembled.mrm_positions))
+            mrm[1].extend(example.rois[r].class_probs for r in assembled.mrm_roi_indices)
+    terms = {}
+    if kcg[0]:
+        terms["kcg"] = loss_kcg(model.lm_head(concat(kcg[0])), kcg[1])
+    if ap[0]:
+        terms["ap"] = loss_ap(model.ap_head(concat(ap[0])), ap[1])
+    if rp[0]:
+        terms["rp"] = loss_rp(model.rp_head(concat(rp[0])), rp[1])
+    if mlm[0]:
+        terms["mlm"] = loss_mlm(model.lm_head(concat(mlm[0])), mlm[1])
+    if mrm[0]:
+        rows = model.mrm_head(concat(mrm[0]))
+        terms["mrm"] = loss_mrm(rows, np.stack(mrm[1]).astype(rows.dtype))
+    return terms
 
 
 # ---------------------------------------------------------------------------

@@ -302,7 +302,7 @@ def test_acceptance_filter_pipeline():
     assert map_comet_relation("xReact") == TaskType.AFTER
     assert map_comet_relation("xEffect") == TaskType.AFTER
 
-    mixed = [ScoredExample(example=candidates[0], avg_ce=v) for v in np.random.default_rng(1).uniform(0, 6, 40)]
+    mixed = [ScoredExample(example=candidates[0], avg_ce=v, n_tokens=4) for v in np.random.default_rng(1).uniform(0, 6, 40)]
     previous: set[int] = set()
     for threshold in (1.0, 2.0, 3.0, 3.5, 5.0):
         kept, dropped = filter_dataset(mixed, threshold)

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from vcgen.data import (
+    SCORE_CHUNK_ROWS,
     DatasetError,
     MultimodalExample,
     ScoredExample,
@@ -19,13 +21,16 @@ from vcgen.data import (
     make_batches,
     map_comet_relation,
     save_jsonl,
+    score_dataset,
     score_description,
 )
 from vcgen.model import Model, assemble_input
-from vcgen.synthetic import make_vcg_dataset
+from vcgen.synthetic import make_rois, make_vcg_dataset
+from vcgen.tensor import cross_entropy
 from vcgen.vocab import TaskType
 
 from helpers import tiny_config, tiny_examples, tiny_vocab
+from oracles import per_example_forward
 
 
 def write_lines(path, rows):
@@ -208,6 +213,61 @@ def test_scoring_independent_of_other_examples():
     _ = score_description(model, vocab, other)
     after_other = score_description(model, vocab, kcg).avg_ce
     assert alone == after_other
+    # ``twin`` has kcg's lengths and region count, so both share one forward
+    twin = dataclasses.replace(kcg, rois=other.rois, source_id="twin")
+    together = score_dataset(model, vocab, [twin, kcg])
+    assert together[1].avg_ce == alone
+    assert together[0].avg_ce == score_description(model, vocab, twin).avg_ce
+
+
+def _same_shape_variants(example, n, config, seed=0):
+    """``n`` copies of ``example`` with fresh region features: one bucket."""
+    rng = np.random.default_rng(seed)
+    return [
+        dataclasses.replace(
+            example,
+            rois=make_rois(rng, len(example.rois), config.d_visual, config.n_classes),
+            source_id=f"{example.source_id}-{i}",
+        )
+        for i in range(n)
+    ]
+
+
+@pytest.mark.parametrize("use_event", [True, False])
+def test_bucketed_scoring_equals_per_example_scoring_bitwise(use_event, monkeypatch):
+    """In float32, each row scored by ``score_dataset`` has exactly the score
+    of the one-example forward, whether it shares its bucket, sits in a
+    bucket of its own, or sits in a bucket split into several chunks."""
+    vocab = tiny_vocab()
+    config = tiny_config(len(vocab))
+    model = Model.init_random(config, 2)
+    kcg, _, _ = tiny_examples()
+    shorter = dataclasses.replace(kcg, event_text="w3 w4", target_text="tgt2", source_id="short")
+    one_roi = dataclasses.replace(kcg, rois=kcg.rois[:1], event_text="w1 w2 w3 w4 w5 w6 w1", source_id="one")
+    big = _same_shape_variants(kcg, SCORE_CHUNK_ROWS * 2 + 3, config)
+    pair = _same_shape_variants(shorter, 2, config, seed=1)
+    examples = [one_roi, *big[:5], *pair, *big[5:]]
+
+    rows_per_forward = []
+    forward = Model.forward
+
+    def counted(self, batch, *args, **kwargs):
+        rows_per_forward.append(len(batch))
+        return forward(self, batch, *args, **kwargs)
+
+    monkeypatch.setattr(Model, "forward", counted)
+    scored = score_dataset(model, vocab, examples, use_event=use_event)
+    # one_roi has big's lengths with the event text, but not its region count
+    assert sorted(rows_per_forward) == [1, 2, 3, SCORE_CHUNK_ROWS, SCORE_CHUNK_ROWS]
+    monkeypatch.undo()
+
+    for s, example in zip(scored, examples):
+        assert s.example is example
+        assembled = assemble_input(example, vocab, "kcg", use_event=use_event)
+        logits = model.lm_head(per_example_forward(model, assembled, example.rois))
+        reference = float(cross_entropy(logits, assembled.dec_labels).data)
+        assert s.avg_ce == reference, example.source_id
+        assert s.n_tokens == len(assembled.dec_labels)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +276,7 @@ def test_scoring_independent_of_other_examples():
 
 def fake_scored(values):
     kcg, _, _ = tiny_examples()
-    return [ScoredExample(example=kcg, avg_ce=v) for v in values]
+    return [ScoredExample(example=kcg, avg_ce=v, n_tokens=4) for v in values]
 
 
 def test_filter_threshold_is_strict():

@@ -7,8 +7,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from vcgen.data import pad_batch
 from vcgen.generate import (
     GenerationConfig,
+    _allowed_token_ids,
     generate,
     nucleus_candidates,
     sample_next_token,
@@ -159,7 +161,7 @@ def test_cached_decoding_matches_full_prefix_recompute(use_event):
     model = Model.init_random(tiny_config(len(vocab)), 0, dtype=np.float64)
     kcg, _, _ = tiny_examples()
     assembled = assemble_input(kcg, vocab, "gen", use_event=use_event)
-    enc_out, enc_mask = model.encoder_states(assembled, kcg.rois)
+    enc_out, enc_mask = model.encoder_states(pad_batch([(assembled, kcg)]))
     max_len = 8
     cache = model.start_decoding(enc_out, enc_mask, 3, max_len)
     prefixes = [[BOS_ID] for _ in range(3)]
@@ -169,7 +171,7 @@ def test_cached_decoding_matches_full_prefix_recompute(use_event):
         logits = model.lm_head(model.decode_step(ids, cache)).data[:, 0]
         assert logits.shape == (len(prefixes), len(vocab))
         for row, prefix in zip(logits, prefixes):
-            oracle = model.lm_head(model.decode_ids(np.asarray(prefix), enc_out, enc_mask)).data[-1]
+            oracle = model.lm_head(model.decode_ids(np.asarray([prefix]), enc_out, enc_mask)).data[0, -1]
             assert np.max(np.abs(row - oracle)) < 1e-9
         if step == 3:
             cache.keep([2, 0])
@@ -189,7 +191,7 @@ def test_decode_step_rows_are_bitwise_independent():
     config.d_model, config.n_heads, config.d_ffn = 128, 4, 256
     model = Model.init_random(config, 0)
     kcg, _, _ = tiny_examples()
-    enc_out, enc_mask = model.encoder_states(assemble_input(kcg, vocab, "gen"), kcg.rois)
+    enc_out, enc_mask = model.encoder_states(pad_batch([(assemble_input(kcg, vocab, "gen"), kcg)]))
     tokens = np.random.default_rng(5).integers(N_RESERVED, len(vocab), size=(6, 3))
     together = model.start_decoding(enc_out, enc_mask, 3, 6)
     alone = [model.start_decoding(enc_out, enc_mask, 1, 6) for _ in range(3)]
@@ -205,3 +207,10 @@ def test_nucleus_rows_do_not_depend_on_other_rows(gen_setup):
     three = generate(model, vocab, kcg, GenerationConfig(mode="nucleus", max_len=8, num_samples=3, seed=7))
     assert sorted({len(seq) for seq in five}) != [8]  # some row stopped at </s> and left the batch
     assert five[:3] == three
+
+
+def test_allowed_token_ids_are_built_once_and_read_only():
+    ids = _allowed_token_ids(40)
+    assert ids is _allowed_token_ids(40)
+    assert not ids.flags.writeable
+    assert ids.tolist() == [EOS_ID, *range(N_RESERVED, 40)]

@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from vcgen.data import MultimodalExample, make_batches
+from vcgen.data import MultimodalExample, make_batches, pad_batch
 from vcgen.losses import (
+    LOSS_ORDER,
     LossWeights,
     combine_losses,
     compute_losses,
@@ -22,7 +23,14 @@ from vcgen.synthetic import make_rois
 from vcgen.tensor import Tape, Tensor, gather_rows
 from vcgen.vocab import TaskType
 
-from helpers import denoise_seed_with_both_masks, tiny_config, tiny_examples, tiny_vocab
+from helpers import (
+    denoise_seed_with_both_masks,
+    tiny_config,
+    tiny_examples,
+    tiny_model_and_items,
+    tiny_vocab,
+)
+from oracles import per_example_losses
 
 
 def uniform_roi(d_visual, n_classes, rng):
@@ -201,7 +209,7 @@ def test_mlm_matches_token_loss_restricted_to_masked_positions():
     assembled = assemble_input(caption, vocab, "mlm", seed=seed)
     term = float(compute_losses(model, [(assembled, caption)], ["mlm"])["mlm"].data)
 
-    hidden = model.forward(assembled, caption.rois)
+    hidden = Tensor(model.forward(pad_batch([(assembled, caption)])).data[0])
     logits = model.lm_head(gather_rows(hidden, assembled.mlm_positions))
     direct = float(loss_kcg(logits, assembled.mlm_targets).data)
     assert term == pytest.approx(direct, rel=1e-12)
@@ -212,10 +220,10 @@ def test_mlm_ignores_unmasked_positions():
     _, _, caption = tiny_examples()
     seed = denoise_seed_with_both_masks(caption, vocab)
     assembled = assemble_input(caption, vocab, "mlm", seed=seed)
-    hidden = model.forward(assembled, caption.rois)
+    hidden = model.forward(pad_batch([(assembled, caption)]))
     full_logits = model.lm_head(hidden)
-    masked_logits = full_logits.data[assembled.mlm_positions]
-    perturbed = full_logits.data.copy()
+    masked_logits = full_logits.data[0, assembled.mlm_positions]
+    perturbed = full_logits.data[0].copy()
     unmasked = [i for i in range(assembled.dec_len) if i not in set(assembled.mlm_positions.tolist())]
     perturbed[unmasked] += 123.0
     a = float(loss_mlm(Tensor(masked_logits), assembled.mlm_targets).data)
@@ -330,3 +338,111 @@ def test_single_step_decreases_combined_loss(seed):
     opt.step()
     after = loss_value()
     assert after < before
+
+
+# ---------------------------------------------------------------------------
+# the batched forward against the per-example oracle
+
+
+def _grads_of(model, build):
+    model.zero_grad()
+    with Tape() as tape:
+        loss = build()
+    tape.backward(loss)
+    return float(loss.data), {name: p.grad.copy() for name, p in model.params.items() if p.grad is not None}
+
+
+def test_batched_gradients_match_per_example_oracle():
+    """In float64, every parameter gradient of each term and of the combined
+    loss equals the one-example-at-a-time forward's, for a batch whose items
+    are padded on both the encoder and the decoder side and carry different
+    region counts. The tolerance is relative to the largest gradient entry
+    in the model: the *.k.bias gradients are analytically zero, so a
+    per-tensor ratio would compare rounding noise."""
+    vocab, config, model, items = tiny_model_and_items(dtype=np.float64, seed=0)
+    rng = np.random.default_rng(9)
+    long_event = MultimodalExample(
+        task=TaskType.AFTER,
+        rois=make_rois(rng, 1, config.d_visual, config.n_classes),
+        event_text="w1 w2 w3 w4 w5 w6 w6 w5 w4 w3",
+        target_text="tgt4",
+        source_id="long-event",
+    )
+    region3 = MultimodalExample(
+        task=TaskType.REGION_CAPTION,
+        rois=make_rois(rng, 3, config.d_visual, config.n_classes),
+        event_text=None,
+        target_text="",
+        attributes=[(2, 0)],
+        relations=[(2, 0, 1)],
+        source_id="reg-3",
+    )
+    items = items + [(assemble_input(long_event, vocab, "kcg"), long_event), (assemble_input(region3, vocab, "rp"), region3)]
+    batch = pad_batch(items)
+    assert any(a.enc_len < batch.enc_len for a, _ in items)
+    assert any(a.dec_len < batch.dec_len for a, _ in items)
+    assert batch.enc_len != batch.dec_len
+
+    cases = {name: [name] for name in LOSS_ORDER}
+    cases["combined"] = list(LOSS_ORDER)
+    for label, wanted in cases.items():
+        def batched():
+            return combine_losses(compute_losses(model, batch, wanted))[0]
+
+        def oracle():
+            return combine_losses(per_example_losses(model, items, wanted))[0]
+
+        loss, grads = _grads_of(model, batched)
+        ref_loss, ref_grads = _grads_of(model, oracle)
+        assert loss == pytest.approx(ref_loss, rel=1e-12), label
+        assert set(grads) == set(ref_grads), label
+        largest = max(float(np.abs(g).max()) for g in ref_grads.values())
+        for name, ref in ref_grads.items():
+            worst = float(np.abs(grads[name] - ref).max())
+            assert worst <= 1e-10 * largest, (label, name, worst / largest)
+
+
+def _varied_items(kind: str, n: int, vocab, config):
+    """``n`` items of one pass whose lengths differ between neighbours."""
+    rng = np.random.default_rng(3)
+    items = []
+    for i in range(n):
+        rois = make_rois(rng, 1 + i % 3, config.d_visual, config.n_classes)
+        if kind == "kcg":
+            ex = MultimodalExample(
+                task=TaskType.INTENT, rois=rois, event_text=" ".join(["w1", "w2"][: 1 + i % 2]),
+                target_text=" ".join(["tgt1", "tgt2", "tgt3"][: 1 + i % 3]), source_id=f"k{i}",
+            )
+            items.append((assemble_input(ex, vocab, "kcg"), ex))
+        elif kind == "ap":
+            ex = MultimodalExample(
+                task=TaskType.REGION_CAPTION, rois=rois, event_text=None, target_text="",
+                attributes=[(0, i % config.n_attr)], relations=[(0, len(rois) - 1, 1)] if len(rois) > 1 else [],
+                source_id=f"r{i}",
+            )
+            items.append((assemble_input(ex, vocab, "ap"), ex))
+        else:
+            ex = MultimodalExample(
+                task=TaskType.CAPTION, rois=rois, event_text=None,
+                target_text=" ".join(f"w{j}" for j in range(1, 3 + i % 4)), source_id=f"c{i}",
+            )
+            seed = denoise_seed_with_both_masks(ex, vocab)
+            items.append((assemble_input(ex, vocab, "mlm", seed=seed), ex))
+    return items
+
+
+@pytest.mark.parametrize("kind, wanted", [("kcg", ["kcg"]), ("ap", ["ap", "rp"]), ("mlm", ["mlm", "mrm"])])
+def test_tape_nodes_per_step_do_not_grow_with_batch_size(kind, wanted):
+    vocab = tiny_vocab()
+    config = tiny_config(len(vocab), dropout=0.1)
+    model = Model.init_random(config, 0)
+    items = _varied_items(kind, 8, vocab, config)
+
+    def nodes(batch_items):
+        with Tape() as tape:
+            terms = compute_losses(model, batch_items, wanted, train=True, rng=np.random.default_rng(0))
+            assert set(terms) == set(wanted)
+            combine_losses(terms)
+        return len(tape)
+
+    assert nodes(items[:2]) == nodes(items)

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from vcgen.data import MultimodalExample
+import dataclasses
+
+from vcgen.data import MultimodalExample, pad_batch
 from vcgen.model import (
     Model,
     ModelConfig,
@@ -148,76 +150,86 @@ def test_zero_roi_feature_with_zero_bias_gives_positional_embedding(setup):
             source_id="z",
         )
         a = assemble_input(ex, vocab, "kcg")
-        emb = model.embed(a, ex.rois)
+        emb = model.embed(pad_batch([(a, ex)]))
         slot = a.visual_slots[0]
         pos = model.params["pos_emb.weight"].data[slot]
-        assert np.allclose(emb.data[slot], pos, atol=1e-12)
+        assert np.allclose(emb.data[0, slot], pos, atol=1e-12)
     finally:
         model.params["vis_proj.bias"].data[:] = 0.0
 
 
 def test_roi_permutation_permutes_projected_rows(setup):
-    _, _, model, kcg, _, _ = setup
-    rois = kcg.rois
-    swapped = [rois[1], rois[0]]
-    a = model.project_rois(rois).data
-    b = model.project_rois(swapped).data
-    assert np.allclose(a[0], b[1]) and np.allclose(a[1], b[0])
+    vocab, _, model, kcg, _, _ = setup
+    swapped = dataclasses.replace(kcg, rois=[kcg.rois[1], kcg.rois[0]])
+    a = assemble_input(kcg, vocab, "kcg")
+    emb = model.embed(pad_batch([(a, kcg), (a, swapped)])).data
+    pos = model.params["pos_emb.weight"].data
+    first, second = a.visual_slots
+    assert np.allclose(emb[0, first] - pos[first], emb[1, second] - pos[second])
+    assert np.allclose(emb[0, second] - pos[second], emb[1, first] - pos[first])
 
 
 def test_embed_shape_is_length_by_d_model(setup):
     vocab, config, model, kcg, _, _ = setup
     a = assemble_input(kcg, vocab, "kcg")
-    emb = model.embed(a, kcg.rois)
-    assert emb.shape == (a.enc_len, config.d_model)
-    padded = model.embed(a, kcg.rois, pad_to=a.enc_len + 4)
-    assert padded.shape == (a.enc_len + 4, config.d_model)
+    emb = model.embed(pad_batch([(a, kcg)]))
+    assert emb.shape == (1, a.enc_len, config.d_model)
+    longer = _longer_event(kcg)
+    b = assemble_input(longer, vocab, "kcg")
+    padded = model.embed(pad_batch([(a, kcg), (b, longer)]))
+    assert padded.shape == (2, a.enc_len + 4, config.d_model)
 
 
 def test_embed_slot_roi_count_mismatch(setup):
     vocab, _, model, kcg, _, _ = setup
     a = assemble_input(kcg, vocab, "kcg")
     with pytest.raises(ValueError, match="slots"):
-        model.embed(a, kcg.rois[:1])
+        pad_batch([(a, dataclasses.replace(kcg, rois=kcg.rois[:1]))])
 
 
 # ---------------------------------------------------------------------------
 # encoder / decoder properties
 
 
-def _forward_enc(model, assembled, rois, pad_to=None):
-    out, _ = model.encoder_states(assembled, rois, pad_to=pad_to)
-    return out.data
+def _longer_event(example, extra="w1 w2 w3 w4"):
+    return dataclasses.replace(example, event_text=f"{example.event_text} {extra}")
+
+
+def _forward_enc(model, assembled, example):
+    out, _ = model.encoder_states(pad_batch([(assembled, example)]))
+    return out.data[0]
 
 
 def test_encoder_is_bidirectional(setup):
     vocab, _, model, kcg, _, _ = setup
     a = assemble_input(kcg, vocab, "kcg")
-    base = _forward_enc(model, a, kcg.rois)
+    base = _forward_enc(model, a, kcg)
     mutated = assemble_input(kcg, vocab, "kcg")
     mutated.enc_ids = mutated.enc_ids.copy()
     mutated.enc_ids[-1] = vocab.encode("tgt4")[0]
-    changed = _forward_enc(model, mutated, kcg.rois)
+    changed = _forward_enc(model, mutated, kcg)
     assert not np.allclose(base[0], changed[0], atol=1e-9)
 
 
 def test_encoder_pad_invariance(setup):
     vocab, _, model, kcg, _, _ = setup
     a = assemble_input(kcg, vocab, "kcg")
-    base = _forward_enc(model, a, kcg.rois)
-    padded = _forward_enc(model, a, kcg.rois, pad_to=a.enc_len + 5)
-    assert np.allclose(base, padded[: a.enc_len], atol=1e-5)
+    base = _forward_enc(model, a, kcg)
+    longer = _longer_event(kcg, "w1 w2 w3 w4 w5")
+    padded, _ = model.encoder_states(pad_batch([(a, kcg), (assemble_input(longer, vocab, "kcg"), longer)]))
+    assert padded.shape[1] == a.enc_len + 5
+    assert np.allclose(base, padded.data[0, : a.enc_len], atol=1e-5)
 
 
 def test_decoder_causality(setup):
     vocab, _, model, kcg, _, _ = setup
     a = assemble_input(kcg, vocab, "kcg")
-    enc_out, mask = model.encoder_states(a, kcg.rois)
-    base = model.decode_ids(a.dec_ids, enc_out, mask).data
+    enc_out, mask = model.encoder_states(pad_batch([(a, kcg)]))
+    base = model.decode_ids(a.dec_ids[None], enc_out, mask).data[0]
     t = 2
     mutated = a.dec_ids.copy()
     mutated[t] = vocab.encode("tgt4")[0]
-    changed = model.decode_ids(mutated, enc_out, mask).data
+    changed = model.decode_ids(mutated[None], enc_out, mask).data[0]
     assert np.allclose(base[:t], changed[:t], atol=1e-6)
     assert not np.allclose(base[t:], changed[t:], atol=1e-9)
 
@@ -230,18 +242,19 @@ def test_decoder_ignores_encoder_with_zeroed_cross_attention(setup):
         model.params[f"dec.{i}.cross_attn.o.bias"].data[:] = 0.0
     a = assemble_input(kcg, vocab, "kcg", use_event=True)
     b = assemble_input(kcg, vocab, "kcg", use_event=False)
-    enc_a, mask_a = model.encoder_states(a, kcg.rois)
-    enc_b, mask_b = model.encoder_states(b, kcg.rois)
-    out_a = model.decode_ids(a.dec_ids, enc_a, mask_a).data
-    out_b = model.decode_ids(a.dec_ids, enc_b, mask_b).data
+    enc_a, mask_a = model.encoder_states(pad_batch([(a, kcg)]))
+    enc_b, mask_b = model.encoder_states(pad_batch([(b, kcg)]))
+    out_a = model.decode_ids(a.dec_ids[None], enc_a, mask_a).data
+    out_b = model.decode_ids(a.dec_ids[None], enc_b, mask_b).data
     assert np.allclose(out_a, out_b, atol=1e-12)
 
 
 def test_decoder_output_shape(setup):
-    vocab, config, model, kcg, _, _ = setup
+    vocab, config, model, kcg, _, caption = setup
     a = assemble_input(kcg, vocab, "kcg")
-    hidden = model.forward(a, kcg.rois)
-    assert hidden.shape == (a.dec_len, config.d_model)
+    b = assemble_input(caption, vocab, "mlm")
+    hidden = model.forward(pad_batch([(a, kcg), (b, caption)]))
+    assert hidden.shape == (2, max(a.dec_len, b.dec_len), config.d_model)
 
 
 def test_single_layer_ffn_branch_matches_hand_computation(setup):
@@ -258,8 +271,8 @@ def test_single_layer_ffn_branch_matches_hand_computation(setup):
         task=TaskType.INTENT, rois=[], event_text="w1 w2", target_text="tgt1", source_id="h"
     )
     a = assemble_input(ex, vocab, "kcg", use_event=True)
-    emb = model.embed(a, []).data
-    got = _forward_enc(model, a, [])
+    emb = model.embed(pad_batch([(a, ex)])).data[0]
+    got = _forward_enc(model, a, ex)
 
     p = {k: v.data for k, v in model.params.items()}
 
@@ -324,7 +337,7 @@ def test_rp_head_requires_double_width(setup):
 def test_heads_produce_finite_logits(setup):
     vocab, config, model, kcg, _, _ = setup
     a = assemble_input(kcg, vocab, "kcg")
-    hidden = model.forward(a, kcg.rois)
+    hidden = model.forward(pad_batch([(a, kcg)]))
     assert np.all(np.isfinite(model.lm_head(hidden).data))
     assert np.all(np.isfinite(model.ap_head(hidden).data))
     assert np.all(np.isfinite(model.mrm_head(hidden).data))
@@ -365,12 +378,12 @@ def test_dropout_train_changes_eval_does_not(setup):
     vocab, _, _, kcg, _, _ = setup
     config = tiny_config(len(tiny_vocab()), dropout=0.5)
     model = Model.init_random(config, 1, dtype=np.float64)
-    a = assemble_input(kcg, vocab, "kcg")
-    eval_a = model.forward(a, kcg.rois, train=False).data
-    eval_b = model.forward(a, kcg.rois, train=False).data
+    batch = pad_batch([(assemble_input(kcg, vocab, "kcg"), kcg)])
+    eval_a = model.forward(batch, train=False).data
+    eval_b = model.forward(batch, train=False).data
     assert np.array_equal(eval_a, eval_b)
-    train_a = model.forward(a, kcg.rois, train=True, rng=np.random.default_rng(0)).data
-    train_b = model.forward(a, kcg.rois, train=True, rng=np.random.default_rng(0)).data
-    train_c = model.forward(a, kcg.rois, train=True, rng=np.random.default_rng(1)).data
+    train_a = model.forward(batch, train=True, rng=np.random.default_rng(0)).data
+    train_b = model.forward(batch, train=True, rng=np.random.default_rng(0)).data
+    train_c = model.forward(batch, train=True, rng=np.random.default_rng(1)).data
     assert np.array_equal(train_a, train_b)
     assert not np.allclose(train_a, train_c)
