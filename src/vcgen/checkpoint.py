@@ -204,8 +204,8 @@ def check_model_config(checkpoint: Checkpoint, config: ModelConfig) -> None:
         raise ConfigMismatchError("model config mismatch: " + "; ".join(diffs))
 
 
-def params_as_tensors(checkpoint: Checkpoint, dtype=np.float32) -> dict[str, Tensor]:
+def params_as_tensors(checkpoint: Checkpoint, dtype=np.float32, requires_grad: bool = True) -> dict[str, Tensor]:
     return {
-        name: Tensor(data.astype(dtype), requires_grad=True)
+        name: Tensor(data.astype(dtype), requires_grad=requires_grad)
         for name, data in checkpoint.params.items()
     }

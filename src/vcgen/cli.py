@@ -9,7 +9,6 @@ BLAS thread pools before numpy loads.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -136,8 +135,23 @@ def cmd_finetune(args) -> int:
     return EXIT_OK
 
 
-def cmd_filter(args) -> int:
+def _load_inference_model(checkpoint: str, vocab_path: str):
+    """The checkpoint's model with frozen parameters, and its vocabulary."""
     from .checkpoint import load_checkpoint, params_as_tensors
+    from .model import Model
+    from .vocab import Vocabulary
+
+    ckpt = load_checkpoint(checkpoint)
+    model = Model(ckpt.model_config(), params_as_tensors(ckpt, requires_grad=False))
+    vocab = Vocabulary.load(vocab_path)
+    if len(vocab) != model.config.vocab_size:
+        raise ValueError(
+            f"vocabulary size {len(vocab)} does not match checkpoint vocab_size {model.config.vocab_size}"
+        )
+    return model, vocab
+
+
+def cmd_filter(args) -> int:
     from .data import (
         filter_dataset,
         filter_report,
@@ -145,16 +159,8 @@ def cmd_filter(args) -> int:
         save_jsonl,
         score_dataset,
     )
-    from .model import Model
-    from .vocab import Vocabulary
 
-    ckpt = load_checkpoint(args.checkpoint)
-    model = Model(ckpt.model_config(), params_as_tensors(ckpt))
-    vocab = Vocabulary.load(args.vocab)
-    if len(vocab) != model.config.vocab_size:
-        raise ValueError(
-            f"vocabulary size {len(vocab)} does not match checkpoint vocab_size {model.config.vocab_size}"
-        )
+    model, vocab = _load_inference_model(args.checkpoint, args.vocab)
     use_event = args.use_event != "false"
 
     candidates = load_candidates_jsonl(args.candidates)
@@ -180,31 +186,19 @@ def cmd_filter(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    from .checkpoint import load_checkpoint, params_as_tensors
     from .data import load_jsonl
-    from .generate import GenerationConfig, generate
-    from .model import Model
-    from .vocab import Vocabulary
+    from .generate import GenerationConfig, generate_dataset
 
-    ckpt = load_checkpoint(args.checkpoint)
-    model = Model(ckpt.model_config(), params_as_tensors(ckpt))
-    vocab = Vocabulary.load(args.vocab)
-    if len(vocab) != model.config.vocab_size:
-        raise ValueError(
-            f"vocabulary size {len(vocab)} does not match checkpoint vocab_size {model.config.vocab_size}"
-        )
-    use_event = args.use_event != "false"
-    num_samples = 1 if args.mode == "greedy" else args.num_samples
+    model, vocab = _load_inference_model(args.checkpoint, args.vocab)
     gen_cfg = GenerationConfig(
         mode=args.mode,
         top_p=args.top_p,
         max_len=args.max_len,
-        num_samples=num_samples,
+        num_samples=1 if args.mode == "greedy" else args.num_samples,
         seed=args.seed if args.seed is not None else 0,
     )
-    gen_cfg.validate()
-
     examples = load_jsonl(args.dataset)
+    generations = generate_dataset(model, vocab, examples, gen_cfg, use_event=args.use_event != "false")
     with Path(args.out).open("w", encoding="utf-8", newline="\n") as fh:
         header = {
             "seed": gen_cfg.seed,
@@ -214,9 +208,7 @@ def cmd_generate(args) -> int:
             "max_len": gen_cfg.max_len,
         }
         fh.write(json.dumps(header) + "\n")
-        for idx, example in enumerate(examples):
-            per_example = dataclasses.replace(gen_cfg, seed=_mix_seed(gen_cfg.seed, idx))
-            sequences = generate(model, vocab, example, per_example, use_event=use_event)
+        for example, sequences in zip(examples, generations):
             record = {
                 "source_id": example.source_id,
                 "task": example.task.value,
@@ -225,13 +217,6 @@ def cmd_generate(args) -> int:
             fh.write(json.dumps(record) + "\n")
     print(f"wrote generations for {len(examples)} examples to {args.out}")
     return EXIT_OK
-
-
-def _mix_seed(seed: int, index: int) -> int:
-    # Stable per-example stream; examples can be decoded in any order.
-    import numpy as np
-
-    return int(np.random.SeedSequence([seed, index]).generate_state(1)[0])
 
 
 def _load_generations(path: str):

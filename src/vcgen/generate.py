@@ -4,17 +4,17 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .data import pad_batch
+from .data import SCORE_CHUNK_ROWS, pad_batch
 from .model import assemble_input
 from .vocab import BOS_ID, EOS_ID, N_RESERVED, GENERATION_TASKS, Vocabulary
 
 if TYPE_CHECKING:  # pragma: no cover
     from .data import MultimodalExample
-    from .model import Model
+    from .model import AssembledInput, Model
 
 MODES = ("greedy", "nucleus")
 
@@ -67,23 +67,32 @@ def _allowed_token_ids(vocab_size: int) -> np.ndarray:
 def sample_next_token(
     logits: np.ndarray,
     config: GenerationConfig,
-    rng: np.random.Generator | None,
-) -> int:
-    """Pick the next token id from a full-vocabulary logit row.
+    rngs: Sequence[np.random.Generator] | None,
+) -> np.ndarray:
+    """Pick the next token id of every row of [S, V] full-vocabulary logits.
 
     Reserved tokens other than </s> are excluded before the argmax or the
-    top-p renormalization; greedy breaks ties by lowest token id.
+    top-p renormalization; greedy breaks ties by lowest token id. Nucleus
+    row j draws from ``rngs[j]``. Every step is row-wise, so a row gets the
+    token it gets alone.
     """
-    allowed = _allowed_token_ids(len(logits))
-    masked = np.full(len(logits), -np.inf)
-    masked[allowed] = logits[allowed]
+    allowed = _allowed_token_ids(logits.shape[-1])
+    masked = np.full(logits.shape, -np.inf)
+    masked[:, allowed] = logits[:, allowed]
     if config.mode == "greedy":
-        return int(np.argmax(masked))
-    shifted = masked - masked.max()
-    exp = np.exp(shifted)
-    probs = exp / exp.sum()
-    ids, renormed = nucleus_candidates(probs, config.top_p)
-    return int(rng.choice(ids, p=renormed))
+        return masked.argmax(axis=-1)
+    exp = np.exp(masked - masked.max(axis=-1, keepdims=True))
+    probs = exp / exp.sum(axis=-1, keepdims=True)
+    tokens = np.empty(len(probs), dtype=np.int64)
+    for j, (row, rng) in enumerate(zip(probs, rngs)):
+        ids, renormed = nucleus_candidates(row, config.top_p)
+        tokens[j] = rng.choice(ids, p=renormed)
+    return tokens
+
+
+def _mix_seed(seed: int, index: int) -> int:
+    # Stable per-example stream; examples can be decoded in any order.
+    return int(np.random.SeedSequence([seed, index]).generate_state(1)[0])
 
 
 def generate(
@@ -93,49 +102,93 @@ def generate(
     config: GenerationConfig,
     use_event: bool = True,
 ) -> list[list[int]]:
-    """Decode ``num_samples`` token-id sequences for one example.
+    """Decode one example as a file of its own; see ``generate_dataset``.
+    Its nucleus streams are those of a file's first example."""
+    return generate_dataset(model, vocab, [example], config, use_event)[0]
+
+
+def generate_dataset(
+    model: "Model",
+    vocab: Vocabulary,
+    examples: Sequence["MultimodalExample"],
+    config: GenerationConfig,
+    use_event: bool = True,
+) -> list[list[list[int]]]:
+    """Decode ``num_samples`` token-id sequences for every example.
 
     Decoding starts the decoder at <s> and stops at </s> or max_len; the
     returned sequences carry neither. Greedy ignores top_p, decodes one row
-    and repeats it for every sample; nucleus sample k draws from a generator
-    seeded by (config.seed, k), so different examples can share a config.
+    per example and repeats it for every sample; nucleus sample k of example
+    i draws from a generator seeded by (``_mix_seed(config.seed, i)``, k).
+    Every example must be a generation task; the first that is not raises
+    ValueError before anything is decoded.
 
-    The example is encoded once and its rows advance together through a KV
-    cache; a row that emits </s> leaves the batch. Rows are computed
-    independently, so sample k does not depend on ``num_samples`` or on when
-    the other rows stop.
+    Examples are grouped by their exact encoder length and region count, so
+    nothing is padded. Each group is encoded at once, and its rows, at most
+    ``SCORE_CHUNK_ROWS`` at a time, advance together through one KV cache;
+    a row that emits </s> leaves the batch. Every stacked product runs per
+    row as it would alone, so a row's tokens do not depend on
+    ``num_samples``, on the other examples in the file or on when the other
+    rows stop. Results keep the input order.
     """
     config.validate()
-    if example.task not in GENERATION_TASKS:
-        raise ValueError(
-            f"example {example.source_id!r} has non-generation task {example.task.value!r}"
+    items = []
+    for example in examples:
+        if example.task not in GENERATION_TASKS:
+            raise ValueError(
+                f"example {example.source_id!r} has non-generation task {example.task.value!r}"
+            )
+        assembled = assemble_input(
+            example, vocab, "gen", use_event=use_event, max_positions=model.config.max_positions
         )
-    assembled = assemble_input(
-        example, vocab, "gen", use_event=use_event, max_positions=model.config.max_positions
-    )
-    enc_out, enc_mask = model.encoder_states(pad_batch([(assembled, example)]))
-    max_len = min(config.max_len, model.config.max_positions - 1)
+        items.append((assembled, example))
+    buckets: dict[tuple[int, int], list[int]] = {}
+    for i, (assembled, _) in enumerate(items):
+        buckets.setdefault((assembled.enc_len, len(assembled.visual_slots)), []).append(i)
 
+    rows_per_example = config.num_samples if config.mode == "nucleus" else 1
+    sequences: list[list[list[int]]] = [[] for _ in items]
+    for bucket in buckets.values():
+        rows = [(i, k) for i in bucket for k in range(rows_per_example)]
+        for start in range(0, len(rows), SCORE_CHUNK_ROWS):
+            chunk = rows[start : start + SCORE_CHUNK_ROWS]
+            for (i, _), tokens in zip(chunk, _decode_rows(model, items, chunk, config)):
+                sequences[i].append(tokens)
+    if config.mode == "greedy":
+        return [[list(samples[0]) for _ in range(config.num_samples)] for samples in sequences]
+    return sequences
+
+
+def _decode_rows(
+    model: "Model",
+    items: Sequence[tuple["AssembledInput", "MultimodalExample"]],
+    rows: Sequence[tuple[int, int]],
+    config: GenerationConfig,
+) -> list[list[int]]:
+    """Decode (example index, sample) rows whose examples share one encoder
+    length and region count; returns each row's tokens."""
+    members, row_example = np.unique([i for i, _ in rows], return_inverse=True)
+    enc_out, enc_mask = model.encoder_states(pad_batch([items[i] for i in members]))
+    max_len = min(config.max_len, model.config.max_positions - 1)
+    cache = model.start_decoding(enc_out, enc_mask, row_example, max_len)
+    rngs = None
     if config.mode == "nucleus":
-        rngs = [np.random.default_rng([config.seed, k]) for k in range(config.num_samples)]
-    else:
-        rngs = [None]
-    cache = model.start_decoding(enc_out, enc_mask, len(rngs), max_len)
-    sequences: list[list[int]] = [[] for _ in rngs]
-    live = list(range(len(rngs)))  # sample index of each cache row
-    ids = np.full(len(rngs), BOS_ID, dtype=np.int64)
+        rngs = [np.random.default_rng([_mix_seed(config.seed, i), k]) for i, k in rows]
+    tokens: list[list[int]] = [[] for _ in rows]
+    live = np.arange(len(rows))  # the row behind each cache row
+    ids = np.full(len(rows), BOS_ID, dtype=np.int64)
     for _ in range(max_len):
         logits = model.lm_head(model.decode_step(ids, cache)).data[:, 0]
-        nxt = [sample_next_token(row, config, rngs[k]) for k, row in zip(live, logits)]
-        kept = [j for j, token in enumerate(nxt) if token != EOS_ID]
-        if not kept:
+        nxt = sample_next_token(logits, config, rngs)
+        kept = np.flatnonzero(nxt != EOS_ID)
+        if len(kept) == 0:
             break
         if len(kept) < len(live):
             cache.keep(kept)
-            live = [live[j] for j in kept]
-        ids = np.asarray([nxt[j] for j in kept], dtype=np.int64)
-        for k, token in zip(live, ids):
-            sequences[k].append(int(token))
-    if config.mode == "greedy":
-        return [list(sequences[0]) for _ in range(config.num_samples)]
-    return sequences
+            live = live[kept]
+            if rngs is not None:
+                rngs = [rngs[j] for j in kept]
+        ids = nxt[kept]
+        for row, token in zip(live.tolist(), ids.tolist()):
+            tokens[row].append(token)
+    return tokens

@@ -358,12 +358,16 @@ def zero_params(config: ModelConfig, dtype=np.float32) -> dict[str, Tensor]:
 
 @dataclass
 class DecoderCache:
-    """Incremental decoding state of one example's live rows.
+    """Incremental decoding state of a set of rows, each decoding over one
+    encoding.
 
     ``cross`` holds each decoder layer's cross-attention keys and values
-    over the encoder states, [1, H, T_enc, dk], shared by every row.
-    ``self_k``/``self_v`` hold each layer's self-attention keys and values,
-    [rows, H, max_len, dk], filled for the first ``length`` positions.
+    over the row's encoder states, [rows, H, T_enc, dk]; ``key_bias`` hides
+    padded encoder positions, [rows, 1, 1, T_enc], or is None when nothing
+    is padded. ``self_k``/``self_v`` hold each layer's self-attention keys
+    and values, [rows, H, max_len, dk], filled for the first ``length``
+    positions. Every array is indexed by row, so ``keep`` drops rows from
+    all of them at once.
     """
 
     cross: list[tuple[np.ndarray, np.ndarray]]
@@ -375,6 +379,9 @@ class DecoderCache:
     def keep(self, rows: Sequence[int]) -> None:
         """Retain only the given rows, in the given order."""
         idx = np.asarray(rows, dtype=np.int64)
+        self.cross = [(k[idx], v[idx]) for k, v in self.cross]
+        if self.key_bias is not None:
+            self.key_bias = Tensor(self.key_bias.data[idx])
         self.self_k = [k[idx] for k in self.self_k]
         self.self_v = [v[idx] for v in self.self_v]
 
@@ -563,23 +570,27 @@ class Model:
         return self._norm(x, "dec.ln")
 
     def start_decoding(
-        self, enc_out: Tensor, enc_pad_mask: np.ndarray, rows: int, max_len: int
+        self, enc_out: Tensor, enc_pad_mask: np.ndarray, row_example: Sequence[int], max_len: int
     ) -> DecoderCache:
-        """Incremental decoding state for ``rows`` rows over one encoding,
-        ``enc_out`` [1, T_enc, d].
+        """Incremental decoding state for one row per entry of
+        ``row_example``; row j decodes over encoding ``row_example[j]`` of
+        ``enc_out`` [E, T_enc, d], whose real positions ``enc_pad_mask``
+        [E, T_enc] marks.
 
         Each decoder layer's cross-attention keys and values are projected
-        here, once; the self-attention caches hold ``max_len`` positions.
+        here once per encoding and gathered once per row; the self-attention
+        caches hold ``max_len`` positions.
         """
+        idx = np.asarray(row_example, dtype=np.int64)
         heads = self.config.n_heads
-        shape = (rows, heads, max_len, self.config.d_model // heads)
+        shape = (len(idx), heads, max_len, self.config.d_model // heads)
         layers = range(self.config.n_dec_layers)
         return DecoderCache(
             cross=[
-                tuple(self._heads(enc_out, f"dec.{i}.cross_attn", part).data for part in ("k", "v"))
+                tuple(self._heads(enc_out, f"dec.{i}.cross_attn", part).data[idx] for part in ("k", "v"))
                 for i in layers
             ],
-            key_bias=self._key_bias(enc_pad_mask),
+            key_bias=self._key_bias(enc_pad_mask[idx]),
             self_k=[np.zeros(shape, dtype=self.dtype) for _ in layers],
             self_v=[np.zeros(shape, dtype=self.dtype) for _ in layers],
         )
@@ -597,7 +608,6 @@ class Model:
         t = cache.length
         if t >= cache.self_k[0].shape[2]:
             raise ValueError(f"decoder cache holds {t} positions and is full")
-        rows = len(ids)
         p = self.params
         x = add(
             gather_rows(p["tok_emb.weight"], np.asarray(ids, dtype=np.int64)[:, None]),
@@ -614,7 +624,7 @@ class Model:
 
             prefix = f"dec.{i}.cross_attn"
             q = self._heads(self._norm(x, f"dec.{i}.ln2"), prefix, "q")
-            keys, values = (Tensor(np.broadcast_to(kv, (rows,) + kv.shape[1:])) for kv in cache.cross[i])
+            keys, values = (Tensor(kv) for kv in cache.cross[i])
             x = add(x, self._attend(q, keys, values, prefix, cache.key_bias))
             x = add(x, self._ffn(self._norm(x, f"dec.{i}.ln3"), f"dec.{i}.ffn"))
         cache.length += 1

@@ -11,12 +11,13 @@ from collections import Counter
 
 import numpy as np
 
+from vcgen.data import pad_batch
 from vcgen.losses import loss_ap, loss_kcg, loss_mlm, loss_mrm, loss_rp
+from vcgen.model import assemble_input
 from vcgen.tensor import (
     NEG_MASK_VALUE,
     Tensor,
     add,
-    concat,
     gather_rows,
     gelu,
     layer_norm,
@@ -29,6 +30,9 @@ from vcgen.tensor import (
     softmax,
     transpose,
 )
+from vcgen.vocab import BOS_ID, EOS_ID, N_RESERVED
+
+from ops import concat
 
 
 def central_difference_grads(eval_fn, params, step=1e-3):
@@ -184,6 +188,61 @@ def per_example_losses(model, items, wanted):
 
 # ---------------------------------------------------------------------------
 # BLEU-2 reference
+
+
+def per_row_sample_next_token(logits, config, rng):
+    """One row's next token, picked the way decoding did it one row at a
+    time: mask a float64 copy of the row, then argmax, or softmax, take the
+    top-p prefix and draw from ``rng``."""
+    allowed = np.concatenate(([EOS_ID], np.arange(N_RESERVED, len(logits))))
+    masked = np.full(len(logits), -np.inf)
+    masked[allowed] = logits[allowed]
+    if config.mode == "greedy":
+        return int(np.argmax(masked))
+    exp = np.exp(masked - masked.max())
+    probs = exp / exp.sum()
+    order = np.lexsort((np.arange(len(probs)), -probs))
+    cum = np.cumsum(probs[order])
+    ids = order[: min(int(np.searchsorted(cum, config.top_p, side="left")) + 1, len(probs))]
+    ids = ids[probs[ids] > 0.0]
+    return int(rng.choice(ids, p=probs[ids] / probs[ids].sum()))
+
+
+def per_example_generate(model, vocab, example, config, index, use_event=True):
+    """Decode one example alone, sampling one row at a time, as example
+    ``index`` of a file: nucleus sample k draws from the stream
+    (SeedSequence([seed, index]) state, k).
+
+    The decoder steps are the package's ``start_decoding``/``decode_step``,
+    which other tests hold against the uncached decoder; what this checks
+    is the grouping, chunking and batched sampling around them."""
+    assembled = assemble_input(example, vocab, "gen", use_event=use_event)
+    enc_out, enc_mask = model.encoder_states(pad_batch([(assembled, example)]))
+    max_len = min(config.max_len, model.config.max_positions - 1)
+    if config.mode == "nucleus":
+        stream = int(np.random.SeedSequence([config.seed, index]).generate_state(1)[0])
+        rngs = [np.random.default_rng([stream, k]) for k in range(config.num_samples)]
+    else:
+        rngs = [None]
+    cache = model.start_decoding(enc_out, enc_mask, [0] * len(rngs), max_len)
+    sequences = [[] for _ in rngs]
+    live = list(range(len(rngs)))
+    ids = [BOS_ID] * len(rngs)
+    for _ in range(max_len):
+        logits = model.lm_head(model.decode_step(np.asarray(ids), cache)).data[:, 0]
+        nxt = [per_row_sample_next_token(row, config, rngs[k]) for k, row in zip(live, logits)]
+        kept = [j for j, token in enumerate(nxt) if token != EOS_ID]
+        if not kept:
+            break
+        if len(kept) < len(live):
+            cache.keep(kept)
+            live = [live[j] for j in kept]
+        ids = [nxt[j] for j in kept]
+        for k, token in zip(live, ids):
+            sequences[k].append(token)
+    if config.mode == "greedy":
+        return [list(sequences[0]) for _ in range(config.num_samples)]
+    return sequences
 
 
 def bleu2_reference(pairs):

@@ -431,12 +431,20 @@ def test_generate_rows_do_not_depend_on_other_examples(workspace, tmp_path, mode
 
 
 def test_generate_unknown_task_errors_with_source_id(workspace, tmp_path, capsys):
+    """A non-generation example fails the command with its source_id before
+    any output is written, also when it follows valid examples."""
     ckpt, _ = make_zero_checkpoint(tmp_path, workspace / "vocab.txt")
-    args = generate_args(workspace, ckpt, tmp_path / "gx.jsonl")
-    idx = args.index("--dataset")
-    args[idx + 1] = str(workspace / "regions.jsonl")
-    assert main(args) == 2
-    assert "reg-00000" in capsys.readouterr().err
+    mixed = tmp_path / "mixed.jsonl"
+    valid = (workspace / "vcg_val.jsonl").read_text().splitlines()
+    mixed.write_text("\n".join(valid[:3] + (workspace / "regions.jsonl").read_text().splitlines()[:1]) + "\n")
+    for dataset in (workspace / "regions.jsonl", mixed):
+        out = tmp_path / f"gx_{dataset.stem}.jsonl"
+        args = generate_args(workspace, ckpt, out)
+        idx = args.index("--dataset")
+        args[idx + 1] = str(dataset)
+        assert main(args) == 2
+        assert "reg-00000" in capsys.readouterr().err
+        assert not out.exists() or out.read_text() == ""
 
 
 def write_eval_pair(tmp_path, per_task=2):
