@@ -151,7 +151,7 @@ def config_hash(cfg: RunConfig) -> str:
 # dotted command-line overrides
 
 
-def leaf_fields(cfg: RunConfig | None = None) -> list[tuple[str, type]]:
+def leaf_fields() -> list[tuple[str, type]]:
     """(dotted name, type) for every scalar leaf, e.g. ("model.d_model", int)."""
     out: list[tuple[str, type]] = []
     for section_name, section_cls in _SECTIONS.items():

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
@@ -236,11 +236,6 @@ def load_candidates_jsonl(path: str | Path) -> list[tuple[str, MultimodalExample
 # ---------------------------------------------------------------------------
 # scoring and filtering
 
-# Rows per scoring forward pass. Bounds the [rows, T, V] logits held at once
-# on large candidate files.
-SCORE_CHUNK_ROWS = 64
-
-
 def score_description(
     model: "Model", vocab: Vocabulary, example: MultimodalExample, use_event: bool = True
 ) -> ScoredExample:
@@ -255,29 +250,19 @@ def score_dataset(
 
     Runs in eval mode (no dropout), conditioning on the example's task token,
     regions, and event text; the end-of-sequence token counts as the final
-    label, matching the generation training objective.
-
-    Examples are grouped by their exact encoder length, decoder length and
-    region count, so a forward pass holds no padding and every row's score
-    is bit for bit the score it gets alone. Results keep the input order.
+    label, matching the generation training objective. Forwards run over
+    ``exact_batches``, so each score is bit for bit the one the example gets
+    alone. Results keep the input order.
     """
     items = [
         (assemble_input(ex, vocab, "kcg", use_event=use_event, max_positions=model.config.max_positions), ex)
         for ex in examples
     ]
-    buckets: dict[tuple[int, int, int], list[int]] = {}
-    for i, (assembled, _) in enumerate(items):
-        key = (assembled.enc_len, assembled.dec_len, len(assembled.visual_slots))
-        buckets.setdefault(key, []).append(i)
     scored: list[ScoredExample | None] = [None] * len(items)
-    for rows in buckets.values():
-        for start in range(0, len(rows), SCORE_CHUNK_ROWS):
-            chunk = rows[start : start + SCORE_CHUNK_ROWS]
-            batch = pad_batch([items[i] for i in chunk])
-            logits = model.lm_head(model.forward(batch)).data
-            for i, avg_ce in zip(chunk, _mean_token_nll(logits, batch.dec_labels)):
-                n_tokens = len(items[i][0].dec_labels)
-                scored[i] = ScoredExample(example=examples[i], avg_ce=avg_ce, n_tokens=n_tokens)
+    for rows, batch in exact_batches(items):
+        logits = model.lm_head(model.forward(batch)).data
+        for (i, _), avg_ce in zip(rows, _mean_token_nll(logits, batch.dec_labels)):
+            scored[i] = ScoredExample(example=examples[i], avg_ce=avg_ce, n_tokens=len(items[i][0].dec_labels))
     return scored
 
 
@@ -405,6 +390,33 @@ def pad_batch(items: Sequence[tuple[AssembledInput, MultimodalExample]]) -> Padd
         roi_index=np.asarray(roi_index, dtype=np.int64),
         slot_index=np.asarray(slot_index, dtype=np.int64),
     )
+
+
+# Rows per inference batch. Bounds the [rows, T, V] logits a scoring forward
+# holds, and the rows one decoder cache steps, on large files.
+SCORE_CHUNK_ROWS = 64
+
+
+def exact_batches(
+    items: Sequence[tuple[AssembledInput, MultimodalExample]], rows_per_item: int = 1
+) -> Iterator[tuple[list[tuple[int, int]], PaddedBatch]]:
+    """Batch (assembled, example) pairs for inference without any padding.
+
+    Items share a batch only if they have the same encoder length, decoder
+    length and region count. Each item stands for ``rows_per_item`` rows
+    (item index, copy); a group's rows are cut into chunks of at most
+    ``SCORE_CHUNK_ROWS``. Yields each chunk's rows with the batch of its
+    distinct items, in item order. Groups come in order of first item.
+    """
+    groups: dict[tuple[int, int, int], list[int]] = {}
+    for i, (assembled, _) in enumerate(items):
+        key = (assembled.enc_len, assembled.dec_len, len(assembled.visual_slots))
+        groups.setdefault(key, []).append(i)
+    for group in groups.values():
+        rows = [(i, k) for i in group for k in range(rows_per_item)]
+        for start in range(0, len(rows), SCORE_CHUNK_ROWS):
+            chunk = rows[start : start + SCORE_CHUNK_ROWS]
+            yield chunk, pad_batch([items[i] for i in dict.fromkeys(i for i, _ in chunk)])
 
 
 def make_batches(

@@ -8,13 +8,13 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .data import SCORE_CHUNK_ROWS, pad_batch
+from .data import exact_batches
 from .model import assemble_input
 from .vocab import BOS_ID, EOS_ID, N_RESERVED, GENERATION_TASKS, Vocabulary
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .data import MultimodalExample
-    from .model import AssembledInput, Model
+    from .data import MultimodalExample, PaddedBatch
+    from .model import Model
 
 MODES = ("greedy", "nucleus")
 
@@ -123,13 +123,12 @@ def generate_dataset(
     Every example must be a generation task; the first that is not raises
     ValueError before anything is decoded.
 
-    Examples are grouped by their exact encoder length and region count, so
-    nothing is padded. Each group is encoded at once, and its rows, at most
-    ``SCORE_CHUNK_ROWS`` at a time, advance together through one KV cache;
-    a row that emits </s> leaves the batch. Every stacked product runs per
-    row as it would alone, so a row's tokens do not depend on
-    ``num_samples``, on the other examples in the file or on when the other
-    rows stop. Results keep the input order.
+    Rows decode over ``exact_batches``: each batch is encoded at once, and
+    its rows advance together through one KV cache; a row that emits </s>
+    leaves the batch. Every stacked product runs per row as it would alone,
+    so a row's tokens do not depend on ``num_samples``, on the other
+    examples in the file or on when the other rows stop. Results keep the
+    input order.
     """
     config.validate()
     items = []
@@ -142,18 +141,11 @@ def generate_dataset(
             example, vocab, "gen", use_event=use_event, max_positions=model.config.max_positions
         )
         items.append((assembled, example))
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for i, (assembled, _) in enumerate(items):
-        buckets.setdefault((assembled.enc_len, len(assembled.visual_slots)), []).append(i)
-
     rows_per_example = config.num_samples if config.mode == "nucleus" else 1
     sequences: list[list[list[int]]] = [[] for _ in items]
-    for bucket in buckets.values():
-        rows = [(i, k) for i in bucket for k in range(rows_per_example)]
-        for start in range(0, len(rows), SCORE_CHUNK_ROWS):
-            chunk = rows[start : start + SCORE_CHUNK_ROWS]
-            for (i, _), tokens in zip(chunk, _decode_rows(model, items, chunk, config)):
-                sequences[i].append(tokens)
+    for rows, batch in exact_batches(items, rows_per_example):
+        for (i, _), tokens in zip(rows, _decode_rows(model, rows, batch, config)):
+            sequences[i].append(tokens)
     if config.mode == "greedy":
         return [[list(samples[0]) for _ in range(config.num_samples)] for samples in sequences]
     return sequences
@@ -161,16 +153,16 @@ def generate_dataset(
 
 def _decode_rows(
     model: "Model",
-    items: Sequence[tuple["AssembledInput", "MultimodalExample"]],
     rows: Sequence[tuple[int, int]],
+    batch: "PaddedBatch",
     config: GenerationConfig,
 ) -> list[list[int]]:
-    """Decode (example index, sample) rows whose examples share one encoder
-    length and region count; returns each row's tokens."""
-    members, row_example = np.unique([i for i, _ in rows], return_inverse=True)
-    enc_out, enc_mask = model.encoder_states(pad_batch([items[i] for i in members]))
+    """Decode the (example index, sample) rows of one ``exact_batches``
+    batch; returns each row's tokens."""
+    _, row_example = np.unique([i for i, _ in rows], return_inverse=True)
+    enc_out = model.encoder_states(batch)
     max_len = min(config.max_len, model.config.max_positions - 1)
-    cache = model.start_decoding(enc_out, enc_mask, row_example, max_len)
+    cache = model.start_decoding(enc_out, row_example, max_len)
     rngs = None
     if config.mode == "nucleus":
         rngs = [np.random.default_rng([_mix_seed(config.seed, i), k]) for i, k in rows]

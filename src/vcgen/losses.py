@@ -45,27 +45,6 @@ class LossWeights:
         return getattr(self, name)
 
 
-@dataclass
-class LossBreakdown:
-    """Float snapshot of one step's loss terms; absent terms stay None."""
-
-    kcg: float | None
-    ap: float | None
-    rp: float | None
-    mlm: float | None
-    mrm: float | None
-    weights: LossWeights
-    total: float
-
-    def term_dict(self) -> dict[str, float]:
-        out = {}
-        for name in LOSS_ORDER:
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = value
-        return out
-
-
 # ---------------------------------------------------------------------------
 # individual loss terms (logits -> scalar)
 
@@ -109,9 +88,10 @@ def loss_mrm(logits: Tensor, detector_probs) -> Tensor:
 
 def combine_losses(
     terms: dict[str, Tensor], weights: LossWeights | None = None
-) -> tuple[Tensor, LossBreakdown]:
+) -> tuple[Tensor, dict[str, float]]:
     """Weighted sum over present terms, accumulated in the fixed order
-    kcg, ap, rp, mlm, mrm (exact in the working dtype)."""
+    kcg, ap, rp, mlm, mrm (exact in the working dtype), and the figures a
+    step logs: each present term in that order, then "total"."""
     weights = weights or LossWeights()
     present = [name for name in LOSS_ORDER if name in terms]
     if not present:
@@ -123,16 +103,9 @@ def combine_losses(
     for name in present:
         weighted = scale(terms[name], weights.get(name))
         total = weighted if total is None else add(total, weighted)
-    breakdown = LossBreakdown(
-        kcg=float(terms["kcg"].data) if "kcg" in terms else None,
-        ap=float(terms["ap"].data) if "ap" in terms else None,
-        rp=float(terms["rp"].data) if "rp" in terms else None,
-        mlm=float(terms["mlm"].data) if "mlm" in terms else None,
-        mrm=float(terms["mrm"].data) if "mrm" in terms else None,
-        weights=weights,
-        total=float(total.data),
-    )
-    return total, breakdown
+    logged = {name: float(terms[name].data) for name in present}
+    logged["total"] = float(total.data)
+    return total, logged
 
 
 # ---------------------------------------------------------------------------

@@ -32,10 +32,6 @@ class MaskPlan:
     text_masks: list[TextMask] = field(default_factory=list)
     region_indices: list[int] = field(default_factory=list)
 
-    @property
-    def text_positions(self) -> list[int]:
-        return [m.position for m in self.text_masks]
-
 
 def _as_rng(rng_or_seed) -> np.random.Generator:
     if isinstance(rng_or_seed, np.random.Generator):

@@ -65,10 +65,6 @@ from .vocab import (
 if TYPE_CHECKING:  # pragma: no cover
     from .data import MultimodalExample, PaddedBatch
 
-SEG_TASK = 0
-SEG_VISUAL = 1
-SEG_TEXT = 2
-
 ASSEMBLY_MODES = ("kcg", "ap", "rp", "mlm", "mrm", "gen")
 
 
@@ -142,7 +138,6 @@ class AssembledInput:
     mode: str
     enc_ids: np.ndarray
     visual_slots: np.ndarray
-    segments: np.ndarray
     dec_ids: np.ndarray
     dec_labels: np.ndarray | None = None
     mlm_positions: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
@@ -183,14 +178,12 @@ def assemble_input(
 
     enc_ids = [task_token_id(task), IMG_ID] + [IMG_FEAT_ID] * n_rois + [IMG_END_ID]
     visual_slots = list(range(2, 2 + n_rois))
-    segments = [SEG_TASK] + [SEG_VISUAL] * (n_rois + 2)
 
     assembled = AssembledInput(
         task=task,
         mode=mode,
         enc_ids=np.zeros(0, dtype=np.int64),
         visual_slots=np.asarray(visual_slots, dtype=np.int64),
-        segments=np.zeros(0, dtype=np.int8),
         dec_ids=np.zeros(0, dtype=np.int64),
     )
 
@@ -198,7 +191,6 @@ def assemble_input(
         if use_event and example.event_text:
             ev = vocab.encode(example.event_text)
             enc_ids += [EVENT_ID] + ev + [EVENT_END_ID]
-            segments += [SEG_TEXT] * (len(ev) + 2)
         if mode == "kcg":
             target = vocab.encode(example.target_text)
             if not target:
@@ -214,7 +206,6 @@ def assemble_input(
         words = vocab.encode(example.target_text)
         text_start = len(enc_ids) + 1
         enc_ids += [MLM_ID] + words + [MLM_END_ID]
-        segments += [SEG_TEXT] * (len(words) + 2)
         eligible = range(text_start, text_start + len(words))
         mlm_plan = plan_mlm_mask(eligible, vocab, np.random.default_rng([seed, 1]))
         mrm_plan = plan_mrm_mask(n_rois, np.random.default_rng([seed, 2]))
@@ -240,7 +231,6 @@ def assemble_input(
         assembled.mrm_roi_indices = np.asarray(mrm_plan.region_indices, dtype=np.int64)
 
     assembled.enc_ids = np.asarray(enc_ids, dtype=np.int64)
-    assembled.segments = np.asarray(segments, dtype=np.int8)
 
     if max_positions is not None:
         longest = max(assembled.enc_len, assembled.dec_len)
@@ -359,19 +349,16 @@ def zero_params(config: ModelConfig, dtype=np.float32) -> dict[str, Tensor]:
 @dataclass
 class DecoderCache:
     """Incremental decoding state of a set of rows, each decoding over one
-    encoding.
+    unpadded encoding.
 
     ``cross`` holds each decoder layer's cross-attention keys and values
-    over the row's encoder states, [rows, H, T_enc, dk]; ``key_bias`` hides
-    padded encoder positions, [rows, 1, 1, T_enc], or is None when nothing
-    is padded. ``self_k``/``self_v`` hold each layer's self-attention keys
-    and values, [rows, H, max_len, dk], filled for the first ``length``
-    positions. Every array is indexed by row, so ``keep`` drops rows from
-    all of them at once.
+    over the row's encoder states, [rows, H, T_enc, dk]. ``self_k``/``self_v``
+    hold each layer's self-attention keys and values, [rows, H, max_len, dk],
+    filled for the first ``length`` positions. Every array is indexed by
+    row, so ``keep`` drops rows from all of them at once.
     """
 
     cross: list[tuple[np.ndarray, np.ndarray]]
-    key_bias: Tensor | None
     self_k: list[np.ndarray]
     self_v: list[np.ndarray]
     length: int = 0
@@ -380,8 +367,6 @@ class DecoderCache:
         """Retain only the given rows, in the given order."""
         idx = np.asarray(rows, dtype=np.int64)
         self.cross = [(k[idx], v[idx]) for k, v in self.cross]
-        if self.key_bias is not None:
-            self.key_bias = Tensor(self.key_bias.data[idx])
         self.self_k = [k[idx] for k in self.self_k]
         self.self_v = [v[idx] for v in self.self_v]
 
@@ -569,13 +554,10 @@ class Model:
             x = add(x, self._drop(f, train, rng))
         return self._norm(x, "dec.ln")
 
-    def start_decoding(
-        self, enc_out: Tensor, enc_pad_mask: np.ndarray, row_example: Sequence[int], max_len: int
-    ) -> DecoderCache:
+    def start_decoding(self, enc_out: Tensor, row_example: Sequence[int], max_len: int) -> DecoderCache:
         """Incremental decoding state for one row per entry of
         ``row_example``; row j decodes over encoding ``row_example[j]`` of
-        ``enc_out`` [E, T_enc, d], whose real positions ``enc_pad_mask``
-        [E, T_enc] marks.
+        ``enc_out`` [E, T_enc, d], which holds no padding.
 
         Each decoder layer's cross-attention keys and values are projected
         here once per encoding and gathered once per row; the self-attention
@@ -590,7 +572,6 @@ class Model:
                 tuple(self._heads(enc_out, f"dec.{i}.cross_attn", part).data[idx] for part in ("k", "v"))
                 for i in layers
             ],
-            key_bias=self._key_bias(enc_pad_mask[idx]),
             self_k=[np.zeros(shape, dtype=self.dtype) for _ in layers],
             self_v=[np.zeros(shape, dtype=self.dtype) for _ in layers],
         )
@@ -625,7 +606,7 @@ class Model:
             prefix = f"dec.{i}.cross_attn"
             q = self._heads(self._norm(x, f"dec.{i}.ln2"), prefix, "q")
             keys, values = (Tensor(kv) for kv in cache.cross[i])
-            x = add(x, self._attend(q, keys, values, prefix, cache.key_bias))
+            x = add(x, self._attend(q, keys, values, prefix, None))
             x = add(x, self._ffn(self._norm(x, f"dec.{i}.ln3"), f"dec.{i}.ffn"))
         cache.length += 1
         return self._norm(x, "dec.ln")
@@ -661,9 +642,9 @@ class Model:
         batch: "PaddedBatch",
         train: bool = False,
         rng: np.random.Generator | None = None,
-    ) -> tuple[Tensor, np.ndarray]:
-        """Encoder states [B, T_enc, d] and the [B, T_enc] real-position mask."""
-        return self.encode(self.embed(batch), batch.enc_mask, train, rng), batch.enc_mask
+    ) -> Tensor:
+        """Encoder states [B, T_enc, d]."""
+        return self.encode(self.embed(batch), batch.enc_mask, train, rng)
 
     def decode_ids(
         self,
@@ -683,5 +664,5 @@ class Model:
         rng: np.random.Generator | None = None,
     ) -> Tensor:
         """Run encoder and decoder; returns decoder hidden states [B, T_dec, d]."""
-        enc_out, enc_mask = self.encoder_states(batch, train, rng)
-        return self.decode_ids(batch.dec_ids, enc_out, enc_mask, train, rng)
+        enc_out = self.encoder_states(batch, train, rng)
+        return self.decode_ids(batch.dec_ids, enc_out, batch.enc_mask, train, rng)

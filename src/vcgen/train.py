@@ -2,10 +2,11 @@
 
 Everything stochastic derives from the schedule seed through fixed tag
 tuples, so a run with the same config, inputs, and a single thread is
-bit-reproducible. Per step, the round-robin trainer draws one batch from
-the active task's dataset and reads out only that task's loss; denoising
-passes still corrupt text and regions together. Joint mode instead takes
-one batch per dataset stream per step and sums every active term.
+bit-reproducible. The interleave mode only chooses the step schedule: per
+step, round-robin draws one batch from the active task's dataset and reads
+out only that task's loss (denoising passes still corrupt text and regions
+together); joint takes one batch per dataset stream and sums every active
+term.
 """
 
 from __future__ import annotations
@@ -129,8 +130,9 @@ def _train_step(
     epoch: int,
     global_step: int,
 ):
-    """One optimizer step; returns None when the batch carried no loss units
-    (e.g. a denoising batch where the 15% masking selected nothing)."""
+    """One optimizer step; returns the logged loss figures, or None when the
+    batch carried no loss units (e.g. a denoising batch where the 15%
+    masking selected nothing)."""
     rng = np.random.default_rng([cfg.schedule.seed, TAG_DROPOUT, epoch, global_step])
     with Tape() as tape:
         terms = {}
@@ -138,11 +140,11 @@ def _train_step(
             terms.update(compute_losses(model, batch, wanted, train=True, rng=rng))
         if not terms:
             return None
-        total, breakdown = combine_losses(terms, weights)
+        total, logged = combine_losses(terms, weights)
     model.zero_grad()
     tape.backward(total)
     optimizer.step()
-    return breakdown
+    return logged
 
 
 def _log_line(fh, record: dict) -> None:
@@ -159,6 +161,38 @@ def evaluate_kcg(
     if total_tokens == 0:
         raise ValueError("evaluate_kcg needs a non-empty dataset")
     return sum(s.avg_ce * s.n_tokens for s in scored) / total_tokens
+
+
+def _epoch_steps(
+    cfg: RunConfig,
+    vocab: Vocabulary,
+    datasets: dict[str, list[MultimodalExample]],
+    active: list[str],
+    epoch: int,
+):
+    """Yield each step of one epoch as (log label, batch_terms).
+
+    Round-robin takes one batch per task in turn, labelled with the task,
+    until every task runs out. Joint takes one batch per dataset stream per
+    step, assembled for the stream's first active task and read out for all
+    of them, and cycles the shorter streams until the longest runs out.
+    """
+    if cfg.interleave == "round-robin":
+        queues = [(task, _task_batches(datasets[task], vocab, task, cfg, epoch)) for task in active]
+        for r in range(max(len(batches) for _, batches in queues)):
+            for task, batches in queues:
+                if r < len(batches):
+                    yield task, [(batches[r], {task})]
+        return
+    tasks_of_stream: dict[str, list[str]] = {}
+    for task in active:
+        tasks_of_stream.setdefault(STREAM_OF_TASK[task], []).append(task)
+    streams = [
+        (_task_batches(datasets[tasks[0]], vocab, tasks[0], cfg, epoch), set(tasks))
+        for tasks in tasks_of_stream.values()
+    ]
+    for s in range(max(len(batches) for batches, _ in streams)):
+        yield "joint", [(batches[s % len(batches)], wanted) for batches, wanted in streams]
 
 
 def _run_epochs(
@@ -182,62 +216,12 @@ def _run_epochs(
     weights = cfg.loss_weights
     global_step = start_step
     for epoch in range(cfg.schedule.epochs):
-        if cfg.interleave == "round-robin":
-            queues = {task: iter(_task_batches(datasets[task], vocab, task, cfg, epoch)) for task in active}
-            alive = dict.fromkeys(active, True)
-            while any(alive.values()):
-                for task in active:
-                    if not alive[task]:
-                        continue
-                    batch = next(queues[task], None)
-                    if batch is None:
-                        alive[task] = False
-                        continue
-                    breakdown = _train_step(
-                        model, optimizer, [(batch, {task})], weights, cfg, epoch, global_step
-                    )
-                    if breakdown is None:
-                        continue
-                    global_step += 1
-                    _log_line(
-                        log_fh,
-                        {
-                            "kind": "step",
-                            "epoch": epoch,
-                            "step": global_step,
-                            "task": task,
-                            **breakdown.term_dict(),
-                            "total": breakdown.total,
-                        },
-                    )
-        else:  # joint
-            streams: dict[str, tuple[list[PaddedBatch], set[str]]] = {}
-            for task in active:
-                key = STREAM_OF_TASK[task]
-                if key in streams:
-                    streams[key][1].add(task)
-                else:
-                    streams[key] = (_task_batches(datasets[task], vocab, task, cfg, epoch), {task})
-            n_steps = max(len(batches) for batches, _ in streams.values())
-            for s in range(n_steps):
-                batch_terms = [
-                    (batches[s % len(batches)], wanted) for batches, wanted in streams.values()
-                ]
-                breakdown = _train_step(model, optimizer, batch_terms, weights, cfg, epoch, global_step)
-                if breakdown is None:
-                    continue
-                global_step += 1
-                _log_line(
-                    log_fh,
-                    {
-                        "kind": "step",
-                        "epoch": epoch,
-                        "step": global_step,
-                        "task": "joint",
-                        **breakdown.term_dict(),
-                        "total": breakdown.total,
-                    },
-                )
+        for label, batch_terms in _epoch_steps(cfg, vocab, datasets, active, epoch):
+            logged = _train_step(model, optimizer, batch_terms, weights, cfg, epoch, global_step)
+            if logged is None:
+                continue
+            global_step += 1
+            _log_line(log_fh, {"kind": "step", "epoch": epoch, "step": global_step, "task": label, **logged})
         if val_examples is not None:
             val = evaluate_kcg(model, vocab, val_examples, use_event=cfg.use_event)
             _log_line(log_fh, {"kind": "val", "epoch": epoch, "val_kcg": val})

@@ -74,9 +74,7 @@ class Vocabulary:
         self.token_to_id: dict[str, int] = {t: i for i, t in enumerate(self.id_to_token)}
         if len(self.token_to_id) != len(self.id_to_token):
             raise ValueError("duplicate tokens in vocabulary")
-        self.n_reserved = N_RESERVED
         self.n_regular = len(regular_tokens)
-        self.frozen = True
 
     def __len__(self) -> int:
         return len(self.id_to_token)

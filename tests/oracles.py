@@ -217,14 +217,14 @@ def per_example_generate(model, vocab, example, config, index, use_event=True):
     which other tests hold against the uncached decoder; what this checks
     is the grouping, chunking and batched sampling around them."""
     assembled = assemble_input(example, vocab, "gen", use_event=use_event)
-    enc_out, enc_mask = model.encoder_states(pad_batch([(assembled, example)]))
+    enc_out = model.encoder_states(pad_batch([(assembled, example)]))
     max_len = min(config.max_len, model.config.max_positions - 1)
     if config.mode == "nucleus":
         stream = int(np.random.SeedSequence([config.seed, index]).generate_state(1)[0])
         rngs = [np.random.default_rng([stream, k]) for k in range(config.num_samples)]
     else:
         rngs = [None]
-    cache = model.start_decoding(enc_out, enc_mask, [0] * len(rngs), max_len)
+    cache = model.start_decoding(enc_out, [0] * len(rngs), max_len)
     sequences = [[] for _ in rngs]
     live = list(range(len(rngs)))
     ids = [BOS_ID] * len(rngs)

@@ -156,6 +156,32 @@ def test_pretrain_joint_mode_sums_all_active_terms(workspace, tmp_path):
         assert "kcg" in record and ("ap" in record or "rp" in record)
 
 
+def _pretrain_with_one_region_batch(root, tmp_path, tasks, extra=()):
+    """Pretrain on kcg.jsonl (9 examples, 3 batches of 4) and a 3-example
+    region file (1 batch); returns the step records."""
+    regions = tmp_path / "regions_small.jsonl"
+    save_jsonl(regions, make_region_dataset(3, seed=5))
+    out = tmp_path / "run_unequal"
+    args = pretrain_args(root, out, tasks, extra)
+    args[args.index("--paths.region_data") + 1] = str(regions)
+    assert main(args) == 0
+    return [r for r in read_log(out / "train_log.jsonl") if r["kind"] == "step"]
+
+
+def test_round_robin_takes_one_batch_per_task_in_turn_until_all_run_out(workspace, tmp_path):
+    steps = _pretrain_with_one_region_batch(workspace, tmp_path, "kcg,ap,rp")
+    assert [r["task"] for r in steps] == ["kcg", "ap", "rp", "kcg", "kcg"]
+    assert [r["step"] for r in steps] == [1, 2, 3, 4, 5]
+
+
+def test_joint_steps_as_often_as_the_longest_stream_has_batches(workspace, tmp_path):
+    steps = _pretrain_with_one_region_batch(workspace, tmp_path, "kcg,ap,rp", ("--interleave", "joint"))
+    assert len(steps) == 3
+    for record in steps:
+        assert record["task"] == "joint"
+        assert [k for k in ("kcg", "ap", "rp", "mlm", "mrm") if k in record] == ["kcg", "ap", "rp"]
+
+
 def test_pretrain_empty_dataset_errors(workspace, tmp_path, capsys):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")

@@ -7,6 +7,9 @@ import json
 
 import numpy as np
 import pytest
+import hypothesis
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vcgen.data import (
     SCORE_CHUNK_ROWS,
@@ -14,6 +17,7 @@ from vcgen.data import (
     MultimodalExample,
     ScoredExample,
     UnknownRelationError,
+    exact_batches,
     filter_dataset,
     filter_report,
     load_candidates_jsonl,
@@ -381,3 +385,38 @@ def test_batch_padding_and_masks():
 def test_batch_size_validation():
     with pytest.raises(ValueError, match="batch_size"):
         make_batches(assembled_items(2), batch_size=0)
+
+
+_SHAPE_VOCAB = tiny_vocab()
+_SHAPE_ROIS = make_rois(np.random.default_rng(0), 3, 4, 5)
+# (region count, event words, target words): encoder length is
+# 3 + regions + (event words + 2 if any), decoder length target words + 1,
+# so (1, 2, t) and (2, 1, t) share both lengths but not the region count.
+_item_shapes = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(1, 4))
+
+
+@settings(max_examples=60, deadline=None)
+@hypothesis.example(shapes=[(1, 2, 2), (2, 1, 2), (3, 0, 1), (0, 1, 1)] * 5, rows_per_item=7)
+@given(shapes=st.lists(_item_shapes, min_size=1, max_size=30), rows_per_item=st.integers(1, 70))
+def test_exact_batches_pad_nothing_and_cover_every_row_once(shapes, rows_per_item):
+    items = []
+    for i, (n_rois, n_event, n_target) in enumerate(shapes):
+        ex = MultimodalExample(
+            task=TaskType.INTENT,
+            rois=_SHAPE_ROIS[:n_rois],
+            event_text=" ".join(["w1"] * n_event) or None,
+            target_text=" ".join(["tgt1"] * n_target),
+            source_id=f"e{i}",
+        )
+        items.append((assemble_input(ex, _SHAPE_VOCAB, "kcg"), ex))
+    seen = []
+    for rows, batch in exact_batches(items, rows_per_item):
+        assert 0 < len(rows) <= SCORE_CHUNK_ROWS
+        members = list(dict.fromkeys(i for i, _ in rows))
+        assert len(batch) == len(members)
+        assert all(got is items[i] for got, i in zip(batch.items, members))
+        assert batch.enc_mask.all()
+        assert {a.dec_len for a, _ in batch.items} == {batch.dec_len}
+        assert all(len(ex.rois) == batch.roi_feats.shape[1] for _, ex in batch.items)
+        seen.extend(rows)
+    assert sorted(seen) == [(i, k) for i in range(len(items)) for k in range(rows_per_item)]

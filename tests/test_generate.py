@@ -161,19 +161,19 @@ def test_generate_rejects_non_generation_task(gen_setup, monkeypatch):
 @pytest.mark.parametrize("use_event", [True, False])
 def test_cached_decoding_matches_full_prefix_recompute(use_event):
     """In float64, every cached step agrees with re-running the decoder over
-    the whole prefix and the row's own encoding, also for rows over a padded
-    encoding and after rows have left the cache."""
+    the whole prefix and the row's own encoding, also for rows over two
+    encodings of one batch and after rows have left the cache."""
     vocab = tiny_vocab()
-    model = Model.init_random(tiny_config(len(vocab)), 0, dtype=np.float64)
+    config = tiny_config(len(vocab))
+    model = Model.init_random(config, 0, dtype=np.float64)
     kcg, _, _ = tiny_examples()
-    shorter = dataclasses.replace(kcg, event_text="w3 w4", source_id="short")
-    items = [(assemble_input(example, vocab, "gen", use_event=use_event), example) for example in (kcg, shorter)]
-    enc_out, enc_mask = model.encoder_states(pad_batch(items))
-    encodings = [(Tensor(enc_out.data[e : e + 1, : item.enc_len]), enc_mask[e : e + 1, : item.enc_len])
-                 for e, (item, _) in enumerate(items)]
+    batch = pad_batch([(assemble_input(example, vocab, "gen", use_event=use_event), example)
+                       for example in _variants(kcg, 2, config)])
+    enc_out = model.encoder_states(batch)
+    encodings = [(Tensor(enc_out.data[e : e + 1]), batch.enc_mask[e : e + 1]) for e in range(2)]
     max_len = 8
     row_example = [0, 1, 1]
-    cache = model.start_decoding(enc_out, enc_mask, row_example, max_len)
+    cache = model.start_decoding(enc_out, row_example, max_len)
     prefixes = [[BOS_ID] for _ in row_example]
     rng = np.random.default_rng(11)
     for step in range(max_len):
@@ -202,10 +202,10 @@ def test_decode_step_rows_are_bitwise_independent():
     config.d_model, config.n_heads, config.d_ffn = 128, 4, 256
     model = Model.init_random(config, 0)
     kcg, _, _ = tiny_examples()
-    enc_out, enc_mask = model.encoder_states(pad_batch([(assemble_input(kcg, vocab, "gen"), kcg)]))
+    enc_out = model.encoder_states(pad_batch([(assemble_input(kcg, vocab, "gen"), kcg)]))
     tokens = np.random.default_rng(5).integers(N_RESERVED, len(vocab), size=(6, 3))
-    together = model.start_decoding(enc_out, enc_mask, [0, 0, 0], 6)
-    alone = [model.start_decoding(enc_out, enc_mask, [0], 6) for _ in range(3)]
+    together = model.start_decoding(enc_out, [0, 0, 0], 6)
+    alone = [model.start_decoding(enc_out, [0], 6) for _ in range(3)]
     for step_ids in tokens:
         states = model.decode_step(step_ids, together).data
         for row, cache in enumerate(alone):
@@ -222,12 +222,13 @@ def test_decode_step_rows_over_several_encodings_match_uncached_decoder_bitwise(
     model = Model.init_random(config, 0)
     kcg, _, _ = tiny_examples()
     items = [(assemble_input(example, vocab, "gen"), example) for example in _variants(kcg, 3, config)]
-    enc_out, enc_mask = model.encoder_states(pad_batch(items))
+    batch = pad_batch(items)
+    enc_out = model.encoder_states(batch)
     row_example = [2, 0, 0, 1, 2]
-    cache = model.start_decoding(enc_out, enc_mask, row_example, 4)
+    cache = model.start_decoding(enc_out, row_example, 4)
     states = model.decode_step(np.full(len(row_example), BOS_ID), cache).data
     for row, e in enumerate(row_example):
-        alone = model.decode_ids(np.asarray([[BOS_ID]]), Tensor(enc_out.data[e : e + 1]), enc_mask[e : e + 1])
+        alone = model.decode_ids(np.asarray([[BOS_ID]]), Tensor(enc_out.data[e : e + 1]), batch.enc_mask[e : e + 1])
         assert np.array_equal(states[row], alone.data[0])
 
 
@@ -289,9 +290,9 @@ def test_generate_dataset_rows_equal_one_example_decode_bitwise(mode, monkeypatc
     rows_per_cache, logit_rows = [], []
     start, lm_head = Model.start_decoding, Model.lm_head
 
-    def counted(self, enc_out, enc_pad_mask, row_example, max_len):
+    def counted(self, enc_out, row_example, max_len):
         rows_per_cache.append(len(row_example))
-        return start(self, enc_out, enc_pad_mask, row_example, max_len)
+        return start(self, enc_out, row_example, max_len)
 
     def recorded(self, hidden):
         logits = lm_head(self, hidden)

@@ -196,8 +196,7 @@ def _longer_event(example, extra="w1 w2 w3 w4"):
 
 
 def _forward_enc(model, assembled, example):
-    out, _ = model.encoder_states(pad_batch([(assembled, example)]))
-    return out.data[0]
+    return model.encoder_states(pad_batch([(assembled, example)])).data[0]
 
 
 def test_encoder_is_bidirectional(setup):
@@ -216,7 +215,7 @@ def test_encoder_pad_invariance(setup):
     a = assemble_input(kcg, vocab, "kcg")
     base = _forward_enc(model, a, kcg)
     longer = _longer_event(kcg, "w1 w2 w3 w4 w5")
-    padded, _ = model.encoder_states(pad_batch([(a, kcg), (assemble_input(longer, vocab, "kcg"), longer)]))
+    padded = model.encoder_states(pad_batch([(a, kcg), (assemble_input(longer, vocab, "kcg"), longer)]))
     assert padded.shape[1] == a.enc_len + 5
     assert np.allclose(base, padded.data[0, : a.enc_len], atol=1e-5)
 
@@ -224,7 +223,8 @@ def test_encoder_pad_invariance(setup):
 def test_decoder_causality(setup):
     vocab, _, model, kcg, _, _ = setup
     a = assemble_input(kcg, vocab, "kcg")
-    enc_out, mask = model.encoder_states(pad_batch([(a, kcg)]))
+    batch = pad_batch([(a, kcg)])
+    enc_out, mask = model.encoder_states(batch), batch.enc_mask
     base = model.decode_ids(a.dec_ids[None], enc_out, mask).data[0]
     t = 2
     mutated = a.dec_ids.copy()
@@ -242,8 +242,9 @@ def test_decoder_ignores_encoder_with_zeroed_cross_attention(setup):
         model.params[f"dec.{i}.cross_attn.o.bias"].data[:] = 0.0
     a = assemble_input(kcg, vocab, "kcg", use_event=True)
     b = assemble_input(kcg, vocab, "kcg", use_event=False)
-    enc_a, mask_a = model.encoder_states(pad_batch([(a, kcg)]))
-    enc_b, mask_b = model.encoder_states(pad_batch([(b, kcg)]))
+    batch_a, batch_b = pad_batch([(a, kcg)]), pad_batch([(b, kcg)])
+    enc_a, mask_a = model.encoder_states(batch_a), batch_a.enc_mask
+    enc_b, mask_b = model.encoder_states(batch_b), batch_b.enc_mask
     out_a = model.decode_ids(a.dec_ids[None], enc_a, mask_a).data
     out_b = model.decode_ids(a.dec_ids[None], enc_b, mask_b).data
     assert np.allclose(out_a, out_b, atol=1e-12)
