@@ -259,9 +259,9 @@ def score_dataset(
         for ex in examples
     ]
     scored: list[ScoredExample | None] = [None] * len(items)
-    for rows, batch in exact_batches(items):
+    for indices, batch in exact_batches(items):
         logits = model.lm_head(model.forward(batch)).data
-        for (i, _), avg_ce in zip(rows, _mean_token_nll(logits, batch.dec_labels)):
+        for i, avg_ce in zip(indices, _mean_token_nll(logits, batch.dec_labels)):
             scored[i] = ScoredExample(example=examples[i], avg_ce=avg_ce, n_tokens=len(items[i][0].dec_labels))
     return scored
 
@@ -398,25 +398,23 @@ SCORE_CHUNK_ROWS = 64
 
 
 def exact_batches(
-    items: Sequence[tuple[AssembledInput, MultimodalExample]], rows_per_item: int = 1
-) -> Iterator[tuple[list[tuple[int, int]], PaddedBatch]]:
+    items: Sequence[tuple[AssembledInput, MultimodalExample]],
+) -> Iterator[tuple[list[int], PaddedBatch]]:
     """Batch (assembled, example) pairs for inference without any padding.
 
     Items share a batch only if they have the same encoder length, decoder
-    length and region count. Each item stands for ``rows_per_item`` rows
-    (item index, copy); a group's rows are cut into chunks of at most
-    ``SCORE_CHUNK_ROWS``. Yields each chunk's rows with the batch of its
-    distinct items, in item order. Groups come in order of first item.
+    length and region count; a group is cut into chunks of at most
+    ``SCORE_CHUNK_ROWS`` items. Yields each chunk's item indices with its
+    batch, in item order. Groups come in order of first item.
     """
     groups: dict[tuple[int, int, int], list[int]] = {}
     for i, (assembled, _) in enumerate(items):
         key = (assembled.enc_len, assembled.dec_len, len(assembled.visual_slots))
         groups.setdefault(key, []).append(i)
     for group in groups.values():
-        rows = [(i, k) for i in group for k in range(rows_per_item)]
-        for start in range(0, len(rows), SCORE_CHUNK_ROWS):
-            chunk = rows[start : start + SCORE_CHUNK_ROWS]
-            yield chunk, pad_batch([items[i] for i in dict.fromkeys(i for i, _ in chunk)])
+        for start in range(0, len(group), SCORE_CHUNK_ROWS):
+            chunk = group[start : start + SCORE_CHUNK_ROWS]
+            yield chunk, pad_batch([items[i] for i in chunk])
 
 
 def make_batches(

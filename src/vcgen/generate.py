@@ -8,13 +8,13 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .data import exact_batches
+from .data import SCORE_CHUNK_ROWS, exact_batches
 from .model import assemble_input
 from .vocab import BOS_ID, EOS_ID, N_RESERVED, GENERATION_TASKS, Vocabulary
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .data import MultimodalExample, PaddedBatch
-    from .model import Model
+    from .data import MultimodalExample
+    from .model import AssembledInput, Model
 
 MODES = ("greedy", "nucleus")
 
@@ -123,9 +123,11 @@ def generate_dataset(
     Every example must be a generation task; the first that is not raises
     ValueError before anything is decoded.
 
-    Rows decode over ``exact_batches``: each batch is encoded at once, and
-    its rows advance together through one KV cache; a row that emits </s>
-    leaves the batch. Every stacked product runs per row as it would alone,
+    Rows, ordered by encoder length (file order among equal lengths), are
+    cut into chunks of at most ``SCORE_CHUNK_ROWS``. A chunk's examples are
+    encoded over ``exact_batches`` and its rows, whatever their encoder
+    length, advance together through one KV cache; a row that emits </s>
+    leaves the cache. Every stacked product runs per row as it would alone,
     so a row's tokens do not depend on ``num_samples``, on the other
     examples in the file or on when the other rows stop. Results keep the
     input order.
@@ -142,9 +144,14 @@ def generate_dataset(
         )
         items.append((assembled, example))
     rows_per_example = config.num_samples if config.mode == "nucleus" else 1
+    rows = sorted(
+        ((i, k) for i in range(len(items)) for k in range(rows_per_example)),
+        key=lambda row: items[row[0]][0].enc_len,
+    )
     sequences: list[list[list[int]]] = [[] for _ in items]
-    for rows, batch in exact_batches(items, rows_per_example):
-        for (i, _), tokens in zip(rows, _decode_rows(model, rows, batch, config)):
+    for start in range(0, len(rows), SCORE_CHUNK_ROWS):
+        chunk = rows[start : start + SCORE_CHUNK_ROWS]
+        for (i, _), tokens in zip(chunk, _decode_rows(model, items, chunk, config)):
             sequences[i].append(tokens)
     if config.mode == "greedy":
         return [[list(samples[0]) for _ in range(config.num_samples)] for samples in sequences]
@@ -153,16 +160,20 @@ def generate_dataset(
 
 def _decode_rows(
     model: "Model",
+    items: Sequence[tuple["AssembledInput", "MultimodalExample"]],
     rows: Sequence[tuple[int, int]],
-    batch: "PaddedBatch",
     config: GenerationConfig,
 ) -> list[list[int]]:
-    """Decode the (example index, sample) rows of one ``exact_batches``
-    batch; returns each row's tokens."""
-    _, row_example = np.unique([i for i, _ in rows], return_inverse=True)
-    enc_out = model.encoder_states(batch)
+    """Decode (item index, sample) rows through one KV cache; returns each
+    row's tokens. The rows' distinct items are encoded over
+    ``exact_batches``."""
+    distinct, row_example = np.unique([i for i, _ in rows], return_inverse=True)
+    encodings: list[np.ndarray] = [None] * len(distinct)
+    for members, batch in exact_batches([items[i] for i in distinct]):
+        for m, encoding in zip(members, model.encoder_states(batch).data):
+            encodings[m] = encoding
     max_len = min(config.max_len, model.config.max_positions - 1)
-    cache = model.start_decoding(enc_out, row_example, max_len)
+    cache = model.start_decoding(encodings, row_example, max_len)
     rngs = None
     if config.mode == "nucleus":
         rngs = [np.random.default_rng([_mix_seed(config.seed, i), k]) for i, k in rows]

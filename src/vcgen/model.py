@@ -351,22 +351,30 @@ class DecoderCache:
     """Incremental decoding state of a set of rows, each decoding over one
     unpadded encoding.
 
-    ``cross`` holds each decoder layer's cross-attention keys and values
-    over the row's encoder states, [rows, H, T_enc, dk]. ``self_k``/``self_v``
-    hold each layer's self-attention keys and values, [rows, H, max_len, dk],
-    filled for the first ``length`` positions. Every array is indexed by
-    row, so ``keep`` drops rows from all of them at once.
+    Rows are grouped by encoder length: ``groups[g]`` holds the cache rows
+    of group g in ascending order, and ``cross[layer][g]`` that layer's cross-attention keys
+    and values for them, [rows_g, H, T_g, dk]. ``self_k``/``self_v`` hold
+    each layer's self-attention keys and values, [rows, H, max_len, dk],
+    filled for the first ``length`` positions.
     """
 
-    cross: list[tuple[np.ndarray, np.ndarray]]
+    groups: list[np.ndarray]
+    cross: list[list[tuple[np.ndarray, np.ndarray]]]
     self_k: list[np.ndarray]
     self_v: list[np.ndarray]
     length: int = 0
 
     def keep(self, rows: Sequence[int]) -> None:
-        """Retain only the given rows, in the given order."""
+        """Retain only the given rows, in the given order; groups left
+        empty are dropped."""
         idx = np.asarray(rows, dtype=np.int64)
-        self.cross = [(k[idx], v[idx]) for k, v in self.cross]
+        kept = []
+        for g, members in enumerate(self.groups):
+            new_rows = np.flatnonzero(np.isin(idx, members))
+            if len(new_rows):
+                kept.append((g, new_rows, np.searchsorted(members, idx[new_rows])))
+        self.groups = [new_rows for _, new_rows, _ in kept]
+        self.cross = [[tuple(kv[slots] for kv in layer[g]) for g, _, slots in kept] for layer in self.cross]
         self.self_k = [k[idx] for k in self.self_k]
         self.self_v = [v[idx] for v in self.self_v]
 
@@ -464,16 +472,19 @@ class Model:
         split = reshape(projected, x.shape[:-1] + (heads, self.config.d_model // heads))
         return permute(split, _swap_heads_axis(split.ndim))
 
-    def _attend(self, q: Tensor, k: Tensor, v: Tensor, prefix: str, bias: Tensor | None) -> Tensor:
+    def _context(self, q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None) -> Tensor:
         """Scaled dot-product attention of split heads, merged back to
-        [..., T_q, d] and passed through the output projection."""
-        p = self.params
+        [..., T_q, d]."""
         scores = scale(matmul(q, transpose(k)), 1.0 / math.sqrt(q.shape[-1]))
         if bias is not None:
             scores = add(scores, bias)
         ctx = permute(matmul(softmax(scores, axis=-1), v), _swap_heads_axis(q.ndim))
-        merged = reshape(ctx, ctx.shape[:-2] + (self.config.d_model,))
-        return _linear(merged, p[f"{prefix}.o.weight"], p[f"{prefix}.o.bias"])
+        return reshape(ctx, ctx.shape[:-2] + (self.config.d_model,))
+
+    def _attend(self, q: Tensor, k: Tensor, v: Tensor, prefix: str, bias: Tensor | None) -> Tensor:
+        """Attention context passed through the output projection."""
+        p = self.params
+        return _linear(self._context(q, k, v, bias), p[f"{prefix}.o.weight"], p[f"{prefix}.o.bias"])
 
     def _attention(
         self,
@@ -554,24 +565,35 @@ class Model:
             x = add(x, self._drop(f, train, rng))
         return self._norm(x, "dec.ln")
 
-    def start_decoding(self, enc_out: Tensor, row_example: Sequence[int], max_len: int) -> DecoderCache:
+    def start_decoding(
+        self, encodings: Sequence[np.ndarray], row_example: Sequence[int], max_len: int
+    ) -> DecoderCache:
         """Incremental decoding state for one row per entry of
-        ``row_example``; row j decodes over encoding ``row_example[j]`` of
-        ``enc_out`` [E, T_enc, d], which holds no padding.
+        ``row_example``; row j decodes over ``encodings[row_example[j]]``,
+        unpadded encoder states [T_e, d].
 
-        Each decoder layer's cross-attention keys and values are projected
-        here once per encoding and gathered once per row; the self-attention
-        caches hold ``max_len`` positions.
+        Rows are grouped by encoder length. Each decoder layer's
+        cross-attention keys and values are projected once per encoding, as
+        a group's stacked [E_g, T_g, d] encodings, and gathered once per
+        row; the self-attention caches hold ``max_len`` positions.
         """
-        idx = np.asarray(row_example, dtype=np.int64)
-        heads = self.config.n_heads
-        shape = (len(idx), heads, max_len, self.config.d_model // heads)
+        row_example = np.asarray(row_example, dtype=np.int64)
+        row_length = np.asarray([len(encoding) for encoding in encodings], dtype=np.int64)[row_example]
         layers = range(self.config.n_dec_layers)
+        groups, cross = [], [[] for _ in layers]
+        for length in np.unique(row_length):
+            rows = np.flatnonzero(row_length == length)
+            members, row_member = np.unique(row_example[rows], return_inverse=True)
+            stacked = Tensor(np.stack([encodings[e] for e in members]))
+            groups.append(rows)
+            for i in layers:
+                parts = (self._heads(stacked, f"dec.{i}.cross_attn", part).data[row_member] for part in ("k", "v"))
+                cross[i].append(tuple(parts))
+        heads = self.config.n_heads
+        shape = (len(row_example), heads, max_len, self.config.d_model // heads)
         return DecoderCache(
-            cross=[
-                tuple(self._heads(enc_out, f"dec.{i}.cross_attn", part).data[idx] for part in ("k", "v"))
-                for i in layers
-            ],
+            groups=groups,
+            cross=cross,
             self_k=[np.zeros(shape, dtype=self.dtype) for _ in layers],
             self_v=[np.zeros(shape, dtype=self.dtype) for _ in layers],
         )
@@ -581,10 +603,12 @@ class Model:
 
         ``ids`` holds each row's token at that position. Rows are stacked
         [rows, 1, d] slices, never one [rows, d] matrix, so each matmul acts
-        per slice and a row's states do not depend on the other rows. Writes
-        the position's self-attention keys and values into the cache and
-        returns the final decoder states [rows, 1, d]. Inference only: no
-        dropout.
+        per slice and a row's states do not depend on the other rows. Every
+        op runs once over all rows, except the cross-attention context,
+        which runs once per encoder-length group of the cache over the
+        group's unpadded keys. Writes the position's self-attention keys and
+        values into the cache and returns the final decoder states
+        [rows, 1, d]. Inference only: no dropout.
         """
         t = cache.length
         if t >= cache.self_k[0].shape[2]:
@@ -604,9 +628,11 @@ class Model:
             x = add(x, self._attend(self._heads(normed, prefix, "q"), keys, values, prefix, None))
 
             prefix = f"dec.{i}.cross_attn"
-            q = self._heads(self._norm(x, f"dec.{i}.ln2"), prefix, "q")
-            keys, values = (Tensor(kv) for kv in cache.cross[i])
-            x = add(x, self._attend(q, keys, values, prefix, None))
+            q = self._heads(self._norm(x, f"dec.{i}.ln2"), prefix, "q").data
+            context = np.empty(x.shape, dtype=x.dtype)
+            for rows, (keys, values) in zip(cache.groups, cache.cross[i]):
+                context[rows] = self._context(Tensor(q[rows]), Tensor(keys), Tensor(values), None).data
+            x = add(x, _linear(Tensor(context), p[f"{prefix}.o.weight"], p[f"{prefix}.o.bias"]))
             x = add(x, self._ffn(self._norm(x, f"dec.{i}.ln3"), f"dec.{i}.ffn"))
         cache.length += 1
         return self._norm(x, "dec.ln")

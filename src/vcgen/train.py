@@ -68,6 +68,13 @@ def write_manifest(out_dir: Path, command: str, cfg: RunConfig, inputs: Sequence
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _checkpoint_config(cfg: RunConfig) -> dict:
+    """The run config a checkpoint embeds: everything but ``paths``, so the
+    same run writes the same bytes from any directory. The manifest records
+    the inputs."""
+    return {key: value for key, value in to_dict(cfg).items() if key != "paths"}
+
+
 def resolve_vocab_size(cfg: RunConfig, vocab: Vocabulary) -> None:
     if cfg.model.vocab_size == 0:
         cfg.model.vocab_size = len(vocab)
@@ -227,7 +234,7 @@ def _run_epochs(
             _log_line(log_fh, {"kind": "val", "epoch": epoch, "val_kcg": val})
         save_checkpoint(
             out_dir / f"epoch_{epoch + 1:03d}.kmbt",
-            to_dict(cfg),
+            _checkpoint_config(cfg),
             model.params,
             global_step=global_step,
         )
@@ -265,7 +272,7 @@ def pretrain(cfg: RunConfig) -> dict:
     with log_path.open("w", encoding="utf-8", newline="\n") as log_fh:
         global_step = _run_epochs(cfg, model, vocab, datasets, active, log_fh, out_dir)
     final = out_dir / "final.kmbt"
-    save_checkpoint(final, to_dict(cfg), model.params, global_step=global_step)
+    save_checkpoint(final, _checkpoint_config(cfg), model.params, global_step=global_step)
     return {"log": str(log_path), "checkpoint": str(final), "steps": global_step}
 
 
@@ -317,5 +324,5 @@ def finetune(cfg: RunConfig, init_checkpoint: str | Path | None = None) -> dict:
             val_examples=val_examples,
         )
     final = out_dir / "final.kmbt"
-    save_checkpoint(final, to_dict(cfg), model.params, global_step=global_step)
+    save_checkpoint(final, _checkpoint_config(cfg), model.params, global_step=global_step)
     return {"log": str(log_path), "checkpoint": str(final), "steps": global_step}

@@ -224,7 +224,7 @@ def per_example_generate(model, vocab, example, config, index, use_event=True):
         rngs = [np.random.default_rng([stream, k]) for k in range(config.num_samples)]
     else:
         rngs = [None]
-    cache = model.start_decoding(enc_out, [0] * len(rngs), max_len)
+    cache = model.start_decoding(enc_out.data, [0] * len(rngs), max_len)
     sequences = [[] for _ in rngs]
     live = list(range(len(rngs)))
     ids = [BOS_ID] * len(rngs)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -211,8 +212,7 @@ def test_pretrain_reproducible_across_runs(workspace, tmp_path):
     assert main(pretrain_args(workspace, out1, "kcg,mlm")) == 0
     assert main(pretrain_args(workspace, out2, "kcg,mlm")) == 0
     assert (out1 / "train_log.jsonl").read_bytes() == (out2 / "train_log.jsonl").read_bytes()
-    # checkpoints embed out_dir in their config; the parameters themselves
-    # must agree bit-exactly
+    # the parameters themselves must agree bit-exactly
     from vcgen.checkpoint import load_checkpoint
 
     a = load_checkpoint(out1 / "final.kmbt")
@@ -220,6 +220,20 @@ def test_pretrain_reproducible_across_runs(workspace, tmp_path):
     assert a.global_step == b.global_step
     for name in a.params:
         assert np.array_equal(a.params[name], b.params[name]), name
+
+
+def test_pretrain_checkpoint_bytes_do_not_depend_on_the_directory(workspace, tmp_path):
+    """The same run, with its inputs and output in another directory,
+    writes the same checkpoint bytes."""
+    digests = []
+    for root in (tmp_path / "a", tmp_path / "elsewhere" / "b"):
+        root.mkdir(parents=True)
+        for name in ("vocab.txt", "kcg.jsonl", "captions.jsonl", "regions.jsonl"):
+            (root / name).write_bytes((workspace / name).read_bytes())
+        assert main(pretrain_args(root, root / "run", "kcg")) == 0
+        digests.append([hashlib.sha256((root / "run" / name).read_bytes()).hexdigest()
+                        for name in ("epoch_001.kmbt", "final.kmbt")])
+    assert digests[0] == digests[1]
 
 
 # ---------------------------------------------------------------------------

@@ -396,9 +396,9 @@ _item_shapes = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(1, 4)
 
 
 @settings(max_examples=60, deadline=None)
-@hypothesis.example(shapes=[(1, 2, 2), (2, 1, 2), (3, 0, 1), (0, 1, 1)] * 5, rows_per_item=7)
-@given(shapes=st.lists(_item_shapes, min_size=1, max_size=30), rows_per_item=st.integers(1, 70))
-def test_exact_batches_pad_nothing_and_cover_every_row_once(shapes, rows_per_item):
+@hypothesis.example(shapes=[(1, 2, 2), (2, 1, 2), (3, 0, 1), (0, 1, 1)] * 70)
+@given(shapes=st.lists(_item_shapes, min_size=1, max_size=150))
+def test_exact_batches_pad_nothing_and_cover_every_row_once(shapes):
     items = []
     for i, (n_rois, n_event, n_target) in enumerate(shapes):
         ex = MultimodalExample(
@@ -410,13 +410,12 @@ def test_exact_batches_pad_nothing_and_cover_every_row_once(shapes, rows_per_ite
         )
         items.append((assemble_input(ex, _SHAPE_VOCAB, "kcg"), ex))
     seen = []
-    for rows, batch in exact_batches(items, rows_per_item):
+    for rows, batch in exact_batches(items):
         assert 0 < len(rows) <= SCORE_CHUNK_ROWS
-        members = list(dict.fromkeys(i for i, _ in rows))
-        assert len(batch) == len(members)
-        assert all(got is items[i] for got, i in zip(batch.items, members))
+        assert len(batch) == len(rows)
+        assert all(got is items[i] for got, i in zip(batch.items, rows))
         assert batch.enc_mask.all()
         assert {a.dec_len for a, _ in batch.items} == {batch.dec_len}
         assert all(len(ex.rois) == batch.roi_feats.shape[1] for _, ex in batch.items)
         seen.extend(rows)
-    assert sorted(seen) == [(i, k) for i in range(len(items)) for k in range(rows_per_item)]
+    assert sorted(seen) == list(range(len(items)))

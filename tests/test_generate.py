@@ -162,18 +162,20 @@ def test_generate_rejects_non_generation_task(gen_setup, monkeypatch):
 def test_cached_decoding_matches_full_prefix_recompute(use_event):
     """In float64, every cached step agrees with re-running the decoder over
     the whole prefix and the row's own encoding, also for rows over two
-    encodings of one batch and after rows have left the cache."""
+    encodings of different length and after rows have left the cache."""
     vocab = tiny_vocab()
     config = tiny_config(len(vocab))
     model = Model.init_random(config, 0, dtype=np.float64)
     kcg, _, _ = tiny_examples()
-    batch = pad_batch([(assemble_input(example, vocab, "gen", use_event=use_event), example)
-                       for example in _variants(kcg, 2, config)])
-    enc_out = model.encoder_states(batch)
-    encodings = [(Tensor(enc_out.data[e : e + 1]), batch.enc_mask[e : e + 1]) for e in range(2)]
+    short = dataclasses.replace(kcg, rois=kcg.rois[:1], event_text="w1 w2", source_id="short")
+    encodings = []
+    for example in (kcg, short):
+        batch = pad_batch([(assemble_input(example, vocab, "gen", use_event=use_event), example)])
+        encodings.append((model.encoder_states(batch), batch.enc_mask))
+    assert encodings[0][0].shape != encodings[1][0].shape
     max_len = 8
     row_example = [0, 1, 1]
-    cache = model.start_decoding(enc_out, row_example, max_len)
+    cache = model.start_decoding([enc_out.data[0] for enc_out, _ in encodings], row_example, max_len)
     prefixes = [[BOS_ID] for _ in row_example]
     rng = np.random.default_rng(11)
     for step in range(max_len):
@@ -204,8 +206,8 @@ def test_decode_step_rows_are_bitwise_independent():
     kcg, _, _ = tiny_examples()
     enc_out = model.encoder_states(pad_batch([(assemble_input(kcg, vocab, "gen"), kcg)]))
     tokens = np.random.default_rng(5).integers(N_RESERVED, len(vocab), size=(6, 3))
-    together = model.start_decoding(enc_out, [0, 0, 0], 6)
-    alone = [model.start_decoding(enc_out, [0], 6) for _ in range(3)]
+    together = model.start_decoding(enc_out.data, [0, 0, 0], 6)
+    alone = [model.start_decoding(enc_out.data, [0], 6) for _ in range(3)]
     for step_ids in tokens:
         states = model.decode_step(step_ids, together).data
         for row, cache in enumerate(alone):
@@ -225,11 +227,53 @@ def test_decode_step_rows_over_several_encodings_match_uncached_decoder_bitwise(
     batch = pad_batch(items)
     enc_out = model.encoder_states(batch)
     row_example = [2, 0, 0, 1, 2]
-    cache = model.start_decoding(enc_out, row_example, 4)
+    cache = model.start_decoding(enc_out.data, row_example, 4)
     states = model.decode_step(np.full(len(row_example), BOS_ID), cache).data
     for row, e in enumerate(row_example):
         alone = model.decode_ids(np.asarray([[BOS_ID]]), Tensor(enc_out.data[e : e + 1]), batch.enc_mask[e : e + 1])
         assert np.array_equal(states[row], alone.data[0])
+
+
+def test_decode_step_rows_over_encodings_of_three_lengths_match_one_encoding_decoding_bitwise():
+    """In float32 at d=128, interleaved rows over encodings of three
+    different lengths get at the first position exactly the states of the
+    uncached decoder run over their own encoding alone, and at every step
+    those of a one-row cache, also after a reordering ``keep`` has emptied
+    a group."""
+    vocab = tiny_vocab()
+    config = tiny_config(len(vocab))
+    config.d_model, config.n_heads, config.d_ffn = 128, 4, 256
+    model = Model.init_random(config, 0)
+    kcg, _, _ = tiny_examples()
+    # encoding 3 has encoding 2's length, so one group holds two encodings
+    no_event = dataclasses.replace(kcg, event_text=None)
+    examples = [kcg, dataclasses.replace(kcg, event_text="w1 w2"), *_variants(no_event, 2, config)]
+    batches = [pad_batch([(assemble_input(example, vocab, "gen"), example)]) for example in examples]
+    enc_outs = [model.encoder_states(batch) for batch in batches]
+    assert len({enc_out.shape[1] for enc_out in enc_outs}) == 3
+    encodings = [enc_out.data[0] for enc_out in enc_outs]
+    row_example = [2, 0, 3, 0, 1, 2]
+    max_len = 6
+    cache = model.start_decoding(encodings, row_example, max_len)
+    alone = [model.start_decoding([encodings[e]], [0], max_len) for e in row_example]
+    assert len(cache.groups) == 3
+    tokens = np.random.default_rng(5).integers(N_RESERVED, len(vocab), size=(max_len, len(row_example)))
+    ids = np.full(len(row_example), BOS_ID)
+    for step in range(max_len):
+        states = model.decode_step(ids, cache).data
+        for row, one in enumerate(alone):
+            assert np.array_equal(states[row], model.decode_step(ids[row : row + 1], one).data[0])
+        if step == 0:
+            for row, e in enumerate(row_example):
+                uncached = model.decode_ids(np.asarray([[BOS_ID]]), enc_outs[e], batches[e].enc_mask)
+                assert np.array_equal(states[row], uncached.data[0])
+        if step == 2:
+            kept = [2, 4, 5, 0]  # drops both rows over encoding 0
+            cache.keep(kept)
+            alone = [alone[j] for j in kept]
+            assert len(cache.groups) == 2
+        ids = tokens[step, : len(alone)]
+    assert cache.length == max_len
 
 
 def test_nucleus_rows_do_not_depend_on_other_rows(gen_setup):
@@ -265,8 +309,8 @@ def _variants(example, n, config, seed=0):
 def test_generate_dataset_rows_equal_one_example_decode_bitwise(mode, monkeypatch):
     """In float32 at d=128, every example gets from ``generate_dataset``
     the token rows, and at every step the logit rows, that it gets decoded
-    alone, one row sampled at a time: in a shared bucket, in a bucket of
-    its own and in a bucket split into chunks."""
+    alone, one row sampled at a time, in caches of mixed encoder lengths
+    and region counts and in a file split into chunks."""
     vocab = tiny_vocab()
     config = tiny_config(len(vocab))
     config.d_model, config.n_heads, config.d_ffn, config.d_visual = 128, 4, 256, 64
@@ -290,9 +334,9 @@ def test_generate_dataset_rows_equal_one_example_decode_bitwise(mode, monkeypatc
     rows_per_cache, logit_rows = [], []
     start, lm_head = Model.start_decoding, Model.lm_head
 
-    def counted(self, enc_out, row_example, max_len):
+    def counted(self, encodings, row_example, max_len):
         rows_per_cache.append(len(row_example))
-        return start(self, enc_out, row_example, max_len)
+        return start(self, encodings, row_example, max_len)
 
     def recorded(self, hidden):
         logits = lm_head(self, hidden)
@@ -311,9 +355,55 @@ def test_generate_dataset_rows_equal_one_example_decode_bitwise(mode, monkeypatc
     assert len({len(row) for rows in generated for row in rows}) > 2
     assert len({tuple(rows[0]) for rows in generated}) > 2
     if mode == "greedy":
-        assert sorted(rows_per_cache) == [1, 2, 3, SCORE_CHUNK_ROWS]
+        assert sorted(rows_per_cache) == [6, SCORE_CHUNK_ROWS]
     else:
-        assert sorted(rows_per_cache) == [5, 10, 15] + [SCORE_CHUNK_ROWS] * 5
+        assert sorted(rows_per_cache) == [30] + [SCORE_CHUNK_ROWS] * 5
+
+
+@pytest.mark.parametrize("mode", ["greedy", "nucleus"])
+def test_generate_dataset_decodes_all_encoder_lengths_through_one_cache_per_chunk(mode, monkeypatch):
+    """In float32 at d=128, a file whose examples all differ in encoder
+    length decodes through one cache per ``SCORE_CHUNK_ROWS`` rows, and
+    every example gets the token rows it gets decoded alone."""
+    vocab = tiny_vocab()
+    config = tiny_config(len(vocab))
+    config.d_model, config.n_heads, config.d_ffn, config.d_visual = 128, 4, 256, 64
+    config.max_positions = 24
+    model = Model.init_random(config, 5)
+    for param in model.params.values():
+        if param.ndim == 2:
+            param.data *= 5
+    model.params["lm_head.bias"].data[EOS_ID] = 1.0
+    kcg, _, _ = tiny_examples()
+    [kcg] = _variants(kcg, 1, config, seed=2)
+    words = "w1 w2 w3 w4 w5 w6".split()
+    # encoder length 5 without event words, 7 + n with n of them
+    examples = [
+        dataclasses.replace(kcg, event_text=" ".join(words[j % 6] for j in range(n)) or None, source_id=f"n{n}")
+        for n in np.random.default_rng(4).permutation(14).tolist()
+    ]
+    assembled = [assemble_input(example, vocab, "gen", max_positions=config.max_positions) for example in examples]
+    assert len({a.enc_len for a in assembled}) == len(examples)
+    gen_cfg = GenerationConfig(mode=mode, top_p=0.9, max_len=8, num_samples=5, seed=3)
+
+    lengths_per_cache = []
+    start = Model.start_decoding
+
+    def counted(self, encodings, row_example, max_len):
+        lengths_per_cache.append([len(encodings[e]) for e in row_example])
+        return start(self, encodings, row_example, max_len)
+
+    monkeypatch.setattr(Model, "start_decoding", counted)
+    generated = generate_dataset(model, vocab, examples, gen_cfg)
+    monkeypatch.setattr(Model, "start_decoding", start)
+    rows = len(examples) * (gen_cfg.num_samples if mode == "nucleus" else 1)
+    assert [len(lengths) for lengths in lengths_per_cache] == [
+        min(SCORE_CHUNK_ROWS, rows - begin) for begin in range(0, rows, SCORE_CHUNK_ROWS)
+    ]
+    assert all(len(set(lengths)) > 1 for lengths in lengths_per_cache)
+    for index, (example, rows) in enumerate(zip(examples, generated)):
+        assert rows == per_example_generate(model, vocab, example, gen_cfg, index), example.source_id
+    assert len({tuple(rows[0]) for rows in generated}) > 2
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
