@@ -38,21 +38,33 @@ class GenerationConfig:
             raise ValueError(f"num_samples must be positive, got {self.num_samples}")
 
 
+def _top_p_prefix(probs: np.ndarray, top_p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rank every row of [S, V] float64 probs (descending, ties by lowest
+    id) and cut it at the minimal prefix whose mass reaches top_p, zero
+    probs excluded. Returns the ranking, the ranked probs over their
+    prefix's sum, and each row's prefix width."""
+    order = np.argsort(-probs, axis=-1, kind="stable")
+    ranked = np.take_along_axis(probs, order, axis=-1)
+    reach = (np.cumsum(ranked, axis=-1) < top_p).sum(axis=-1) + 1
+    width = np.minimum(reach, (ranked > 0.0).sum(axis=-1))
+    # Each prefix is summed alone, over exactly its width: a masked
+    # full-width sum pairs the terms differently and changes bits.
+    mass = np.empty(len(probs))
+    for w in np.unique(width).tolist():
+        rows = width == w
+        mass[rows] = ranked[rows, :w].sum(axis=-1)
+    return order, ranked / mass[:, None], width
+
+
 def nucleus_candidates(probs: np.ndarray, top_p: float) -> tuple[np.ndarray, np.ndarray]:
     """Minimal prefix of the distribution (descending prob, ties by lowest id)
-    whose cumulative mass reaches top_p, renormalized.
+    whose cumulative mass reaches top_p, renormalized: the one-row case of
+    the prefix ``sample_next_token`` draws from.
 
     Zero-probability tokens are never candidates.
     """
-    probs = np.asarray(probs, dtype=np.float64)
-    order = np.lexsort((np.arange(len(probs)), -probs))
-    cum = np.cumsum(probs[order])
-    k = int(np.searchsorted(cum, top_p, side="left")) + 1
-    k = min(k, len(probs))
-    ids = order[:k]
-    ids = ids[probs[ids] > 0.0]
-    chosen = probs[ids]
-    return ids, chosen / chosen.sum()
+    order, renormed, width = _top_p_prefix(np.asarray(probs, dtype=np.float64)[None], top_p)
+    return order[0, : width[0]], renormed[0, : width[0]]
 
 
 @functools.cache
@@ -73,8 +85,11 @@ def sample_next_token(
 
     Reserved tokens other than </s> are excluded before the argmax or the
     top-p renormalization; greedy breaks ties by lowest token id. Nucleus
-    row j draws from ``rngs[j]``. Every step is row-wise, so a row gets the
-    token it gets alone.
+    ranks and cuts all rows as one array (``_top_p_prefix``); row j then
+    draws one double from ``rngs[j]``, in row order, and picks by
+    ``Generator.choice``'s rule (the prefix's cumsum over its last entry,
+    searched on the right). So a row gets the token, and leaves its
+    generator in the state, that ``rngs[j].choice(ids, p=renormed)`` would.
     """
     allowed = _allowed_token_ids(logits.shape[-1])
     masked = np.full(logits.shape, -np.inf)
@@ -83,11 +98,13 @@ def sample_next_token(
         return masked.argmax(axis=-1)
     exp = np.exp(masked - masked.max(axis=-1, keepdims=True))
     probs = exp / exp.sum(axis=-1, keepdims=True)
-    tokens = np.empty(len(probs), dtype=np.int64)
-    for j, (row, rng) in enumerate(zip(probs, rngs)):
-        ids, renormed = nucleus_candidates(row, config.top_p)
-        tokens[j] = rng.choice(ids, p=renormed)
-    return tokens
+    order, renormed, width = _top_p_prefix(probs, config.top_p)
+    # Past its width a row's cdf is >= 1 > u, so no entry there is counted.
+    cdf = np.cumsum(renormed, axis=-1)
+    cdf /= np.take_along_axis(cdf, width[:, None] - 1, axis=-1)
+    u = np.array([rng.random() for rng in rngs])
+    picked = (cdf <= u[:, None]).sum(axis=-1)
+    return np.take_along_axis(order, picked[:, None], axis=-1)[:, 0]
 
 
 def _mix_seed(seed: int, index: int) -> int:

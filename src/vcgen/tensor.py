@@ -19,7 +19,6 @@ import math
 from typing import Sequence
 
 import numpy as np
-from scipy.special import erf
 
 DEFAULT_DTYPE = np.float32
 
@@ -314,6 +313,8 @@ def scatter_rows(rows: Tensor, indices, length: int) -> Tensor:
 
 def gelu(x: Tensor) -> Tensor:
     """Exact erf-based GELU."""
+    from scipy.special import erf  # deferred: commands that never run gelu skip its import
+
     cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
     data = x.data * cdf
 

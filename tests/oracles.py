@@ -190,6 +190,16 @@ def per_example_losses(model, items, wanted):
 # BLEU-2 reference
 
 
+def per_row_nucleus_prefix(probs, top_p):
+    """One row's top-p candidates (descending prob, ties by lowest id,
+    zero-probability ids dropped) and their renormalized probs."""
+    order = np.lexsort((np.arange(len(probs)), -probs))
+    cum = np.cumsum(probs[order])
+    ids = order[: min(int(np.searchsorted(cum, top_p, side="left")) + 1, len(probs))]
+    ids = ids[probs[ids] > 0.0]
+    return ids, probs[ids] / probs[ids].sum()
+
+
 def per_row_sample_next_token(logits, config, rng):
     """One row's next token, picked the way decoding did it one row at a
     time: mask a float64 copy of the row, then argmax, or softmax, take the
@@ -200,12 +210,8 @@ def per_row_sample_next_token(logits, config, rng):
     if config.mode == "greedy":
         return int(np.argmax(masked))
     exp = np.exp(masked - masked.max())
-    probs = exp / exp.sum()
-    order = np.lexsort((np.arange(len(probs)), -probs))
-    cum = np.cumsum(probs[order])
-    ids = order[: min(int(np.searchsorted(cum, config.top_p, side="left")) + 1, len(probs))]
-    ids = ids[probs[ids] > 0.0]
-    return int(rng.choice(ids, p=probs[ids] / probs[ids].sum()))
+    ids, renormed = per_row_nucleus_prefix(exp / exp.sum(), config.top_p)
+    return int(rng.choice(ids, p=renormed))
 
 
 def per_example_generate(model, vocab, example, config, index, use_event=True):

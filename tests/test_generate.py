@@ -5,13 +5,17 @@ from __future__ import annotations
 import dataclasses
 from collections import Counter
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vcgen.data import SCORE_CHUNK_ROWS, pad_batch
 from vcgen.generate import (
     GenerationConfig,
     _allowed_token_ids,
+    _top_p_prefix,
     generate,
     generate_dataset,
     nucleus_candidates,
@@ -23,7 +27,7 @@ from vcgen.tensor import Tensor
 from vcgen.vocab import BOS_ID, EOS_ID, N_RESERVED
 
 from helpers import tiny_config, tiny_examples, tiny_vocab
-from oracles import per_example_generate, per_row_sample_next_token
+from oracles import per_example_generate, per_row_nucleus_prefix, per_row_sample_next_token
 
 FIXTURE_PROBS = np.array([0.5, 0.3, 0.15, 0.05])
 
@@ -437,3 +441,54 @@ def test_batched_sampling_equals_per_row_oracle(dtype, mode, top_p):
     assert tokens[EOS_ID] == EOS_ID  # </s> stays allowed
     if mode == "greedy":
         assert tokens[N_RESERVED + 1] == N_RESERVED + 1  # lowest id among the tied
+
+
+@settings(max_examples=60, deadline=None)
+@hypothesis.example(rows=5, vocab_size=40, top_p=0.9, dtype=np.float64, spread=1.0, tail=1.0, shared=False, seed=1)
+@hypothesis.example(rows=9, vocab_size=300, top_p=0.5, dtype=np.float32, spread=0.0, tail=0.0, shared=False, seed=2)
+@hypothesis.example(rows=7, vocab_size=200, top_p=1.0, dtype=np.float64, spread=2.0, tail=0.5, shared=False, seed=3)
+@hypothesis.example(rows=70, vocab_size=600, top_p=0.9, dtype=np.float32, spread=1.0, tail=0.0, shared=True, seed=4)
+@given(
+    rows=st.integers(1, 70),
+    vocab_size=st.integers(N_RESERVED + 1, 600),
+    top_p=st.floats(0.0, 1.0, exclude_min=True),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    spread=st.sampled_from([0.0, 0.3, 2.0, 30.0]),
+    tail=st.floats(0.0, 1.0),
+    shared=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_nucleus_draw_is_bitwise_the_per_row_choice(rows, vocab_size, top_p, dtype, spread, tail, shared, seed):
+    """Over several steps the [S, V] nucleus draw picks, row by row, the
+    token the per-row ``Generator.choice`` oracle picks, and leaves every
+    generator in the same state; each row's renormalized prefix is bitwise
+    the one it has alone. ``spread`` 0 ties every logit; ``tail`` sets that
+    share of the regular ids to -1e9 (zero probability), and 1 leaves </s>
+    as the single candidate; ``shared`` hands every row one generator, so
+    the rows must draw in row order."""
+    logits = np.random.default_rng(seed).normal(0.0, 1.0, size=(rows, vocab_size)) * spread
+    logits[:, vocab_size - int(tail * (vocab_size - N_RESERVED)) :] = -1e9
+    logits = logits.astype(dtype)
+    config = GenerationConfig(mode="nucleus", top_p=top_p)
+
+    def streams():
+        if shared:
+            return [np.random.default_rng(seed)] * rows
+        return [np.random.default_rng([seed, j]) for j in range(rows)]
+
+    batched, oracle = streams(), streams()
+    for _ in range(3):
+        tokens = sample_next_token(logits, config, batched)
+        expected = [per_row_sample_next_token(row, config, oracle[j]) for j, row in enumerate(logits)]
+        assert tokens.tolist() == expected
+    if tail == 1.0:
+        assert set(tokens.tolist()) == {EOS_ID}
+    assert [rng.random() for rng in batched] == [rng.random() for rng in oracle]
+
+    exp = np.exp(logits - logits.max(axis=-1, keepdims=True), dtype=np.float64)
+    probs = exp / exp.sum(axis=-1, keepdims=True)
+    order, renormed, width = _top_p_prefix(probs, top_p)
+    for j, row in enumerate(probs):
+        ids, expected = per_row_nucleus_prefix(row, top_p)
+        assert order[j, : width[j]].tolist() == ids.tolist()
+        assert renormed[j, : width[j]].tobytes() == expected.tobytes()

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import vcgen
 from vcgen.tensor import (
     Tape,
     Tensor,
@@ -210,6 +216,23 @@ def test_layer_norm_constant_vector_is_zero_before_affine():
 
 def test_gelu_zero():
     assert gelu(t64([0.0])).data[0] == 0.0
+
+
+def test_scipy_loads_only_when_gelu_runs():
+    """Commands that never run gelu (evaluate, build-vocab, inspect-checkpoint)
+    do not pay scipy's import."""
+    src = str(Path(vcgen.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = (
+        "import sys, vcgen.cli, vcgen.data, vcgen.metrics\n"
+        "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))\n"
+        "import numpy as np\n"
+        "from vcgen.tensor import Tensor, gelu\n"
+        "gelu(Tensor(np.zeros(1)))\n"
+        "print('scipy.special' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False", "True"]
 
 
 def test_dropout_rate_zero_is_identity():
