@@ -21,7 +21,6 @@ Parameter count is a pure function of the config (see ``count_params``):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
@@ -32,17 +31,16 @@ from .tensor import (
     NEG_MASK_VALUE,
     Tensor,
     add,
+    attention,
     dropout,
     gather_rows,
     gelu,
     layer_norm,
-    matmul,
+    linear,
     mul,
-    permute,
     reshape,
-    scale,
     scatter_rows,
-    softmax,
+    split_heads,
     transpose,
 )
 from .vocab import (
@@ -333,15 +331,6 @@ def init_params(config: ModelConfig, seed_or_rng, dtype=np.float32) -> dict[str,
     return params
 
 
-def zero_params(config: ModelConfig, dtype=np.float32) -> dict[str, Tensor]:
-    """All-zero parameters; every head then predicts a uniform distribution."""
-    config.validate()
-    return {
-        name: Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
-        for name, shape in param_shapes(config).items()
-    }
-
-
 # ---------------------------------------------------------------------------
 # model
 
@@ -379,18 +368,6 @@ class DecoderCache:
         self.self_v = [v[idx] for v in self.self_v]
 
 
-def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    return add(matmul(x, w), b)
-
-
-def _swap_heads_axis(ndim: int) -> tuple[int, ...]:
-    """Axis order that swaps the heads axis with the positions axis:
-    [..., T, H, dk] <-> [..., H, T, dk]."""
-    axes = list(range(ndim))
-    axes[-3], axes[-2] = axes[-2], axes[-3]
-    return tuple(axes)
-
-
 class Model:
     """Bundles a config with named parameters and the forward passes."""
 
@@ -415,7 +392,13 @@ class Model:
 
     @classmethod
     def init_zeros(cls, config: ModelConfig, dtype=np.float32) -> "Model":
-        return cls(config, zero_params(config, dtype))
+        """All-zero parameters; every head then predicts a uniform distribution."""
+        config.validate()
+        params = {
+            name: Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
+            for name, shape in param_shapes(config).items()
+        }
+        return cls(config, params)
 
     @property
     def dtype(self):
@@ -447,11 +430,7 @@ class Model:
             return add(tok, pos)
         keep = np.ones((rows * length, 1), dtype=self.dtype)
         keep[batch.slot_index] = 0.0
-        projected = _linear(
-            Tensor(batch.roi_feats.astype(self.dtype)),
-            self.params["vis_proj.weight"],
-            self.params["vis_proj.bias"],
-        )
+        projected = self._linear(Tensor(batch.roi_feats.astype(self.dtype)), "vis_proj")
         regions = gather_rows(reshape(projected, (-1, self.config.d_model)), batch.roi_index)
         visual = reshape(scatter_rows(regions, batch.slot_index, rows * length), tok.shape)
         return add(add(mul(tok, Tensor(keep.reshape(rows, length, 1))), visual), pos)
@@ -463,28 +442,13 @@ class Model:
 
     # -- transformer stacks -------------------------------------------------
 
+    def _linear(self, x: Tensor, name: str) -> Tensor:
+        return linear(x, self.params[f"{name}.weight"], self.params[f"{name}.bias"])
+
     def _heads(self, x: Tensor, prefix: str, part: str) -> Tensor:
         """Project ``x`` [..., T, d] with ``{prefix}.{part}`` and split it
         into heads: [..., H, T, dk]."""
-        p = self.params
-        heads = self.config.n_heads
-        projected = _linear(x, p[f"{prefix}.{part}.weight"], p[f"{prefix}.{part}.bias"])
-        split = reshape(projected, x.shape[:-1] + (heads, self.config.d_model // heads))
-        return permute(split, _swap_heads_axis(split.ndim))
-
-    def _context(self, q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None) -> Tensor:
-        """Scaled dot-product attention of split heads, merged back to
-        [..., T_q, d]."""
-        scores = scale(matmul(q, transpose(k)), 1.0 / math.sqrt(q.shape[-1]))
-        if bias is not None:
-            scores = add(scores, bias)
-        ctx = permute(matmul(softmax(scores, axis=-1), v), _swap_heads_axis(q.ndim))
-        return reshape(ctx, ctx.shape[:-2] + (self.config.d_model,))
-
-    def _attend(self, q: Tensor, k: Tensor, v: Tensor, prefix: str, bias: Tensor | None) -> Tensor:
-        """Attention context passed through the output projection."""
-        p = self.params
-        return _linear(self._context(q, k, v, bias), p[f"{prefix}.o.weight"], p[f"{prefix}.o.bias"])
+        return split_heads(self._linear(x, f"{prefix}.{part}"), self.config.n_heads)
 
     def _attention(
         self,
@@ -493,8 +457,8 @@ class Model:
         prefix: str,
         bias: Tensor | None,
     ) -> Tensor:
-        q = self._heads(x, prefix, "q")
-        return self._attend(q, self._heads(kv, prefix, "k"), self._heads(kv, prefix, "v"), prefix, bias)
+        q, k, v = self._heads(x, prefix, "q"), self._heads(kv, prefix, "k"), self._heads(kv, prefix, "v")
+        return self._linear(attention(q, k, v, bias), f"{prefix}.o")
 
     def _key_bias(self, pad_mask: np.ndarray) -> Tensor | None:
         """[B, 1, 1, T] additive bias hiding the padded key positions of a
@@ -512,9 +476,7 @@ class Model:
         return layer_norm(x, self.params[f"{prefix}.gain"], self.params[f"{prefix}.bias"])
 
     def _ffn(self, x: Tensor, prefix: str) -> Tensor:
-        p = self.params
-        hidden = gelu(_linear(x, p[f"{prefix}.fc1.weight"], p[f"{prefix}.fc1.bias"]))
-        return _linear(hidden, p[f"{prefix}.fc2.weight"], p[f"{prefix}.fc2.bias"])
+        return self._linear(gelu(self._linear(x, f"{prefix}.fc1")), f"{prefix}.fc2")
 
     def _drop(self, x: Tensor, train: bool, rng) -> Tensor:
         return dropout(x, self.config.dropout_rate, rng, train)
@@ -602,7 +564,7 @@ class Model:
         """Run the decoder at position ``cache.length`` for every cached row.
 
         ``ids`` holds each row's token at that position. Rows are stacked
-        [rows, 1, d] slices, never one [rows, d] matrix, so each matmul acts
+        [rows, 1, d] slices, never one [rows, d] matrix, so each product acts
         per slice and a row's states do not depend on the other rows. Every
         op runs once over all rows, except the cross-attention context,
         which runs once per encoder-length group of the cache over the
@@ -625,14 +587,14 @@ class Model:
             cache.self_v[i][:, :, t : t + 1] = self._heads(normed, prefix, "v").data
             keys = Tensor(cache.self_k[i][:, :, : t + 1])
             values = Tensor(cache.self_v[i][:, :, : t + 1])
-            x = add(x, self._attend(self._heads(normed, prefix, "q"), keys, values, prefix, None))
+            x = add(x, self._linear(attention(self._heads(normed, prefix, "q"), keys, values, None), f"{prefix}.o"))
 
             prefix = f"dec.{i}.cross_attn"
             q = self._heads(self._norm(x, f"dec.{i}.ln2"), prefix, "q").data
             context = np.empty(x.shape, dtype=x.dtype)
             for rows, (keys, values) in zip(cache.groups, cache.cross[i]):
-                context[rows] = self._context(Tensor(q[rows]), Tensor(keys), Tensor(values), None).data
-            x = add(x, _linear(Tensor(context), p[f"{prefix}.o.weight"], p[f"{prefix}.o.bias"]))
+                context[rows] = attention(Tensor(q[rows]), Tensor(keys), Tensor(values), None).data
+            x = add(x, self._linear(Tensor(context), f"{prefix}.o"))
             x = add(x, self._ffn(self._norm(x, f"dec.{i}.ln3"), f"dec.{i}.ffn"))
         cache.length += 1
         return self._norm(x, "dec.ln")
@@ -641,12 +603,10 @@ class Model:
 
     def lm_head(self, hidden: Tensor) -> Tensor:
         """Token logits via the transposed input embedding (weight tying)."""
-        return add(matmul(hidden, transpose(self.params["tok_emb.weight"])), self.params["lm_head.bias"])
+        return linear(hidden, transpose(self.params["tok_emb.weight"]), self.params["lm_head.bias"])
 
     def _mlp_head(self, hidden: Tensor, name: str) -> Tensor:
-        p = self.params
-        mid = gelu(_linear(hidden, p[f"{name}.fc1.weight"], p[f"{name}.fc1.bias"]))
-        return _linear(mid, p[f"{name}.fc2.weight"], p[f"{name}.fc2.bias"])
+        return self._linear(gelu(self._linear(hidden, f"{name}.fc1")), f"{name}.fc2")
 
     def ap_head(self, hidden: Tensor) -> Tensor:
         return self._mlp_head(hidden, "ap_head")

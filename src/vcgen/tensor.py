@@ -92,7 +92,14 @@ _ACTIVE_TAPES: list["Tape"] = []
 
 
 class Tape:
-    """Ordered recording of ops; replayed in reverse by :meth:`backward`."""
+    """Ordered recording of ops; replayed in reverse by :meth:`backward`.
+
+    Gradients flow without copies: a backward rule may return its incoming
+    gradient, or a view of it, for one or more inputs, and the same buffer
+    may then reach several tensors. That is safe because no backward rule
+    writes into its incoming ``g``, and :meth:`backward` accumulates out of
+    place, so no buffer is written once a rule has seen it.
+    """
 
     def __init__(self):
         self._ops: list[_Node] = []
@@ -115,7 +122,8 @@ class Tape:
 
         Repeated calls without a grad reset accumulate. Gradient flow uses a
         per-call scratch map, so retained grads from earlier calls are never
-        re-propagated.
+        re-propagated. No two leaves (tensors no recorded op produced) are
+        handed grads that share a buffer.
         """
         if loss.size != 1:
             raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -132,21 +140,22 @@ class Tape:
                     continue
                 key = id(tensor)
                 if key in flows:
-                    flows[key] += grad
+                    flows[key] = flows[key] + grad
                 else:
-                    # Copy on first store: backward rules may hand out views
-                    # of the upstream grad, which must not alias flow buffers.
-                    flows[key] = np.array(grad)
+                    flows[key] = grad
                     touched[key] = tensor
+        produced = {id(op.output) for op in self._ops}
+        leaf_buffers: set[int] = set()
         for key, tensor in touched.items():
-            if tensor.requires_grad:
-                grad = flows[key]
-                tensor.grad = grad if tensor.grad is None else tensor.grad + grad
-
-
-def backward(loss: Tensor, tape: Tape) -> None:
-    """Free-function form of :meth:`Tape.backward`."""
-    tape.backward(loss)
+            grad = flows[key]
+            if key not in produced:
+                # ``add`` hands one buffer to both of its inputs; a leaf's
+                # grad is the caller's to modify, so each leaf owns its own.
+                buffer = id(grad if grad.base is None else grad.base)
+                if buffer in leaf_buffers:
+                    grad = grad.copy()
+                leaf_buffers.add(buffer)
+            tensor.grad = grad if tensor.grad is None else tensor.grad + grad
 
 
 def _make(data: np.ndarray, inputs: tuple[Tensor, ...], bw) -> Tensor:
@@ -212,41 +221,32 @@ def scale(x: Tensor, factor: float) -> Tensor:
     return _make(data, (x,), bw)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product over the last two axes.
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map ``x @ w + b`` of the last axis, as one tape node.
 
-    Either both operands are stacked with identical leading dims, or ``b``
-    is 2-D and is applied to every [m, k] slice of ``a``. Each slice of the
-    stacked product is the same numpy product as that slice alone, so a
-    row's result does not depend on how many rows share the stack.
+    ``w`` is a [k, n] matrix applied to every [m, k] slice of ``x``, and
+    ``b`` a length-n bias. Each slice of the stacked product is the same
+    numpy product as that slice alone, so a row's result does not depend on
+    how many rows share the stack. Value and gradients have the bits of the
+    unfused ``add(matmul(x, w), b)``: backward treats the stacked rows of
+    ``x`` as one [rows, k] matrix, so each gradient is a single 2-D GEMM
+    with no per-slice reduction.
     """
-    a_shape, b_shape = a.data.shape, b.data.shape
-    if (
-        len(a_shape) < 2
-        or len(b_shape) < 2
-        or a_shape[-1] != b_shape[-2]
-        or (len(b_shape) > 2 and a_shape[:-2] != b_shape[:-2])
-    ):
-        raise ValueError(f"matmul shape mismatch: {a_shape} x {b_shape}")
-    data = a.data @ b.data
+    x_shape = x.data.shape
+    if w.ndim != 2 or len(x_shape) < 2 or x_shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ValueError(f"linear shape mismatch: {x_shape} x {w.shape} + {b.shape}")
+    k, n = w.shape
+    data = x.data @ w.data
+    data += b.data
 
-    if len(b_shape) == 2:
-        # Backward treats the stacked rows of ``a`` as one [rows, k] matrix,
-        # so each gradient is a single 2-D GEMM with no per-slice reduction.
-        def bw(g):
-            rows = g.reshape(-1, g.shape[-1])
-            ga = (rows @ b.data.T).reshape(a_shape) if a.requires_grad else None
-            gb = a.data.reshape(-1, a_shape[-1]).T @ rows if b.requires_grad else None
-            return ga, gb
+    def bw(g):
+        rows = g.reshape(-1, n)
+        gx = (rows @ w.data.T).reshape(x_shape) if x.requires_grad else None
+        gw = x.data.reshape(-1, k).T @ rows if w.requires_grad else None
+        gb = _unbroadcast(g, b.shape) if b.requires_grad else None
+        return gx, gw, gb
 
-    else:
-
-        def bw(g):
-            ga = g @ np.swapaxes(b.data, -1, -2) if a.requires_grad else None
-            gb = np.swapaxes(a.data, -1, -2) @ g if b.requires_grad else None
-            return ga, gb
-
-    return _make(data, (a, b), bw)
+    return _make(data, (x, w, b), bw)
 
 
 def transpose(x: Tensor) -> Tensor:
@@ -259,16 +259,6 @@ def transpose(x: Tensor) -> Tensor:
     return _make(data, (x,), bw)
 
 
-def permute(x: Tensor, axes: Sequence[int]) -> Tensor:
-    axes = tuple(axes)
-    data = x.data.transpose(axes)
-
-    def bw(g):
-        return (g.transpose(np.argsort(axes)),)
-
-    return _make(data, (x,), bw)
-
-
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(shape)
     orig = x.shape
@@ -276,6 +266,20 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
 
     def bw(g):
         return (g.reshape(orig),)
+
+    return _make(data, (x,), bw)
+
+
+def split_heads(x: Tensor, heads: int) -> Tensor:
+    """Split the last axis of [..., T, d] into heads and move them before
+    the positions: a [..., H, T, d / H] view."""
+    shape = x.shape
+    if shape[-1] % heads != 0:
+        raise ValueError(f"width {shape[-1]} does not split into {heads} heads")
+    data = x.data.reshape(shape[:-1] + (heads, shape[-1] // heads)).swapaxes(-3, -2)
+
+    def bw(g):
+        return (g.swapaxes(-3, -2).reshape(shape),)
 
     return _make(data, (x,), bw)
 
@@ -323,21 +327,6 @@ def gelu(x: Tensor) -> Tensor:
         return (g * (cdf + x.data * pdf),)
 
     return _make(data.astype(x.dtype, copy=False), (x,), bw)
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Max-stabilized softmax along ``axis``; rows sum to 1."""
-    if x.shape[axis] == 0:
-        raise ValueError("softmax over an empty axis")
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
-
-    def bw(g):
-        dot = (g * data).sum(axis=axis, keepdims=True)
-        return (data * (g - dot),)
-
-    return _make(data, (x,), bw)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -413,15 +402,54 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None, train: bool
 
 
 # ---------------------------------------------------------------------------
+# attention
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None) -> Tensor:
+    """Scaled dot-product attention of split heads, merged back.
+
+    ``q`` is [..., H, T_q, dk], ``k`` and ``v`` are [..., H, T_k, dk], and
+    ``bias`` is a constant (no gradient) added to the [..., H, T_q, T_k]
+    scores, or None. Returns the context [..., T_q, H * dk], as one tape
+    node. The forward runs the numpy expressions of the unfused chain
+    ``softmax(q @ kᵀ * dk**-0.5 + bias) @ v``, heads merged, in its order;
+    the backward is the closed form of that chain's rules, also in its
+    order, so value and gradients have the chain's bits.
+    """
+    if bias is not None and bias.requires_grad:
+        raise ValueError("attention bias is a constant and takes no gradient")
+    factor = q.dtype.type(1.0 / math.sqrt(q.shape[-1]))
+    scores = q.data @ k.data.swapaxes(-1, -2)
+    scores *= factor
+    if bias is not None:
+        scores += bias.data
+    scores -= scores.max(axis=-1, keepdims=True)
+    probs = np.exp(scores, out=scores)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    ctx = (probs @ v.data).swapaxes(-3, -2)
+    ctx_shape = ctx.shape
+    data = ctx.reshape(ctx_shape[:-2] + (ctx_shape[-2] * ctx_shape[-1],))
+
+    def bw(g):
+        g_ctx = g.reshape(ctx_shape).swapaxes(-3, -2)
+        gq = gk = None
+        if q.requires_grad or k.requires_grad:
+            gp = g_ctx @ v.data.swapaxes(-1, -2)
+            gs = probs * (gp - (gp * probs).sum(axis=-1, keepdims=True))
+            gs *= factor
+            gq = gs @ k.data if q.requires_grad else None
+            gk = (q.data.swapaxes(-1, -2) @ gs).swapaxes(-1, -2) if k.requires_grad else None
+        gv = probs.swapaxes(-1, -2) @ g_ctx if v.requires_grad else None
+        return gq, gk, gv
+
+    return _make(data, (q, k, v), bw)
+
+
+# ---------------------------------------------------------------------------
 # losses
 
 
-def cross_entropy(
-    logits: Tensor,
-    targets,
-    ignore_index: int = -100,
-    reduction: str = "mean",
-) -> Tensor:
+def cross_entropy(logits: Tensor, targets, ignore_index: int = -100) -> Tensor:
     """Token cross-entropy in nats over the non-ignored positions.
 
     ``logits`` is [T, V]; ``targets`` a length-T integer sequence. Positions
@@ -445,20 +473,13 @@ def cross_entropy(
     logp = shifted - logz
     rows = np.nonzero(keep)[0]
     nll = -logp[rows, kept_tgt]
-    total = nll.sum()
-    if reduction == "mean":
-        data = total / n_kept
-    elif reduction == "sum":
-        data = total
-    else:
-        raise ValueError(f"unknown reduction {reduction!r}")
+    data = nll.sum() / n_kept
 
     def bw(g):
         grad = np.exp(logp)
         grad[rows, kept_tgt] -= 1.0
         grad[~keep] = 0.0
-        factor = g / n_kept if reduction == "mean" else g
-        return (grad * factor,)
+        return (grad * (g / n_kept),)
 
     return _make(np.asarray(data, dtype=logits.dtype), (logits,), bw)
 

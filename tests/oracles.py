@@ -21,18 +21,12 @@ from vcgen.tensor import (
     gather_rows,
     gelu,
     layer_norm,
-    matmul,
     mul,
-    permute,
-    reshape,
-    scale,
     scatter_rows,
-    softmax,
-    transpose,
 )
 from vcgen.vocab import BOS_ID, EOS_ID, N_RESERVED
 
-from ops import concat
+from ops import concat, unfused_attention, unfused_linear, unfused_split_heads
 
 
 def central_difference_grads(eval_fn, params, step=1e-3):
@@ -91,25 +85,19 @@ def per_example_forward(model, assembled, rois):
     """
     p = model.params
     cfg = model.config
-    heads, d = cfg.n_heads, cfg.d_model
-    dk = d // heads
 
     def linear(x, name):
-        return add(matmul(x, p[f"{name}.weight"]), p[f"{name}.bias"])
+        return unfused_linear(x, p[f"{name}.weight"], p[f"{name}.bias"])
 
     def norm(x, name):
         return layer_norm(x, p[f"{name}.gain"], p[f"{name}.bias"])
 
     def split(x, name):
-        return permute(reshape(linear(x, name), (x.shape[0], heads, dk)), (1, 0, 2))
+        return unfused_split_heads(linear(x, name), cfg.n_heads)
 
     def attention(x, kv, name, bias):
         q, k, v = split(x, f"{name}.q"), split(kv, f"{name}.k"), split(kv, f"{name}.v")
-        scores = scale(matmul(q, transpose(k)), 1.0 / math.sqrt(dk))
-        if bias is not None:
-            scores = add(scores, bias)
-        ctx = permute(matmul(softmax(scores, axis=-1), v), (1, 0, 2))
-        return linear(reshape(ctx, (x.shape[0], d)), f"{name}.o")
+        return linear(unfused_attention(q, k, v, bias), f"{name}.o")
 
     def ffn(x, name):
         return linear(gelu(linear(x, f"{name}.fc1")), f"{name}.fc2")

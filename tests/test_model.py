@@ -17,7 +17,7 @@ from vcgen.model import (
     count_params,
     param_shapes,
 )
-from vcgen.tensor import Tensor, softmax
+from vcgen.tensor import Tensor
 from vcgen.vocab import (
     BOS_ID,
     CLS_ID,
@@ -33,6 +33,7 @@ from vcgen.vocab import (
 )
 
 from helpers import tiny_config, tiny_examples, tiny_vocab, denoise_seed_with_both_masks
+from ops import softmax
 
 
 @pytest.fixture(scope="module")

@@ -15,7 +15,6 @@ from vcgen.tensor import (
     Tape,
     Tensor,
     add,
-    backward,
     cross_entropy,
     dropout,
     gather_rows,
@@ -23,18 +22,15 @@ from vcgen.tensor import (
     kl_divergence,
     layer_norm,
     log_softmax,
-    matmul,
     mul,
-    permute,
     reshape,
     scale,
     scatter_rows,
-    softmax,
     transpose,
 )
 
 from oracles import central_difference_grads, assert_grads_close
-from ops import concat, mean_all, slice_axis, sum_all
+from ops import concat, matmul, mean_all, permute, slice_axis, softmax, sum_all
 
 
 def t64(data, requires_grad=False):
@@ -318,14 +314,6 @@ def test_backward_deterministic_after_reset():
     gx2, gw2 = run()
     assert np.array_equal(gx1, gx2)
     assert np.array_equal(gw1, gw2)
-
-
-def test_free_function_backward():
-    x = t64([2.0], requires_grad=True)
-    with Tape() as tape:
-        loss = sum_all(x)
-    backward(loss, tape)
-    assert np.array_equal(x.grad, [1.0])
 
 
 # ---------------------------------------------------------------------------
