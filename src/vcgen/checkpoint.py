@@ -104,15 +104,17 @@ def save_checkpoint(
             fh.write(struct.pack("<I", data.ndim))
             for dim in data.shape:
                 fh.write(struct.pack("<I", dim))
-            fh.write(np.ascontiguousarray(data, dtype="<f4").tobytes())
+            fh.write(np.ascontiguousarray(data, dtype="<f4"))
 
 
 class _Reader:
+    """Reads fields off the blob through a memoryview, so a slice is not a copy."""
+
     def __init__(self, blob: bytes):
-        self.blob = blob
+        self.blob = memoryview(blob)
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if n < 0 or self.pos + n > len(self.blob):
             raise CheckpointTruncatedError(
                 f"truncated checkpoint: wanted {n} bytes at offset {self.pos}, "
@@ -140,7 +142,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     header_len = reader.u64()
     try:
-        header = json.loads(reader.take(header_len).decode("utf-8"))
+        header = json.loads(str(reader.take(header_len), "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"unreadable config block: {exc}") from None
 
@@ -150,7 +152,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     for _ in range(n_tensors):
         name_len = reader.u32()
         try:
-            name = reader.take(name_len).decode("utf-8")
+            name = str(reader.take(name_len), "utf-8")
         except UnicodeDecodeError as exc:
             raise CheckpointError(f"unreadable tensor name: {exc}") from None
         ndim = reader.u32()
@@ -167,10 +169,13 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     if reader.pos != len(blob):
         raise CheckpointError(f"{len(blob) - reader.pos} trailing bytes after tensor data")
 
-    config = header.get("run_config")
-    if not isinstance(config, dict) or "model" not in config:
+    config = header.get("run_config") if isinstance(header, dict) else None
+    if not isinstance(config, dict) or not isinstance(config.get("model"), dict):
         raise CheckpointError("config block lacks a run_config with a model section")
-    expected = param_shapes(ModelConfig(**config["model"]))
+    try:
+        expected = param_shapes(ModelConfig(**config["model"]))
+    except TypeError as exc:
+        raise CheckpointError(f"unreadable model section: {exc}") from None
     if set(params) != set(expected):
         missing = sorted(set(expected) - set(params))
         extra = sorted(set(params) - set(expected))
@@ -180,12 +185,10 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             raise CheckpointShapeError(
                 f"tensor {name!r} has shape {params[name].shape}, config implies {shape}"
             )
-    return Checkpoint(
-        config=config,
-        params=params,
-        opt_state=opt_state,
-        global_step=int(header.get("global_step", 0)),
-    )
+    global_step = header.get("global_step", 0)
+    if not isinstance(global_step, int):
+        raise CheckpointError(f"global_step {global_step!r} is not an integer")
+    return Checkpoint(config=config, params=params, opt_state=opt_state, global_step=global_step)
 
 
 def check_model_config(checkpoint: Checkpoint, config: ModelConfig) -> None:
@@ -206,6 +209,6 @@ def check_model_config(checkpoint: Checkpoint, config: ModelConfig) -> None:
 
 def params_as_tensors(checkpoint: Checkpoint, dtype=np.float32, requires_grad: bool = True) -> dict[str, Tensor]:
     return {
-        name: Tensor(data.astype(dtype), requires_grad=requires_grad)
+        name: Tensor(data.astype(dtype, copy=False), requires_grad=requires_grad)
         for name, data in checkpoint.params.items()
     }

@@ -52,15 +52,29 @@ class AdamW:
                 raise ValueError(f"non-finite gradient for parameter {name!r}")
             m = self._m[name]
             v = self._v[name]
+            # The expressions of the formulas above, in their order, through
+            # two fresh buffers, one of which becomes the new parameter. The
+            # bits are those of the whole-array expressions whenever a grad
+            # has its parameter's dtype, as every tape gradient does.
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            scratch = np.multiply(g, 1.0 - self.beta1)
+            m += scratch
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            new_data = p.data
+            np.multiply(g, 1.0 - self.beta2, out=scratch)
+            scratch *= g
+            v += scratch
+            denom = np.divide(v, bc2, out=scratch)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            update = np.divide(m, bc1)
+            update /= denom
+            update *= self.lr
             if self.weight_decay != 0.0 and p.ndim > 1:
-                new_data = new_data * (1.0 - self.lr * self.weight_decay)
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            p.data = (new_data - self.lr * update).astype(p.dtype, copy=False)
+                new_data = np.multiply(p.data, 1.0 - self.lr * self.weight_decay, out=denom)
+                new_data -= update
+            else:
+                new_data = np.subtract(p.data, update, out=update)
+            p.data = new_data.astype(p.dtype, copy=False)
 
     # Checkpoint plumbing: moments exported under reserved name prefixes.
 

@@ -4,7 +4,8 @@ Operations run eagerly on numpy buffers. While a :class:`Tape` is active
 (entered as a context manager), every op whose output needs gradients
 records a backward rule onto it; ``Tape.backward(loss)`` then walks the
 recording in reverse and accumulates gradients into the ``grad`` buffer of
-every ``requires_grad`` tensor reachable from the loss.
+every leaf (a ``requires_grad`` tensor no recorded op produced) reachable
+from the loss.
 
 float32 is the working precision of the package. Ops inherit the dtype of
 their inputs, so verification code (finite-difference checks) can run the
@@ -15,6 +16,7 @@ All losses are in natural-log units (nats).
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Sequence
 
@@ -33,7 +35,7 @@ NEG_MASK_VALUE = -1e9
 class Tensor:
     """A dense float array plus an optional gradient buffer."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "_key")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data)
@@ -44,6 +46,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
+        self._key: int | None = None  # set when a tape first records the tensor
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -76,23 +79,39 @@ def _wrap(data: np.ndarray, requires_grad: bool) -> Tensor:
     out.data = data
     out.requires_grad = requires_grad
     out.grad = None
+    out._key = None
     return out
 
 
 class _Node:
-    __slots__ = ("inputs", "output", "backward")
+    """One recorded op: the key of its output, the key of each input (None
+    for an input that takes no gradient) and its backward rule. It holds no
+    tensor; the rule holds only the arrays it reads."""
 
-    def __init__(self, inputs, output, backward):
-        self.inputs = inputs
-        self.output = output
+    __slots__ = ("out", "ins", "backward")
+
+    def __init__(self, out: int, ins: tuple[int | None, ...], backward):
+        self.out = out
+        self.ins = ins
         self.backward = backward
 
 
 _ACTIVE_TAPES: list["Tape"] = []
+_KEYS = itertools.count()
 
 
 class Tape:
     """Ordered recording of ops; replayed in reverse by :meth:`backward`.
+
+    What a tape keeps: per op, a :class:`_Node` whose backward rule captures
+    only the arrays that rule reads (plus shapes, dtypes and requires_grad
+    flags), never the op's input or output tensors; and the leaves, the
+    requires_grad tensors that no op recorded here produced. A tensor gets
+    a key the first time it is recorded, and gradients are routed by key.
+
+    Only leaves get ``grad``. Inside :meth:`backward`, an op's output
+    gradient is dropped as soon as that op's rule has consumed it, so a
+    gradient lives only while some op still has to read it.
 
     Gradients flow without copies: a backward rule may return its incoming
     gradient, or a view of it, for one or more inputs, and the same buffer
@@ -103,6 +122,8 @@ class Tape:
 
     def __init__(self):
         self._ops: list[_Node] = []
+        self._produced: set[int] = set()
+        self._leaves: dict[int, Tensor] = {}
 
     def __enter__(self) -> "Tape":
         _ACTIVE_TAPES.append(self)
@@ -115,46 +136,51 @@ class Tape:
         return len(self._ops)
 
     def _record(self, output: Tensor, inputs: tuple[Tensor, ...], bw) -> None:
-        self._ops.append(_Node(inputs, output, bw))
+        ins = []
+        for t in inputs:
+            if not t.requires_grad:
+                ins.append(None)
+                continue
+            if t._key is None:
+                t._key = next(_KEYS)
+            if t._key not in self._produced:
+                self._leaves[t._key] = t
+            ins.append(t._key)
+        output._key = next(_KEYS)
+        self._produced.add(output._key)
+        self._ops.append(_Node(output._key, tuple(ins), bw))
 
     def backward(self, loss: Tensor) -> None:
-        """Populate ``grad`` on every requires_grad tensor reachable from loss.
+        """Add d loss / d leaf into ``grad`` of every leaf reachable from loss.
 
         Repeated calls without a grad reset accumulate. Gradient flow uses a
         per-call scratch map, so retained grads from earlier calls are never
-        re-propagated. No two leaves (tensors no recorded op produced) are
-        handed grads that share a buffer.
+        re-propagated. No two leaves are handed grads that share a buffer.
         """
         if loss.size != 1:
             raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
-        if not any(op.output is loss for op in self._ops):
+        if loss._key not in self._produced:
             raise ValueError("loss is not an output recorded on this tape")
-        flows: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-        touched: dict[int, Tensor] = {id(loss): loss}
+        flows: dict[int, np.ndarray] = {loss._key: np.ones_like(loss.data)}
         for op in reversed(self._ops):
-            out_grad = flows.get(id(op.output))
+            out_grad = flows.pop(op.out, None)
             if out_grad is None:
                 continue
-            for tensor, grad in zip(op.inputs, op.backward(out_grad)):
-                if grad is None or not tensor.requires_grad:
+            for key, grad in zip(op.ins, op.backward(out_grad)):
+                if key is None or grad is None:
                     continue
-                key = id(tensor)
-                if key in flows:
-                    flows[key] = flows[key] + grad
-                else:
-                    flows[key] = grad
-                    touched[key] = tensor
-        produced = {id(op.output) for op in self._ops}
+                held = flows.get(key)
+                flows[key] = grad if held is None else held + grad
+        # Every produced key has been consumed; what is left are the leaves.
         leaf_buffers: set[int] = set()
-        for key, tensor in touched.items():
-            grad = flows[key]
-            if key not in produced:
-                # ``add`` hands one buffer to both of its inputs; a leaf's
-                # grad is the caller's to modify, so each leaf owns its own.
-                buffer = id(grad if grad.base is None else grad.base)
-                if buffer in leaf_buffers:
-                    grad = grad.copy()
-                leaf_buffers.add(buffer)
+        for key, grad in flows.items():
+            # ``add`` hands one buffer to both of its inputs; a leaf's grad
+            # is the caller's to modify, so each leaf owns its own.
+            buffer = id(grad if grad.base is None else grad.base)
+            if buffer in leaf_buffers:
+                grad = grad.copy()
+            leaf_buffers.add(buffer)
+            tensor = self._leaves[key]
             tensor.grad = grad if tensor.grad is None else tensor.grad + grad
 
 
@@ -190,10 +216,12 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise addition with numpy broadcasting."""
     data = a.data + b.data
+    a_shape = a.shape if a.requires_grad else None
+    b_shape = b.shape if b.requires_grad else None
 
     def bw(g):
-        ga = _unbroadcast(g, a.shape) if a.requires_grad else None
-        gb = _unbroadcast(g, b.shape) if b.requires_grad else None
+        ga = _unbroadcast(g, a_shape) if a_shape is not None else None
+        gb = _unbroadcast(g, b_shape) if b_shape is not None else None
         return ga, gb
 
     return _make(data, (a, b), bw)
@@ -202,10 +230,13 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product with numpy broadcasting."""
     data = a.data * b.data
+    a_shape, b_shape = a.shape, b.shape
+    a_data = a.data if b.requires_grad else None
+    b_data = b.data if a.requires_grad else None
 
     def bw(g):
-        ga = _unbroadcast(g * b.data, a.shape) if a.requires_grad else None
-        gb = _unbroadcast(g * a.data, b.shape) if b.requires_grad else None
+        ga = _unbroadcast(g * b_data, a_shape) if b_data is not None else None
+        gb = _unbroadcast(g * a_data, b_shape) if a_data is not None else None
         return ga, gb
 
     return _make(data, (a, b), bw)
@@ -213,10 +244,11 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 def scale(x: Tensor, factor: float) -> Tensor:
     """Multiply by a python scalar (kept out of the graph)."""
-    data = x.data * x.data.dtype.type(factor)
+    factor = x.data.dtype.type(factor)
+    data = x.data * factor
 
     def bw(g):
-        return (g * x.data.dtype.type(factor),)
+        return (g * factor,)
 
     return _make(data, (x,), bw)
 
@@ -238,12 +270,15 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     k, n = w.shape
     data = x.data @ w.data
     data += b.data
+    w_data = w.data if x.requires_grad else None
+    x_data = x.data if w.requires_grad else None
+    b_shape = b.shape if b.requires_grad else None
 
     def bw(g):
         rows = g.reshape(-1, n)
-        gx = (rows @ w.data.T).reshape(x_shape) if x.requires_grad else None
-        gw = x.data.reshape(-1, k).T @ rows if w.requires_grad else None
-        gb = _unbroadcast(g, b.shape) if b.requires_grad else None
+        gx = (rows @ w_data.T).reshape(x_shape) if w_data is not None else None
+        gw = x_data.reshape(-1, k).T @ rows if x_data is not None else None
+        gb = _unbroadcast(g, b_shape) if b_shape is not None else None
         return gx, gw, gb
 
     return _make(data, (x, w, b), bw)
@@ -290,9 +325,10 @@ def gather_rows(x: Tensor, indices) -> Tensor:
     accumulate in backward."""
     idx = np.asarray(indices, dtype=np.int64)
     data = x.data[idx]
+    shape, dtype = x.shape, x.dtype
 
     def bw(g):
-        full = np.zeros_like(x.data)
+        full = np.zeros(shape, dtype)
         np.add.at(full, idx, g)
         return (full,)
 
@@ -319,14 +355,15 @@ def gelu(x: Tensor) -> Tensor:
     """Exact erf-based GELU."""
     from scipy.special import erf  # deferred: commands that never run gelu skip its import
 
-    cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
-    data = x.data * cdf
+    xd = x.data
+    cdf = 0.5 * (1.0 + erf(xd * _INV_SQRT2))
+    data = xd * cdf
 
     def bw(g):
-        pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT2PI
-        return (g * (cdf + x.data * pdf),)
+        pdf = np.exp(-0.5 * xd * xd) * _INV_SQRT2PI
+        return (g * (cdf + xd * pdf),)
 
-    return _make(data.astype(x.dtype, copy=False), (x,), bw)
+    return _make(data.astype(xd.dtype, copy=False), (x,), bw)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -360,13 +397,15 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv_std
     data = xhat * gain.data + bias.data
+    gain_data = gain.data if x.requires_grad else None
+    want_gain, want_bias = gain.requires_grad, bias.requires_grad
 
     def bw(g):
         lead = tuple(range(g.ndim - 1))
-        ggain = (g * xhat).sum(axis=lead) if gain.requires_grad else None
-        gbias = g.sum(axis=lead) if bias.requires_grad else None
-        if x.requires_grad:
-            dxhat = g * gain.data
+        ggain = (g * xhat).sum(axis=lead) if want_gain else None
+        gbias = g.sum(axis=lead) if want_bias else None
+        if gain_data is not None:
+            dxhat = g * gain_data
             gx = inv_std * (
                 dxhat
                 - _mean_last(dxhat)
@@ -391,12 +430,12 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None, train: bool
         return x
     if rng is None:
         raise ValueError("dropout in train mode needs an explicit generator")
-    keep = (rng.random(x.shape) >= rate).astype(x.dtype)
-    factor = keep / x.dtype.type(1.0 - rate)
-    data = x.data * factor
+    keep = rng.random(x.shape) >= rate
+    dtype = x.dtype
+    data = x.data * (keep.astype(dtype) / dtype.type(1.0 - rate))
 
     def bw(g):
-        return (g * factor,)
+        return (g * (keep.astype(dtype) / dtype.type(1.0 - rate)),)
 
     return _make(data, (x,), bw)
 
@@ -429,17 +468,21 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None) -> Tensor:
     ctx = (probs @ v.data).swapaxes(-3, -2)
     ctx_shape = ctx.shape
     data = ctx.reshape(ctx_shape[:-2] + (ctx_shape[-2] * ctx_shape[-1],))
+    want_q, want_k, want_v = q.requires_grad, k.requires_grad, v.requires_grad
+    v_data = v.data if want_q or want_k else None
+    k_data = k.data if want_q else None
+    q_data = q.data if want_k else None
 
     def bw(g):
         g_ctx = g.reshape(ctx_shape).swapaxes(-3, -2)
         gq = gk = None
-        if q.requires_grad or k.requires_grad:
-            gp = g_ctx @ v.data.swapaxes(-1, -2)
+        if v_data is not None:
+            gp = g_ctx @ v_data.swapaxes(-1, -2)
             gs = probs * (gp - (gp * probs).sum(axis=-1, keepdims=True))
             gs *= factor
-            gq = gs @ k.data if q.requires_grad else None
-            gk = (q.data.swapaxes(-1, -2) @ gs).swapaxes(-1, -2) if k.requires_grad else None
-        gv = probs.swapaxes(-1, -2) @ g_ctx if v.requires_grad else None
+            gq = gs @ k_data if want_q else None
+            gk = (q_data.swapaxes(-1, -2) @ gs).swapaxes(-1, -2) if want_k else None
+        gv = probs.swapaxes(-1, -2) @ g_ctx if want_v else None
         return gq, gk, gv
 
     return _make(data, (q, k, v), bw)
@@ -503,9 +546,10 @@ def kl_divergence(p: Tensor, log_q: Tensor) -> Tensor:
     plogp = np.where(pd > 0, pd * np.log(np.where(pd > 0, pd, 1.0)), 0.0)
     per_row = plogp.sum(axis=-1) - (pd * log_q.data).sum(axis=-1)
     data = per_row.mean()
+    want_q = log_q.requires_grad
 
     def bw(g):
-        gq = (-pd / n_rows) * g if log_q.requires_grad else None
+        gq = (-pd / n_rows) * g if want_q else None
         return None, gq
 
     return _make(np.asarray(data, dtype=log_q.dtype), (p, log_q), bw)

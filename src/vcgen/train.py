@@ -141,6 +141,7 @@ def _train_step(
     batch carried no loss units (e.g. a denoising batch where the 15%
     masking selected nothing)."""
     rng = np.random.default_rng([cfg.schedule.seed, TAG_DROPOUT, epoch, global_step])
+    model.zero_grad()  # the last step's grads are read by nothing from here on
     with Tape() as tape:
         terms = {}
         for batch, wanted in batch_terms:
@@ -148,8 +149,8 @@ def _train_step(
         if not terms:
             return None
         total, logged = combine_losses(terms, weights)
-    model.zero_grad()
     tape.backward(total)
+    del tape  # its rules pin the step's activations, which AdamW never reads
     optimizer.step()
     return logged
 

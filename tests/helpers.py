@@ -7,6 +7,7 @@ import numpy as np
 from vcgen.data import MultimodalExample
 from vcgen.model import Model, ModelConfig, assemble_input
 from vcgen.synthetic import make_rois
+from vcgen.tensor import Tape
 from vcgen.vocab import TaskType, Vocabulary, build_vocab
 
 TINY_WORDS = "w1 w2 w3 w4 w5 w6 tgt1 tgt2 tgt3 tgt4"
@@ -91,3 +92,16 @@ def tiny_model_and_items(dtype=np.float64, seed: int = 0, init: str = "random"):
         (assemble_input(caption, vocab, "mlm", seed=denoise_seed), caption),
     ]
     return vocab, config, model, items
+
+
+class WatchTape(Tape):
+    """A tape that also holds every tensor its ops produce, which its nodes
+    do not keep, so a test can look at them after recording or backward."""
+
+    def __init__(self):
+        super().__init__()
+        self.outputs = []
+
+    def _record(self, output, inputs, bw):
+        super()._record(output, inputs, bw)
+        self.outputs.append(output)

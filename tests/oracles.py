@@ -6,7 +6,9 @@ package paths it checks.
 
 from __future__ import annotations
 
+import json
 import math
+import struct
 from collections import Counter
 
 import numpy as np
@@ -16,6 +18,7 @@ from vcgen.losses import loss_ap, loss_kcg, loss_mlm, loss_mrm, loss_rp
 from vcgen.model import assemble_input
 from vcgen.tensor import (
     NEG_MASK_VALUE,
+    Tape,
     Tensor,
     add,
     gather_rows,
@@ -365,3 +368,95 @@ def adamw_trace_reference(x0, grads, lr, beta1, beta2, eps, weight_decay, decay_
         x = x - lr * m_hat / (math.sqrt(v_hat) + eps)
         history.append(x)
     return history
+
+
+def adamw_step_reference(params, m, v, t, lr, beta1, beta2, eps, weight_decay):
+    """One AdamW step over named tensors as plain whole-array expressions:
+    the update ``AdamW.step`` ran before it moved to scratch buffers.
+    ``m`` and ``v`` map names to moment arrays, updated in place; ``t`` is
+    the 1-based step number."""
+    bc1 = 1.0 - beta1**t
+    bc2 = 1.0 - beta2**t
+    for name, p in params.items():
+        g = p.grad
+        if g is None:
+            continue
+        mn, vn = m[name], v[name]
+        mn *= beta1
+        mn += (1.0 - beta1) * g
+        vn *= beta2
+        vn += (1.0 - beta2) * g * g
+        new_data = p.data
+        if weight_decay != 0.0 and p.ndim > 1:
+            new_data = new_data * (1.0 - lr * weight_decay)
+        update = (mn / bc1) / (np.sqrt(vn / bc2) + eps)
+        p.data = (new_data - lr * update).astype(p.dtype, copy=False)
+
+
+# ---------------------------------------------------------------------------
+# checkpoint writer
+
+
+def save_checkpoint_reference(path, run_config, params, global_step=0, opt_state=None):
+    """The .kmbt writer as it was when it wrote a ``tobytes`` copy of each
+    tensor; the file layout is spelled out in ``vcgen.checkpoint``."""
+    header = json.dumps(
+        {"run_config": run_config, "global_step": int(global_step)}, sort_keys=True, separators=(",", ":")
+    ).encode("utf-8")
+    entries = [(name, np.asarray(getattr(v, "data", v), dtype=np.float32)) for name, v in params.items()]
+    entries += [(name, np.asarray(v, dtype=np.float32)) for name, v in (opt_state or {}).items()]
+    with open(path, "wb") as fh:
+        fh.write(b"KMBT")
+        fh.write(struct.pack("<I", 1))
+        fh.write(struct.pack("<Q", len(header)))
+        fh.write(header)
+        fh.write(struct.pack("<I", len(entries)))
+        for name, data in entries:
+            name_bytes = name.encode("utf-8")
+            fh.write(struct.pack("<I", len(name_bytes)))
+            fh.write(name_bytes)
+            fh.write(struct.pack("<I", data.ndim))
+            for dim in data.shape:
+                fh.write(struct.pack("<I", dim))
+            fh.write(np.ascontiguousarray(data, dtype="<f4").tobytes())
+
+
+# ---------------------------------------------------------------------------
+# tape
+
+
+class ReferenceTape(Tape):
+    """The tape as it was before it freed consumed gradients: every node
+    pins its input and output tensors, every gradient lives until
+    ``backward`` returns, and every requires_grad tensor it reaches, leaf
+    or not, gets ``grad``. Same rules, same accumulation order."""
+
+    def _record(self, output, inputs, bw):
+        self._ops.append((inputs, output, bw))
+
+    def backward(self, loss):
+        flows = {id(loss): np.ones_like(loss.data)}
+        touched = {id(loss): loss}
+        for inputs, output, bw in reversed(self._ops):
+            out_grad = flows.get(id(output))
+            if out_grad is None:
+                continue
+            for tensor, grad in zip(inputs, bw(out_grad)):
+                if grad is None or not tensor.requires_grad:
+                    continue
+                key = id(tensor)
+                if key in flows:
+                    flows[key] = flows[key] + grad
+                else:
+                    flows[key] = grad
+                    touched[key] = tensor
+        produced = {id(output) for _, output, _ in self._ops}
+        leaf_buffers = set()
+        for key, tensor in touched.items():
+            grad = flows[key]
+            if key not in produced:
+                buffer = id(grad if grad.base is None else grad.base)
+                if buffer in leaf_buffers:
+                    grad = grad.copy()
+                leaf_buffers.add(buffer)
+            tensor.grad = grad if tensor.grad is None else tensor.grad + grad

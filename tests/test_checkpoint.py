@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
+from vcgen import cli
 from vcgen.checkpoint import (
     CheckpointError,
     CheckpointMagicError,
@@ -20,6 +24,7 @@ from vcgen.config import RunConfig, to_dict
 from vcgen.model import Model
 
 from helpers import tiny_config, tiny_vocab
+from oracles import save_checkpoint_reference
 
 
 @pytest.fixture()
@@ -146,3 +151,58 @@ def test_reserved_prefix_rejected_on_save(saved, tmp_path):
     path, model, run = saved
     with pytest.raises(CheckpointError, match="reserved"):
         save_checkpoint(tmp_path / "x.kmbt", to_dict(run), {"opt.m.sneaky": np.zeros(1)})
+
+
+def test_writer_bytes_match_the_copying_writer(saved, tmp_path):
+    """Writing each tensor's buffer directly gives the bytes of the writer
+    that wrote a ``tobytes`` copy, optimizer moments included."""
+    _, model, run = saved
+    rng = np.random.default_rng(3)
+    opt_state = {}
+    for name, p in model.params.items():
+        opt_state[f"opt.m.{name}"] = rng.normal(size=p.shape).astype(np.float32)
+        opt_state[f"opt.v.{name}"] = rng.random(size=p.shape).astype(np.float32)
+    params = dict(model.params)
+    params["tok_emb.weight"] = model.params["tok_emb.weight"].data.T.copy().T  # a Fortran-ordered buffer
+    mine, ref = tmp_path / "mine.kmbt", tmp_path / "ref.kmbt"
+    save_checkpoint(mine, to_dict(run), params, global_step=9, opt_state=opt_state)
+    save_checkpoint_reference(ref, to_dict(run), params, global_step=9, opt_state=opt_state)
+    assert mine.read_bytes() == ref.read_bytes()
+
+
+def _with_header(path, header) -> bytes:
+    """The bytes of the checkpoint at ``path`` with its config block
+    replaced by ``header``, as JSON."""
+    blob = path.read_bytes()
+    (old_len,) = struct.unpack_from("<Q", blob, 8)
+    new = json.dumps(header).encode("utf-8")
+    return blob[:8] + struct.pack("<Q", len(new)) + new + blob[16 + old_len :]
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        lambda run: [1, 2],
+        lambda run: {"run_config": {"model": [16, 2]}, "global_step": 0},
+        lambda run: {"run_config": {"model": {"bogus": 1}}, "global_step": 0},
+        lambda run: {"run_config": to_dict(run), "global_step": [3]},
+    ],
+    ids=["header-list", "model-list", "model-unknown-field", "global-step-list"],
+)
+def test_malformed_header_is_a_checkpoint_error_and_exits_2(saved, tmp_path, capsys, header):
+    path, _, run = saved
+    bad = tmp_path / "bad.kmbt"
+    bad.write_bytes(_with_header(path, header(run)))
+    with pytest.raises(CheckpointError):
+        load_checkpoint(bad)
+    assert cli.main(["inspect-checkpoint", str(bad)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+
+
+def test_spliced_header_still_loads(saved, tmp_path):
+    """The splice the malformed-header cases use keeps a good header good."""
+    path, _, run = saved
+    good = tmp_path / "good.kmbt"
+    good.write_bytes(_with_header(path, {"run_config": to_dict(run), "global_step": 4}))
+    assert load_checkpoint(good).global_step == 4

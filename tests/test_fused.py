@@ -32,6 +32,7 @@ from vcgen.tensor import (
     transpose,
 )
 
+from helpers import WatchTape
 from oracles import assert_grads_close, central_difference_grads
 from ops import sum_all, unfused_attention, unfused_linear, unfused_split_heads
 
@@ -242,13 +243,25 @@ def test_no_backward_rule_writes_into_its_incoming_gradient():
     cases = _op_cases(rng)
     assert set(cases) == _public_ops(), "every op needs a case here"
     for name, build in cases.items():
-        with Tape() as tape:
+        with WatchTape() as tape:
             build()
         assert len(tape), name
-        for node in tape._ops:
-            g = rng.normal(size=node.output.shape)
+        for node, output in zip(tape._ops, tape.outputs, strict=True):
+            g = rng.normal(size=output.shape)
             g.setflags(write=False)
             before = g.copy()
             grads = node.backward(g)
             assert np.array_equal(g, before), name
             assert any(grad is not None for grad in grads), name
+
+
+def test_no_backward_rule_holds_a_tensor():
+    """A rule captures arrays, shapes, dtypes and flags, never a tensor, so
+    a recorded op pins only the arrays its backward reads."""
+    cases = _op_cases(np.random.default_rng(8))
+    for name, build in cases.items():
+        with Tape() as tape:
+            build()
+        for node in tape._ops:
+            held = [cell.cell_contents for cell in node.backward.__closure__ or ()]
+            assert not any(isinstance(value, Tensor) for value in held), name

@@ -8,7 +8,7 @@ import pytest
 from vcgen.optim import AdamW
 from vcgen.tensor import Tensor
 
-from oracles import adamw_trace_reference
+from oracles import adamw_step_reference, adamw_trace_reference
 
 
 def scalar_param(value: float) -> Tensor:
@@ -105,3 +105,29 @@ def test_state_round_trip():
     assert np.array_equal(opt2._m["w"], opt._m["w"])
     assert np.array_equal(opt2._v["w"], opt._v["w"])
     assert opt2.step_count == 1
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_twenty_steps_match_whole_array_update_bitwise(dtype):
+    """Scratch-buffer updates give the bits of the plain whole-array
+    expressions, for decayed matrices and undecayed vectors alike."""
+    rng = np.random.default_rng(11)
+    shapes = {"w": (6, 5), "emb": (7, 4), "b": (5,), "gain": (4,)}
+    start = {name: rng.normal(size=shape).astype(dtype) for name, shape in shapes.items()}
+    mine = {name: Tensor(data.copy(), requires_grad=True) for name, data in start.items()}
+    ref = {name: Tensor(data.copy(), requires_grad=True) for name, data in start.items()}
+    opt = AdamW(mine, lr=3e-2, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.01)
+    m = {name: np.zeros_like(data) for name, data in start.items()}
+    v = {name: np.zeros_like(data) for name, data in start.items()}
+    for t in range(1, 21):
+        for name, shape in shapes.items():
+            g = rng.normal(size=shape).astype(dtype)
+            mine[name].grad = g
+            ref[name].grad = g.copy()
+        opt.step()
+        adamw_step_reference(ref, m, v, t, 3e-2, 0.9, 0.999, 1e-8, 0.01)
+    for name in shapes:
+        assert mine[name].data.dtype == dtype
+        assert np.array_equal(mine[name].data, ref[name].data), name
+        assert np.array_equal(opt._m[name], m[name]), name
+        assert np.array_equal(opt._v[name], v[name]), name

@@ -5,12 +5,18 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import vcgen
+from vcgen import synthetic
+from vcgen.config import preset
+from vcgen.data import pad_batch
+from vcgen.losses import combine_losses, compute_losses
+from vcgen.model import Model, assemble_input
 from vcgen.tensor import (
     Tape,
     Tensor,
@@ -21,6 +27,7 @@ from vcgen.tensor import (
     gelu,
     kl_divergence,
     layer_norm,
+    linear,
     log_softmax,
     mul,
     reshape,
@@ -28,8 +35,10 @@ from vcgen.tensor import (
     scatter_rows,
     transpose,
 )
+from vcgen.vocab import build_vocab
 
-from oracles import central_difference_grads, assert_grads_close
+from helpers import WatchTape, denoise_seed_with_both_masks
+from oracles import ReferenceTape, assert_grads_close, central_difference_grads
 from ops import concat, matmul, mean_all, permute, slice_axis, softmax, sum_all
 
 
@@ -314,6 +323,93 @@ def test_backward_deterministic_after_reset():
     gx2, gw2 = run()
     assert np.array_equal(gx1, gx2)
     assert np.array_equal(gw1, gw2)
+
+
+# ---------------------------------------------------------------------------
+# what a tape keeps
+
+
+def _desk_step():
+    """A desk-preset model and one training batch per dataset stream, with
+    the terms each stream carries in pretraining."""
+    vocab = build_vocab(synthetic.full_corpus_lines(), min_freq=1)
+    config = preset("desk").model
+    config.vocab_size = len(vocab)
+    config.d_visual, config.n_classes, config.n_attr, config.n_rel = 16, 10, 8, 6
+    model = Model.init_random(config, 3)
+    streams = (
+        (synthetic.make_vcg_dataset(4, seed=[3, 0], prefix="kcg"), "kcg", {"kcg"}),
+        (synthetic.make_region_dataset(4, seed=[3, 1]), "ap", {"ap", "rp"}),
+        (synthetic.make_caption_dataset(4, seed=[3, 2]), "mlm", {"mlm", "mrm"}),
+    )
+    batches = []
+    for examples, task, wanted in streams:
+        seeds = [denoise_seed_with_both_masks(ex, vocab) if task == "mlm" else i for i, ex in enumerate(examples)]
+        items = [(assemble_input(ex, vocab, task, seed=seed), ex) for seed, ex in zip(seeds, examples)]
+        batches.append((pad_batch(items), wanted))
+    return model, batches
+
+
+def test_backward_gives_grad_to_leaves_only_with_the_reference_bits():
+    """After a desk-model step's backward, no intermediate tensor holds a
+    grad, and every parameter's grad is bitwise the one the tape that kept
+    every gradient gives."""
+    model, batches = _desk_step()
+    grads = {}
+    for tape_type in (ReferenceTape, WatchTape):
+        model.zero_grad()
+        rng = np.random.default_rng(9)
+        with tape_type() as tape:
+            terms = {}
+            for batch, wanted in batches:
+                terms.update(compute_losses(model, batch, wanted, train=True, rng=rng))
+            total, _ = combine_losses(terms)
+        tape.backward(total)
+        grads[tape_type] = {name: p.grad for name, p in model.params.items()}
+    assert len(terms) == 5
+    assert tape.outputs and all(t.grad is None for t in tape.outputs)
+    for name, ref in grads[ReferenceTape].items():
+        mine = grads[WatchTape][name]
+        assert (mine is None) == (ref is None), name
+        assert ref is None or np.array_equal(mine, ref), name
+    assert sum(g is not None for g in grads[WatchTape].values()) > len(model.params) // 2
+
+
+def _backward_excess(n_blocks: int, rows: int = 4096, d: int = 64) -> tuple[int, int]:
+    """Traced bytes that ``backward`` of n residual ``x + linear(x)`` blocks
+    over a [rows, d] float32 activation allocates above what the forward
+    left held, less the leaves' grads; and the bytes of one activation."""
+    rng = np.random.default_rng(n_blocks)
+    x = Tensor(rng.normal(size=(rows, d)).astype(np.float32))
+    params = [
+        (Tensor(rng.normal(scale=0.1, size=(d, d)).astype(np.float32), requires_grad=True),
+         Tensor(np.zeros(d, np.float32), requires_grad=True))
+        for _ in range(n_blocks)
+    ]
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            h = x
+            for w, b in params:
+                h = add(h, linear(h, w, b))
+            loss = sum_all(h)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        tape.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    leaf_grads = sum(w.grad.nbytes + b.grad.nbytes for w, b in params)
+    return peak - held - leaf_grads, x.data.nbytes
+
+
+def test_backward_peak_is_a_few_buffers_whatever_the_depth():
+    """Consumed gradients are freed, so the backward of a deep residual
+    stack needs a few activation-sized buffers above the forward's, not
+    one or two per block."""
+    for n_blocks in (2, 16):
+        excess, activation = _backward_excess(n_blocks)
+        assert excess <= 4 * activation, (n_blocks, excess / activation)
 
 
 # ---------------------------------------------------------------------------
