@@ -26,7 +26,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .model import ModelConfig, param_shapes
+from .model import ModelConfig, check_param_shapes
 from .tensor import Tensor
 
 MAGIC = b"KMBT"
@@ -173,18 +173,16 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     if not isinstance(config, dict) or not isinstance(config.get("model"), dict):
         raise CheckpointError("config block lacks a run_config with a model section")
     try:
-        expected = param_shapes(ModelConfig(**config["model"]))
-    except TypeError as exc:
+        model_config = ModelConfig(**config["model"])
+        model_config.validate()
+    except (TypeError, ValueError) as exc:
         raise CheckpointError(f"unreadable model section: {exc}") from None
-    if set(params) != set(expected):
-        missing = sorted(set(expected) - set(params))
-        extra = sorted(set(params) - set(expected))
-        raise CheckpointShapeError(f"parameter names disagree with config: missing {missing}, extra {extra}")
-    for name, shape in expected.items():
-        if params[name].shape != shape:
-            raise CheckpointShapeError(
-                f"tensor {name!r} has shape {params[name].shape}, config implies {shape}"
-            )
+    try:
+        check_param_shapes(model_config, {name: data.shape for name, data in params.items()})
+    except TypeError as exc:  # e.g. a float layer count
+        raise CheckpointError(f"unreadable model section: {exc}") from None
+    except ValueError as exc:
+        raise CheckpointShapeError(str(exc)) from None
     global_step = header.get("global_step", 0)
     if not isinstance(global_step, int):
         raise CheckpointError(f"global_step {global_step!r} is not an integer")

@@ -379,9 +379,8 @@ def main(argv=None) -> int:
         return EXIT_DATA
     except Exception as exc:  # data/validation errors from the library layers
         from .checkpoint import CheckpointError
-        from .data import DatasetError, UnknownRelationError
 
-        if isinstance(exc, (DatasetError, UnknownRelationError, CheckpointError, ValueError, KeyError, json.JSONDecodeError)):
+        if isinstance(exc, (CheckpointError, ValueError, KeyError)):
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_DATA
         raise

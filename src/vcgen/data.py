@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 import numpy as np
 
 from .model import AssembledInput, RoIFeature, assemble_input
+from .tensor import Tensor, log_softmax
 from .vocab import GENERATION_TASKS, PAD_ID, TaskType, Vocabulary
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -272,8 +273,7 @@ def _mean_token_nll(logits: np.ndarray, labels: np.ndarray) -> list[float]:
     Takes the same numpy steps, in the same order, as ``cross_entropy`` on
     one row's [T, V] slice, so each row's value is the one it gets alone.
     """
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    logp = log_softmax(Tensor(logits)).data
     rows, positions = np.indices(labels.shape)
     nll = -logp[rows, positions, labels]
     n = labels.shape[1]
@@ -421,18 +421,15 @@ def make_batches(
     items: Sequence[tuple[AssembledInput, MultimodalExample]],
     batch_size: int,
     seed=0,
-    shuffle: bool = True,
 ) -> list[PaddedBatch]:
-    """Chunk (assembled, example) pairs into padded batches.
+    """Shuffle (assembled, example) pairs and chunk them into padded batches.
 
     The shuffle is a deterministic permutation of the given seed; the last
     partial batch is retained.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    order = np.arange(len(items))
-    if shuffle:
-        order = np.random.default_rng(seed).permutation(order)
+    order = np.random.default_rng(seed).permutation(np.arange(len(items)))
     return [
         pad_batch([items[i] for i in order[start : start + batch_size]])
         for start in range(0, len(items), batch_size)

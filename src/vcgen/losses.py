@@ -5,6 +5,16 @@ masked-token objectives, annotated regions for attribute prediction, region
 pairs for relation prediction, masked regions for region modeling. Terms
 with zero applicable units in a batch are omitted rather than reported as
 zero, so the weighted sum is never silently diluted.
+
+``compute_losses`` builds each term straight from the tensor ops, over rows
+``h`` gathered from the decoder states:
+
+- kcg: ``cross_entropy(lm_head(h), next_token)`` at non-pad positions;
+- ap: ``cross_entropy(mlp(h, "ap_head"), attribute)`` at annotated regions;
+- rp: ``cross_entropy(mlp([h_subj, h_obj], "rp_head"), relation)`` per pair;
+- mlm: ``cross_entropy(lm_head(h), original_token)`` at masked text;
+- mrm: ``kl_divergence(p, log_softmax(mlp(h, "mrm_head")))`` at masked
+  regions, ``p`` the detector's class distribution.
 """
 
 from __future__ import annotations
@@ -43,47 +53,6 @@ class LossWeights:
 
     def get(self, name: str) -> float:
         return getattr(self, name)
-
-
-# ---------------------------------------------------------------------------
-# individual loss terms (logits -> scalar)
-
-
-def loss_kcg(logits: Tensor, target_ids, ignore_index: int = PAD_ID) -> Tensor:
-    """Teacher-forced token cross-entropy; padded positions are ignored."""
-    return cross_entropy(logits, target_ids, ignore_index=ignore_index)
-
-
-def loss_ap(logits: Tensor, attr_labels) -> Tensor:
-    """Mean cross-entropy over annotated regions."""
-    labels = np.asarray(attr_labels, dtype=np.int64)
-    if labels.size == 0:
-        raise ValueError("loss_ap needs at least one annotated region")
-    return cross_entropy(logits, labels)
-
-
-def loss_rp(logits: Tensor, rel_labels) -> Tensor:
-    """Mean cross-entropy over (subject, object) region pairs."""
-    labels = np.asarray(rel_labels, dtype=np.int64)
-    if labels.size == 0:
-        raise ValueError("loss_rp needs at least one region pair")
-    return cross_entropy(logits, labels)
-
-
-def loss_mlm(logits: Tensor, original_ids) -> Tensor:
-    """Mean cross-entropy over masked text positions only."""
-    targets = np.asarray(original_ids, dtype=np.int64)
-    if targets.size == 0:
-        raise ValueError("loss_mlm needs at least one masked position")
-    return cross_entropy(logits, targets)
-
-
-def loss_mrm(logits: Tensor, detector_probs) -> Tensor:
-    """Mean KL(p || q) against the detector distributions of masked regions."""
-    p = detector_probs if isinstance(detector_probs, Tensor) else Tensor(np.asarray(detector_probs), dtype=logits.dtype)
-    if p.shape[0] == 0:
-        raise ValueError("loss_mrm needs at least one masked region")
-    return kl_divergence(p, log_softmax(logits))
 
 
 def combine_losses(
@@ -172,20 +141,17 @@ def compute_losses(
     flat = reshape(hidden, (-1, d))
     terms: dict[str, Tensor] = {}
     if len(kcg_rows):
-        logits = model.lm_head(gather_rows(flat, kcg_rows))
-        terms["kcg"] = loss_kcg(logits, kcg_labels)
+        terms["kcg"] = cross_entropy(model.lm_head(gather_rows(flat, kcg_rows)), kcg_labels)
     if ap_rows:
-        logits = model.ap_head(gather_rows(flat, ap_rows))
-        terms["ap"] = loss_ap(logits, ap_labels)
+        terms["ap"] = cross_entropy(model.mlp(gather_rows(flat, ap_rows), "ap_head"), ap_labels)
     if rp_rows:
         # subject and object rows interleave, so each pair is one [2d] row
         pairs = reshape(gather_rows(flat, rp_rows), (-1, 2 * d))
-        terms["rp"] = loss_rp(model.rp_head(pairs), rp_labels)
+        terms["rp"] = cross_entropy(model.mlp(pairs, "rp_head"), rp_labels)
     if mlm_rows:
-        logits = model.lm_head(gather_rows(flat, mlm_rows))
-        terms["mlm"] = loss_mlm(logits, mlm_targets)
+        terms["mlm"] = cross_entropy(model.lm_head(gather_rows(flat, mlm_rows)), mlm_targets)
     if mrm_rows:
-        logits = model.mrm_head(gather_rows(flat, mrm_rows))
-        probs = np.stack(mrm_probs).astype(logits.dtype)
-        terms["mrm"] = loss_mrm(logits, probs)
+        logits = model.mlp(gather_rows(flat, mrm_rows), "mrm_head")
+        probs = Tensor(np.stack(mrm_probs).astype(logits.dtype))
+        terms["mrm"] = kl_divergence(probs, log_softmax(logits))
     return terms

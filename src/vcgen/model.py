@@ -22,7 +22,7 @@ Parameter count is a pure function of the config (see ``count_params``):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
@@ -132,8 +132,6 @@ class AssembledInput:
     positions.
     """
 
-    task: TaskType
-    mode: str
     enc_ids: np.ndarray
     visual_slots: np.ndarray
     dec_ids: np.ndarray
@@ -171,15 +169,12 @@ def assemble_input(
     """
     if mode not in ASSEMBLY_MODES:
         raise ValueError(f"unknown assembly mode {mode!r}")
-    task = TaskType(example.task)
     n_rois = len(example.rois)
 
-    enc_ids = [task_token_id(task), IMG_ID] + [IMG_FEAT_ID] * n_rois + [IMG_END_ID]
+    enc_ids = [task_token_id(TaskType(example.task)), IMG_ID] + [IMG_FEAT_ID] * n_rois + [IMG_END_ID]
     visual_slots = list(range(2, 2 + n_rois))
 
     assembled = AssembledInput(
-        task=task,
-        mode=mode,
         enc_ids=np.zeros(0, dtype=np.int64),
         visual_slots=np.asarray(visual_slots, dtype=np.int64),
         dec_ids=np.zeros(0, dtype=np.int64),
@@ -312,6 +307,34 @@ def count_params(config: ModelConfig) -> int:
     return total
 
 
+def check_param_shapes(config: ModelConfig, shapes: Mapping[str, tuple[int, ...]]) -> None:
+    """Raise ValueError unless ``shapes`` holds exactly the parameters of
+    ``config`` (already validated) with their shapes.
+
+    Layer counts whose tensors alone outnumber ``shapes`` fail before the
+    expected name map is built, so the work stays bounded by what was
+    given; a message names at most 8 missing and 8 extra parameters.
+    """
+    # param_shapes gives each encoder layer 16 tensors, each decoder layer 26
+    layer_tensors = 16 * config.n_enc_layers + 26 * config.n_dec_layers
+    if layer_tensors > len(shapes):
+        raise ValueError(
+            f"{config.n_enc_layers} encoder and {config.n_dec_layers} decoder layers need "
+            f"{layer_tensors} parameter tensors, more than the {len(shapes)} given"
+        )
+    expected = param_shapes(config)
+    if shapes.keys() != expected.keys():
+        missing = sorted(expected.keys() - shapes.keys())
+        extra = sorted(shapes.keys() - expected.keys())
+        raise ValueError(
+            f"parameter names disagree with config: {len(missing)} missing {missing[:8]}, "
+            f"{len(extra)} extra {extra[:8]}"
+        )
+    for name, shape in expected.items():
+        if shapes[name] != shape:
+            raise ValueError(f"parameter {name!r} has shape {shapes[name]}, config implies {shape}")
+
+
 INIT_STD = 0.02
 
 
@@ -373,16 +396,7 @@ class Model:
 
     def __init__(self, config: ModelConfig, params: dict[str, Tensor]):
         config.validate()
-        expected = param_shapes(config)
-        if set(params) != set(expected):
-            missing = sorted(set(expected) - set(params))
-            extra = sorted(set(params) - set(expected))
-            raise ValueError(f"parameter set mismatch: missing {missing}, extra {extra}")
-        for name, shape in expected.items():
-            if params[name].shape != shape:
-                raise ValueError(
-                    f"parameter {name} has shape {params[name].shape}, expected {shape}"
-                )
+        check_param_shapes(config, {name: p.shape for name, p in params.items()})
         self.config = config
         self.params = params
 
@@ -475,7 +489,9 @@ class Model:
     def _norm(self, x: Tensor, prefix: str) -> Tensor:
         return layer_norm(x, self.params[f"{prefix}.gain"], self.params[f"{prefix}.bias"])
 
-    def _ffn(self, x: Tensor, prefix: str) -> Tensor:
+    def mlp(self, x: Tensor, prefix: str) -> Tensor:
+        """``{prefix}.fc2(gelu({prefix}.fc1(x)))``: the FFN blocks and the
+        ap/rp/mrm classifier heads."""
         return self._linear(gelu(self._linear(x, f"{prefix}.fc1")), f"{prefix}.fc2")
 
     def _drop(self, x: Tensor, train: bool, rng) -> Tensor:
@@ -496,7 +512,7 @@ class Model:
             normed = self._norm(x, f"enc.{i}.ln1")
             a = self._attention(normed, normed, f"enc.{i}.attn", key_bias)
             x = add(x, self._drop(a, train, rng))
-            f = self._ffn(self._norm(x, f"enc.{i}.ln2"), f"enc.{i}.ffn")
+            f = self.mlp(self._norm(x, f"enc.{i}.ln2"), f"enc.{i}.ffn")
             x = add(x, self._drop(f, train, rng))
         return self._norm(x, "enc.ln")
 
@@ -523,7 +539,7 @@ class Model:
             x = add(x, self._drop(a, train, rng))
             c = self._attention(self._norm(x, f"dec.{i}.ln2"), enc_out, f"dec.{i}.cross_attn", key_bias)
             x = add(x, self._drop(c, train, rng))
-            f = self._ffn(self._norm(x, f"dec.{i}.ln3"), f"dec.{i}.ffn")
+            f = self.mlp(self._norm(x, f"dec.{i}.ln3"), f"dec.{i}.ffn")
             x = add(x, self._drop(f, train, rng))
         return self._norm(x, "dec.ln")
 
@@ -595,7 +611,7 @@ class Model:
             for rows, (keys, values) in zip(cache.groups, cache.cross[i]):
                 context[rows] = attention(Tensor(q[rows]), Tensor(keys), Tensor(values), None).data
             x = add(x, self._linear(Tensor(context), f"{prefix}.o"))
-            x = add(x, self._ffn(self._norm(x, f"dec.{i}.ln3"), f"dec.{i}.ffn"))
+            x = add(x, self.mlp(self._norm(x, f"dec.{i}.ln3"), f"dec.{i}.ffn"))
         cache.length += 1
         return self._norm(x, "dec.ln")
 
@@ -604,22 +620,6 @@ class Model:
     def lm_head(self, hidden: Tensor) -> Tensor:
         """Token logits via the transposed input embedding (weight tying)."""
         return linear(hidden, transpose(self.params["tok_emb.weight"]), self.params["lm_head.bias"])
-
-    def _mlp_head(self, hidden: Tensor, name: str) -> Tensor:
-        return self._linear(gelu(self._linear(hidden, f"{name}.fc1")), f"{name}.fc2")
-
-    def ap_head(self, hidden: Tensor) -> Tensor:
-        return self._mlp_head(hidden, "ap_head")
-
-    def rp_head(self, pair_hidden: Tensor) -> Tensor:
-        if pair_hidden.shape[-1] != 2 * self.config.d_model:
-            raise ValueError(
-                f"rp_head expects width {2 * self.config.d_model}, got {pair_hidden.shape[-1]}"
-            )
-        return self._mlp_head(pair_hidden, "rp_head")
-
-    def mrm_head(self, hidden: Tensor) -> Tensor:
-        return self._mlp_head(hidden, "mrm_head")
 
     # -- full passes ----------------------------------------------------------
 

@@ -198,17 +198,6 @@ def make_candidate_rows(
     return rows
 
 
-def corpus_lines(examples) -> list[str]:
-    """Event and target sentences for vocabulary building."""
-    lines = []
-    for ex in examples:
-        if ex.event_text:
-            lines.append(ex.event_text)
-        if ex.target_text:
-            lines.append(ex.target_text)
-    return lines
-
-
 def full_corpus_lines() -> list[str]:
     """Every sentence the templates can emit; gives a corpus-independent vocab."""
     lines = []

@@ -366,15 +366,16 @@ def gelu(x: Tensor) -> Tensor:
     return _make(data.astype(xd.dtype, copy=False), (x,), bw)
 
 
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    if x.shape[axis] == 0:
+def log_softmax(x: Tensor) -> Tensor:
+    """Log-softmax over the last axis."""
+    if x.shape[-1] == 0:
         raise ValueError("log_softmax over an empty axis")
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    data = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
+    data = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
     def bw(g):
         probs = np.exp(data)
-        return (g - probs * g.sum(axis=axis, keepdims=True),)
+        return (g - probs * g.sum(axis=-1, keepdims=True),)
 
     return _make(data, (x,), bw)
 
@@ -492,37 +493,33 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None) -> Tensor:
 # losses
 
 
-def cross_entropy(logits: Tensor, targets, ignore_index: int = -100) -> Tensor:
-    """Token cross-entropy in nats over the non-ignored positions.
+def cross_entropy(logits: Tensor, targets) -> Tensor:
+    """Mean token cross-entropy in nats.
 
-    ``logits`` is [T, V]; ``targets`` a length-T integer sequence. Positions
-    whose target equals ``ignore_index`` contribute nothing.
+    ``logits`` is [T, V] with T >= 1; ``targets`` a length-T integer sequence.
     """
     if logits.ndim != 2:
         raise ValueError(f"cross_entropy expects 2-D logits, got {logits.shape}")
     tgt = np.asarray(targets, dtype=np.int64)
     if tgt.shape != (logits.shape[0],):
         raise ValueError(f"targets length {tgt.shape} does not match logits rows {logits.shape[0]}")
-    keep = tgt != ignore_index
-    n_kept = int(keep.sum())
-    if n_kept == 0:
-        raise ValueError("empty loss: every position is ignored")
-    kept_tgt = tgt[keep]
-    if kept_tgt.min() < 0 or kept_tgt.max() >= logits.shape[1]:
+    n = len(tgt)
+    if n == 0:
+        raise ValueError("cross_entropy needs at least one target")
+    if tgt.min() < 0 or tgt.max() >= logits.shape[1]:
         raise ValueError(f"target id out of range [0, {logits.shape[1]})")
 
     shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
     logz = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     logp = shifted - logz
-    rows = np.nonzero(keep)[0]
-    nll = -logp[rows, kept_tgt]
-    data = nll.sum() / n_kept
+    rows = np.arange(n)
+    nll = -logp[rows, tgt]
+    data = nll.sum() / n
 
     def bw(g):
         grad = np.exp(logp)
-        grad[rows, kept_tgt] -= 1.0
-        grad[~keep] = 0.0
-        return (grad * (g / n_kept),)
+        grad[rows, tgt] -= 1.0
+        return (grad * (g / n),)
 
     return _make(np.asarray(data, dtype=logits.dtype), (logits,), bw)
 
@@ -536,13 +533,15 @@ def kl_divergence(p: Tensor, log_q: Tensor) -> Tensor:
     """
     if p.shape != log_q.shape or p.ndim != 2:
         raise ValueError(f"kl_divergence expects matching 2-D shapes, got {p.shape} and {log_q.shape}")
+    n_rows = p.shape[0]
+    if n_rows == 0:
+        raise ValueError("kl_divergence needs at least one row")
     pd = p.data
     if np.any(pd < 0):
         raise ValueError("p has negative entries; rows must be probability vectors")
     sums = pd.sum(axis=-1)
     if np.any(np.abs(sums - 1.0) > 1e-4):
         raise ValueError(f"p rows must sum to 1 within 1e-4, got sums {sums}")
-    n_rows = p.shape[0]
     plogp = np.where(pd > 0, pd * np.log(np.where(pd > 0, pd, 1.0)), 0.0)
     per_row = plogp.sum(axis=-1) - (pd * log_q.data).sum(axis=-1)
     data = per_row.mean()

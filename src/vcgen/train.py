@@ -124,7 +124,6 @@ def _task_batches(
         items,
         cfg.schedule.batch_size,
         seed=[cfg.schedule.seed, TAG_SHUFFLE, epoch, task_index],
-        shuffle=True,
     )
 
 

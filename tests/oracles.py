@@ -14,16 +14,18 @@ from collections import Counter
 import numpy as np
 
 from vcgen.data import pad_batch
-from vcgen.losses import loss_ap, loss_kcg, loss_mlm, loss_mrm, loss_rp
 from vcgen.model import assemble_input
 from vcgen.tensor import (
     NEG_MASK_VALUE,
     Tape,
     Tensor,
     add,
+    cross_entropy,
     gather_rows,
     gelu,
+    kl_divergence,
     layer_norm,
+    log_softmax,
     mul,
     scatter_rows,
 )
@@ -164,16 +166,16 @@ def per_example_losses(model, items, wanted):
             mrm[1].extend(example.rois[r].class_probs for r in assembled.mrm_roi_indices)
     terms = {}
     if kcg[0]:
-        terms["kcg"] = loss_kcg(model.lm_head(concat(kcg[0])), kcg[1])
+        terms["kcg"] = cross_entropy(model.lm_head(concat(kcg[0])), kcg[1])
     if ap[0]:
-        terms["ap"] = loss_ap(model.ap_head(concat(ap[0])), ap[1])
+        terms["ap"] = cross_entropy(model.mlp(concat(ap[0]), "ap_head"), ap[1])
     if rp[0]:
-        terms["rp"] = loss_rp(model.rp_head(concat(rp[0])), rp[1])
+        terms["rp"] = cross_entropy(model.mlp(concat(rp[0]), "rp_head"), rp[1])
     if mlm[0]:
-        terms["mlm"] = loss_mlm(model.lm_head(concat(mlm[0])), mlm[1])
+        terms["mlm"] = cross_entropy(model.lm_head(concat(mlm[0])), mlm[1])
     if mrm[0]:
-        rows = model.mrm_head(concat(mrm[0]))
-        terms["mrm"] = loss_mrm(rows, np.stack(mrm[1]).astype(rows.dtype))
+        rows = model.mlp(concat(mrm[0]), "mrm_head")
+        terms["mrm"] = kl_divergence(Tensor(np.stack(mrm[1]).astype(rows.dtype)), log_softmax(rows))
     return terms
 
 

@@ -186,8 +186,11 @@ def _with_header(path, header) -> bytes:
         lambda run: {"run_config": {"model": [16, 2]}, "global_step": 0},
         lambda run: {"run_config": {"model": {"bogus": 1}}, "global_step": 0},
         lambda run: {"run_config": to_dict(run), "global_step": [3]},
+        lambda run: {"run_config": {"model": {**to_dict(run)["model"], "n_heads": 3}}, "global_step": 0},
+        lambda run: {"run_config": {"model": {**to_dict(run)["model"], "n_enc_layers": 1.0}}, "global_step": 0},
     ],
-    ids=["header-list", "model-list", "model-unknown-field", "global-step-list"],
+    ids=["header-list", "model-list", "model-unknown-field", "global-step-list", "model-invalid",
+         "float-layer-count"],
 )
 def test_malformed_header_is_a_checkpoint_error_and_exits_2(saved, tmp_path, capsys, header):
     path, _, run = saved
@@ -206,3 +209,31 @@ def test_spliced_header_still_loads(saved, tmp_path):
     good = tmp_path / "good.kmbt"
     good.write_bytes(_with_header(path, {"run_config": to_dict(run), "global_step": 4}))
     assert load_checkpoint(good).global_step == 4
+
+
+def _with_layers(path, run, tmp_path, n_enc_layers):
+    header = {"run_config": to_dict(run), "global_step": 0}
+    header["run_config"]["model"]["n_enc_layers"] = n_enc_layers
+    bad = tmp_path / "layers.kmbt"
+    bad.write_bytes(_with_header(path, header))
+    return bad
+
+
+def test_spliced_layer_count_is_a_short_shape_error(saved, tmp_path, capsys):
+    """A layer count the file cannot hold fails before the expected name map
+    is built, with a short message."""
+    path, _, run = saved
+    bad = _with_layers(path, run, tmp_path, 20000)
+    with pytest.raises(CheckpointShapeError, match="need") as caught:
+        load_checkpoint(bad)
+    assert len(str(caught.value)) < 4096
+    assert cli.main(["inspect-checkpoint", str(bad)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+
+
+def test_shape_error_names_at_most_8_missing_tensors(saved, tmp_path):
+    path, _, run = saved
+    with pytest.raises(CheckpointShapeError, match="16 missing") as caught:
+        load_checkpoint(_with_layers(path, run, tmp_path, 2))
+    assert str(caught.value).count("'enc.1.") == 8

@@ -24,6 +24,7 @@ from vcgen.data import (
     load_jsonl,
     make_batches,
     map_comet_relation,
+    pad_batch,
     save_jsonl,
     score_dataset,
     score_description,
@@ -353,27 +354,20 @@ def assembled_items(n=5):
 
 
 def test_batch_sizes_keep_partial_tail():
-    batches = make_batches(assembled_items(5), batch_size=2, shuffle=False)
+    batches = make_batches(assembled_items(5), batch_size=2)
     assert [len(b) for b in batches] == [2, 2, 1]
 
 
-def test_no_shuffle_preserves_order():
-    batches = make_batches(assembled_items(5), batch_size=2, shuffle=False)
-    ids = [ex.source_id for b in batches for _, ex in b.items]
-    assert ids == [f"e{i}" for i in range(5)]
-
-
 def test_shuffle_is_deterministic_given_seed():
-    a = make_batches(assembled_items(5), batch_size=2, seed=9, shuffle=True)
-    b = make_batches(assembled_items(5), batch_size=2, seed=9, shuffle=True)
+    a = make_batches(assembled_items(5), batch_size=2, seed=9)
+    b = make_batches(assembled_items(5), batch_size=2, seed=9)
     assert [[ex.source_id for _, ex in batch.items] for batch in a] == [
         [ex.source_id for _, ex in batch.items] for batch in b
     ]
 
 
 def test_batch_padding_and_masks():
-    batches = make_batches(assembled_items(3), batch_size=3, shuffle=False)
-    batch = batches[0]
+    batch = pad_batch(assembled_items(3))
     lengths = [a.enc_len for a, _ in batch.items]
     assert batch.enc_len == max(lengths)
     for row, (a, _) in enumerate(batch.items):

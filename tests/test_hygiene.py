@@ -1,0 +1,67 @@
+"""Source hygiene of the package: every imported name is read somewhere."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "vcgen"
+
+
+def _annotation_names(node: ast.AST) -> set[str]:
+    """Names read by an annotation, including a quoted one such as
+    ``"Model"`` or ``"PaddedBatch | Sequence"``."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            names |= _annotation_names(ast.parse(sub.value, mode="eval"))
+    return names
+
+
+def unread_imports(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each imported name the module never reads; imports
+    on a line marked ``# noqa: F401`` count as read."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = []
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if "# noqa: F401" in lines[node.lineno - 1]:
+                continue
+            for alias in node.names:
+                imported.append((node.lineno, alias.asname or alias.name.split(".")[0]))
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            read |= _annotation_names(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns is not None:
+            read |= _annotation_names(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            read |= _annotation_names(node.annotation)
+    return [(line, name) for line, name in imported if name not in read]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_module_reads_every_name_it_imports(module):
+    unread = unread_imports((PACKAGE / module).read_text(encoding="utf-8"))
+    assert not unread, f"{module}: imported but never read: {unread}"
+
+
+def test_unread_import_is_found_and_noqa_exempts_it():
+    source = (
+        "import os\n"
+        "import sys  # noqa: F401\n"
+        "from typing import TYPE_CHECKING, Sequence\n"
+        "if TYPE_CHECKING:\n"
+        "    from .model import Model\n"
+        "def f(m: \"Model\") -> Sequence:\n"
+        "    return m\n"
+    )
+    assert unread_imports(source) == [(1, "os")]

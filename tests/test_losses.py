@@ -5,22 +5,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from vcgen.data import MultimodalExample, make_batches, pad_batch
+from vcgen.data import MultimodalExample, pad_batch
 from vcgen.losses import (
     LOSS_ORDER,
     LossWeights,
     combine_losses,
     compute_losses,
-    loss_ap,
-    loss_kcg,
-    loss_mlm,
-    loss_mrm,
-    loss_rp,
 )
 from vcgen.model import Model, RoIFeature, assemble_input
 from vcgen.optim import AdamW
 from vcgen.synthetic import make_rois
-from vcgen.tensor import Tape, Tensor, gather_rows
+from vcgen.tensor import Tape, Tensor, cross_entropy, gather_rows, kl_divergence, log_softmax
 from vcgen.vocab import TaskType
 
 from helpers import (
@@ -89,15 +84,15 @@ def test_uniform_model_calibration(zero_setup):
 
 def test_loss_ap_uniform_logits_and_confident():
     logits = Tensor(np.zeros((3, 8)))
-    assert float(loss_ap(logits, [0, 5, 7]).data) == pytest.approx(np.log(8.0), abs=1e-6)
+    assert float(cross_entropy(logits, [0, 5, 7]).data) == pytest.approx(np.log(8.0), abs=1e-6)
     confident = np.full((1, 8), -1e4)
     confident[0, 2] = 1e4
-    assert float(loss_ap(Tensor(confident), [2]).data) == pytest.approx(0.0, abs=1e-7)
+    assert float(cross_entropy(Tensor(confident), [2]).data) == pytest.approx(0.0, abs=1e-7)
 
 
 def test_loss_rp_uniform_logits():
     logits = Tensor(np.zeros((2, 4)))
-    assert float(loss_rp(logits, [1, 3]).data) == pytest.approx(np.log(4.0), abs=1e-6)
+    assert float(cross_entropy(logits, [1, 3]).data) == pytest.approx(np.log(4.0), abs=1e-6)
 
 
 def test_loss_mrm_one_hot_vs_uniform():
@@ -105,16 +100,14 @@ def test_loss_mrm_one_hot_vs_uniform():
     logits = Tensor(np.zeros((1, c)))
     p = np.zeros((1, c))
     p[0, 3] = 1.0
-    assert float(loss_mrm(logits, p).data) == pytest.approx(np.log(c), rel=1e-6)
+    assert float(kl_divergence(Tensor(p), log_softmax(logits)).data) == pytest.approx(np.log(c), rel=1e-6)
 
 
 def test_loss_empty_units_raise():
     with pytest.raises(ValueError):
-        loss_ap(Tensor(np.zeros((0, 4))), [])
-    with pytest.raises(ValueError):
-        loss_mlm(Tensor(np.zeros((0, 4))), [])
-    with pytest.raises(ValueError):
-        loss_mrm(Tensor(np.zeros((0, 4))), np.zeros((0, 4)))
+        cross_entropy(Tensor(np.zeros((0, 4))), [])
+    with pytest.raises(ValueError, match="at least one row"):
+        kl_divergence(Tensor(np.zeros((0, 4))), Tensor(np.zeros((0, 4))))
 
 
 def random_setup(seed=0, dtype=np.float64):
@@ -211,7 +204,7 @@ def test_mlm_matches_token_loss_restricted_to_masked_positions():
 
     hidden = Tensor(model.forward(pad_batch([(assembled, caption)])).data[0])
     logits = model.lm_head(gather_rows(hidden, assembled.mlm_positions))
-    direct = float(loss_kcg(logits, assembled.mlm_targets).data)
+    direct = float(cross_entropy(logits, assembled.mlm_targets).data)
     assert term == pytest.approx(direct, rel=1e-12)
 
 
@@ -226,8 +219,8 @@ def test_mlm_ignores_unmasked_positions():
     perturbed = full_logits.data[0].copy()
     unmasked = [i for i in range(assembled.dec_len) if i not in set(assembled.mlm_positions.tolist())]
     perturbed[unmasked] += 123.0
-    a = float(loss_mlm(Tensor(masked_logits), assembled.mlm_targets).data)
-    b = float(loss_mlm(Tensor(perturbed[assembled.mlm_positions]), assembled.mlm_targets).data)
+    a = float(cross_entropy(Tensor(masked_logits), assembled.mlm_targets).data)
+    b = float(cross_entropy(Tensor(perturbed[assembled.mlm_positions]), assembled.mlm_targets).data)
     assert a == b
 
 
@@ -253,7 +246,7 @@ def test_kcg_invariant_to_batch_padding():
             float(compute_losses(model, [(assembled, ex)], ["kcg"])["kcg"].data),
             n_units,
         )
-    batch = make_batches(items, batch_size=2, shuffle=False)[0]
+    batch = pad_batch(items)
     batched = float(compute_losses(model, batch, ["kcg"])["kcg"].data)
     total = sum(v * n for v, n in singles.values())
     count = sum(n for _, n in singles.values())

@@ -301,15 +301,15 @@ def test_zero_hidden_zero_bias_gives_uniform_softmax(setup):
     vocab, config, _, *_ = setup
     model = Model.init_zeros(config, dtype=np.float64)
     hidden = Tensor(np.zeros((3, config.d_model)))
-    for head, labels in (
-        (model.lm_head, config.vocab_size),
-        (model.ap_head, config.n_attr),
-        (model.mrm_head, config.n_classes),
+    for logits, labels in (
+        (model.lm_head(hidden), config.vocab_size),
+        (model.mlp(hidden, "ap_head"), config.n_attr),
+        (model.mlp(hidden, "mrm_head"), config.n_classes),
     ):
-        probs = softmax(head(hidden)).data
+        probs = softmax(logits).data
         assert np.allclose(probs, 1.0 / labels, atol=1e-12)
     pair = Tensor(np.zeros((3, 2 * config.d_model)))
-    probs = softmax(model.rp_head(pair)).data
+    probs = softmax(model.mlp(pair, "rp_head")).data
     assert np.allclose(probs, 1.0 / config.n_rel, atol=1e-12)
 
 
@@ -332,8 +332,8 @@ def test_lm_head_weight_tying_witness(setup):
 
 def test_rp_head_requires_double_width(setup):
     _, config, model, *_ = setup
-    with pytest.raises(ValueError, match=str(2 * config.d_model)):
-        model.rp_head(Tensor(np.zeros((2, config.d_model))))
+    with pytest.raises(ValueError, match=f"linear shape mismatch.*{2 * config.d_model}"):
+        model.mlp(Tensor(np.zeros((2, config.d_model))), "rp_head")
 
 
 def test_heads_produce_finite_logits(setup):
@@ -341,8 +341,8 @@ def test_heads_produce_finite_logits(setup):
     a = assemble_input(kcg, vocab, "kcg")
     hidden = model.forward(pad_batch([(a, kcg)]))
     assert np.all(np.isfinite(model.lm_head(hidden).data))
-    assert np.all(np.isfinite(model.ap_head(hidden).data))
-    assert np.all(np.isfinite(model.mrm_head(hidden).data))
+    assert np.all(np.isfinite(model.mlp(hidden, "ap_head").data))
+    assert np.all(np.isfinite(model.mlp(hidden, "mrm_head").data))
 
 
 # ---------------------------------------------------------------------------

@@ -151,17 +151,9 @@ def test_cross_entropy_matches_scalar_recomputation():
     assert cross_entropy(t64(logits), targets).item() == pytest.approx(expected, rel=1e-12)
 
 
-def test_cross_entropy_ignore_index():
-    rng = np.random.default_rng(3)
-    logits = rng.normal(size=(4, 5))
-    base = cross_entropy(t64(logits[:2]), [1, 2]).item()
-    padded = cross_entropy(t64(logits), [1, 2, -100, -100], ignore_index=-100).item()
-    assert padded == pytest.approx(base, rel=1e-12)
-
-
-def test_cross_entropy_all_ignored_raises():
-    with pytest.raises(ValueError, match="empty loss"):
-        cross_entropy(t64(np.zeros((2, 3))), [-100, -100], ignore_index=-100)
+def test_cross_entropy_no_targets_raises():
+    with pytest.raises(ValueError, match="at least one target"):
+        cross_entropy(t64(np.zeros((0, 3))), [])
 
 
 def test_cross_entropy_nonnegative():
