@@ -304,26 +304,25 @@ def cmd_inspect_checkpoint(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="vcgen", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("build-vocab", parents=[], help="build a vocabulary file from text corpora")
+def _build_vocab_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", nargs="+", required=True, help="plain-text corpus files")
     p.add_argument("--min-freq", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_build_vocab)
 
-    p = sub.add_parser("pretrain", help="multi-task pretraining")
+
+def _pretrain_args(p: argparse.ArgumentParser) -> None:
     _add_common_flags(p)
     p.set_defaults(func=cmd_pretrain)
 
-    p = sub.add_parser("finetune", help="generation-only training on a VCG-format dataset")
+
+def _finetune_args(p: argparse.ArgumentParser) -> None:
     _add_common_flags(p)
     p.add_argument("--init-checkpoint", help="start from these parameters")
     p.set_defaults(func=cmd_finetune, _finetune_defaults=True)
 
-    p = sub.add_parser("filter", help="score candidates and keep those below the threshold")
+
+def _filter_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--candidates", required=True)
@@ -335,7 +334,8 @@ def build_parser() -> _Parser:
     p.add_argument("--threads", type=int)
     p.set_defaults(func=cmd_filter)
 
-    p = sub.add_parser("generate", help="decode a dataset with a checkpoint")
+
+def _generate_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--dataset", required=True)
@@ -349,7 +349,8 @@ def build_parser() -> _Parser:
     p.add_argument("--threads", type=int)
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("evaluate", help="score generations against references")
+
+def _evaluate_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--generations", required=True)
     p.add_argument("--references", required=True)
     p.add_argument("--training-corpus", help="dataset whose targets define the novelty set")
@@ -358,18 +359,43 @@ def build_parser() -> _Parser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("inspect-checkpoint", help="print checkpoint metadata")
+
+def _inspect_checkpoint_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("checkpoint")
     p.set_defaults(func=cmd_inspect_checkpoint)
 
+
+# (name, help line, the function that adds its arguments)
+_SUBCOMMANDS = (
+    ("build-vocab", "build a vocabulary file from text corpora", _build_vocab_args),
+    ("pretrain", "multi-task pretraining", _pretrain_args),
+    ("finetune", "generation-only training on a VCG-format dataset", _finetune_args),
+    ("filter", "score candidates and keep those below the threshold", _filter_args),
+    ("generate", "decode a dataset with a checkpoint", _generate_args),
+    ("evaluate", "score generations against references", _evaluate_args),
+    ("inspect-checkpoint", "print checkpoint metadata", _inspect_checkpoint_args),
+)
+
+
+def build_parser(argv: list[str] | None = None) -> _Parser:
+    """The vcgen parser. Given ``argv``, only the subcommand it invokes gets
+    its arguments: every ``add_argument`` builds a help formatter that asks
+    for the terminal size, and the other subcommands' arguments are never
+    read. ``vcgen --help`` needs only the names and help lines."""
+    command = next((arg for arg in argv if not arg.startswith("-")), None) if argv is not None else None
+    parser = _Parser(prog="vcgen", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_line, add_arguments in _SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_line)
+        if argv is None or name == command:
+            add_arguments(p)
     return parser
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     _apply_thread_limit(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except SystemExit:

@@ -82,22 +82,27 @@ class ModelConfig:
     dropout_rate: float = 0.1
 
     def validate(self) -> None:
-        if self.d_model % self.n_heads != 0:
-            raise ValueError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         for name in (
             "d_model",
             "n_enc_layers",
             "n_dec_layers",
             "n_heads",
             "d_ffn",
+            "vocab_size",
             "d_visual",
             "n_classes",
             "n_attr",
             "n_rel",
             "max_positions",
         ):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if type(value) is not int:  # a bool is an int, a whole float is not
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            minimum = 0 if name == "vocab_size" else 1  # vocab_size 0: resolved from the vocabulary
+            if value < minimum:
+                raise ValueError(f"{name} must be at least {minimum}, got {value}")
+        if self.d_model % self.n_heads != 0:
+            raise ValueError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
 

@@ -351,19 +351,96 @@ def scatter_rows(rows: Tensor, indices, length: int) -> Tensor:
 # nonlinearities and normalization
 
 
+# erf as Cephes ndtr.c computes it, the algorithm behind scipy.special.erf:
+# x T(x²) / U(x²) for |x| <= 1, else 1 - exp(-x²) P(|x|) / Q(|x|) with the
+# sign of x. U and Q have an implied leading 1.
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERF_CHUNK = 16384  # float64 elements per evaluation pass
+
+
+def _polevl(x: np.ndarray, coef: tuple[float, ...], out: np.ndarray) -> np.ndarray:
+    """Cephes ``polevl``: Horner's rule, one multiply and one add per step."""
+    np.multiply(x, coef[0], out=out)
+    for c in coef[1:-1]:
+        np.add(out, c, out=out)
+        np.multiply(out, x, out=out)
+    return np.add(out, coef[-1], out=out)
+
+
+def _p1evl(x: np.ndarray, coef: tuple[float, ...], out: np.ndarray) -> np.ndarray:
+    """Cephes ``p1evl``: :func:`_polevl` with an implied leading coefficient 1."""
+    np.add(x, coef[0], out=out)
+    for c in coef[1:]:
+        np.multiply(out, x, out=out)
+        np.add(out, c, out=out)
+    return out
+
+
+def _erf_tail(x: np.ndarray) -> np.ndarray:
+    """erf of float64 ``x`` with |x| > 1: 1 - erfc(|x|), signed. From |x| = 8
+    on erfc is below half an ulp of 1, so erf is exactly ±1 and |x| is
+    clipped there, which also keeps inf out of the polynomials."""
+    a = np.minimum(np.abs(x), 8.0)
+    erfc = np.exp(-(a * a)) * _polevl(a, _ERFC_P, np.empty_like(a)) / _p1evl(a, _ERFC_Q, np.empty_like(a))
+    return np.copysign(1.0 - erfc, x)
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """Elementwise erf of a float32 or float64 array, in x's dtype.
+
+    Chunks are evaluated in float64 and rounded once into the output, as
+    scipy's float32 loop does, so float32 results equal scipy.special.erf's
+    bit for bit. float64 results are within 1 ulp of it: np.exp and libm's
+    exp may differ by an ulp where |x| > 1.
+
+    The |x| <= 1 formula runs on every element; only elements with |x| > 1
+    can overflow or turn NaN in it, and only a signaling NaN flags its cast,
+    so those warnings are off. If some chunk held an |x| > 1, those elements
+    are found and recomputed.
+    """
+    out = np.empty(x.shape, x.dtype)
+    flat, flat_out = x.reshape(-1), out.reshape(-1)
+    size = min(flat.size, _ERF_CHUNK)
+    xd, z, num, den = np.empty((4, size))
+    has_tail = False
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, flat.size, _ERF_CHUNK):
+            chunk = flat[start:start + _ERF_CHUNK]
+            if chunk.size < size:
+                xd, z, num, den = xd[:chunk.size], z[:chunk.size], num[:chunk.size], den[:chunk.size]
+            xd[...] = chunk
+            np.multiply(xd, xd, out=z)
+            np.multiply(xd, _polevl(z, _ERF_T, num), out=num)
+            np.divide(num, _p1evl(z, _ERF_U, den), out=flat_out[start:start + _ERF_CHUNK])
+            has_tail = has_tail or not np.maximum.reduce(z) <= 1.0  # a NaN counts
+    if has_tail:
+        tail = np.flatnonzero(np.abs(flat) > 1.0)
+        flat_out[tail] = _erf_tail(flat[tail].astype(np.float64))
+    return out
+
+
 def gelu(x: Tensor) -> Tensor:
     """Exact erf-based GELU."""
-    from scipy.special import erf  # deferred: commands that never run gelu skip its import
-
     xd = x.data
-    cdf = 0.5 * (1.0 + erf(xd * _INV_SQRT2))
+    cdf = _erf(xd * _INV_SQRT2)
+    cdf += 1.0
+    cdf *= 0.5
     data = xd * cdf
 
     def bw(g):
         pdf = np.exp(-0.5 * xd * xd) * _INV_SQRT2PI
         return (g * (cdf + xd * pdf),)
 
-    return _make(data.astype(xd.dtype, copy=False), (x,), bw)
+    return _make(data, (x,), bw)
 
 
 def log_softmax(x: Tensor) -> Tensor:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vcgen.cli import main
+from vcgen.cli import _SUBCOMMANDS, build_parser, main
 from vcgen.synthetic import (
     full_corpus_lines,
     make_candidate_rows,
@@ -98,9 +98,45 @@ def test_build_vocab_min_freq_zero_is_usage_error(workspace, tmp_path):
 
 
 def test_usage_error_exit_code_is_1(capsys):
+    for argv in (["pretrain", "--no-such-flag"], [], ["no-such-command"], ["generate"], ["--no-such-flag", "generate"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 1, argv
+
+
+def test_subcommand_help_matches_the_full_parser(capsys):
+    """main adds the arguments of the invoked subcommand only; each help text
+    is the one the parser with every subcommand's arguments prints."""
+    names = [name for name, _, _ in _SUBCOMMANDS]
+    assert len(names) == 7
+    for name in names:
+        with pytest.raises(SystemExit) as err:
+            main([name, "--help"])
+        assert err.value.code == 0
+        lean = capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([name, "--help"])
+        assert lean == capsys.readouterr().out
+        assert lean.startswith(f"usage: vcgen {name} ")
     with pytest.raises(SystemExit) as err:
-        main(["pretrain", "--no-such-flag"])
-    assert err.value.code == 1
+        main(["--help"])
+    assert err.value.code == 0
+    top = capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["--help"])
+    assert top == capsys.readouterr().out
+    assert all(name in top for name in names)
+
+
+@pytest.mark.parametrize("value", [1.0, True])
+def test_non_integer_layer_count_in_config_exits_2(workspace, tmp_path, capsys, value):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"model": {"n_enc_layers": value}}), encoding="utf-8")
+    args = pretrain_args(workspace, tmp_path / "run", "kcg", extra=["--config", str(config)])
+    flag = args.index("--model.n_enc_layers")
+    del args[flag:flag + 2]  # the flag would override the file's value
+    assert main(args) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: n_enc_layers must be an integer, got {value!r}"]
 
 
 # ---------------------------------------------------------------------------

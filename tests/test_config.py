@@ -97,3 +97,18 @@ def test_validate_rejects_bad_mixes():
     cfg.interleave = "zigzag"
     with pytest.raises(ValueError, match="interleave"):
         cfg.validate()
+
+
+@pytest.mark.parametrize("field, value", [("n_heads", True), ("vocab_size", 20.0), ("d_ffn", "256")])
+def test_validate_rejects_non_integer_counts(field, value):
+    cfg = preset("desk")
+    setattr(cfg.model, field, value)
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        cfg.validate()
+
+
+def test_validate_checks_n_heads_before_dividing_by_it():
+    cfg = preset("desk")
+    cfg.model.n_heads = 0
+    with pytest.raises(ValueError, match="n_heads must be at least 1"):
+        cfg.validate()

@@ -1,8 +1,10 @@
-"""Source hygiene of the package: every imported name is read somewhere."""
+"""Source hygiene of the package: every imported name is read somewhere, and
+nothing is imported from outside the standard library, numpy and vcgen."""
 
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -65,3 +67,39 @@ def test_unread_import_is_found_and_noqa_exempts_it():
         "    return m\n"
     )
     assert unread_imports(source) == [(1, "os")]
+
+
+ALLOWED_TOP_LEVEL = set(sys.stdlib_module_names) | {"numpy", "vcgen"}
+
+
+def foreign_imports(source: str) -> list[tuple[int, str]]:
+    """(line, module) of each absolute import whose top-level package is
+    neither in the standard library nor numpy nor vcgen."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        found += [(node.lineno, m) for m in modules if m.split(".")[0] not in ALLOWED_TOP_LEVEL]
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_module_imports_only_stdlib_numpy_and_vcgen(module):
+    foreign = foreign_imports((PACKAGE / module).read_text(encoding="utf-8"))
+    assert not foreign, f"{module}: imports outside the standard library, numpy and vcgen: {foreign}"
+
+
+def test_foreign_import_is_found_anywhere_in_the_module():
+    source = (
+        "import json, numpy as np\n"
+        "from . import tensor\n"
+        "from vcgen.model import Model\n"
+        "def f():\n"
+        "    from scipy.special import erf\n"
+        "    import yaml\n"
+    )
+    assert foreign_imports(source) == [(5, "scipy.special"), (6, "yaml")]

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from vcgen.model import Model, assemble_input
 from vcgen.tensor import (
     Tape,
     Tensor,
+    _erf,
     add,
     cross_entropy,
     dropout,
@@ -215,9 +217,8 @@ def test_gelu_zero():
     assert gelu(t64([0.0])).data[0] == 0.0
 
 
-def test_scipy_loads_only_when_gelu_runs():
-    """Commands that never run gelu (evaluate, build-vocab, inspect-checkpoint)
-    do not pay scipy's import."""
+def test_scipy_never_loads():
+    """The package's only dependency is numpy: not even gelu loads scipy."""
     src = str(Path(vcgen.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     probe = (
@@ -225,11 +226,76 @@ def test_scipy_loads_only_when_gelu_runs():
         "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))\n"
         "import numpy as np\n"
         "from vcgen.tensor import Tensor, gelu\n"
-        "gelu(Tensor(np.zeros(1)))\n"
-        "print('scipy.special' in sys.modules)\n"
+        "gelu(Tensor(np.zeros(1, np.float32)))\n"
+        "gelu(Tensor(np.zeros(1, np.float64)))\n"
+        "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))\n"
     )
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["False", "True"]
+    assert out.stdout.split() == ["False", "False"]
+
+
+def _float32_range(lo: float, hi: float) -> np.ndarray:
+    """Every float32 in [lo, hi), for 0 < lo < hi."""
+    bits = np.arange(np.float32(lo).view(np.uint32), np.float32(hi).view(np.uint32), dtype=np.uint32)
+    return bits.view(np.float32)
+
+
+def _assert_bitwise_equal(actual: np.ndarray, expected: np.ndarray) -> None:
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    same = actual.view(np.uint32) == expected.view(np.uint32)
+    same |= np.isnan(actual) & np.isnan(expected)
+    bad = np.flatnonzero(~same)
+    assert bad.size == 0, f"{bad.size} mismatches, first at {actual.reshape(-1)[bad[:3]]} vs {expected.reshape(-1)[bad[:3]]}"
+
+
+def test_erf_matches_scipy_bitwise_float32():
+    """scipy serves only as the oracle: every float32 in ±[0.5, 4), where
+    both of erf's branches and their seam at 1 live, the special values, and
+    a seeded sample of raw bit patterns (NaNs, infinities and subnormals
+    included)."""
+    from scipy.special import erf as scipy_erf
+
+    for lo, hi in ((0.5, 1.0), (1.0, 2.0), (2.0, 4.0)):
+        x = _float32_range(lo, hi)
+        for signed in (x, -x):
+            _assert_bitwise_equal(_erf(signed), scipy_erf(signed))
+    f32 = np.finfo(np.float32)
+    one = np.float32(1.0)
+    special = np.array(
+        [0.0, -0.0, f32.smallest_subnormal, -f32.smallest_subnormal, 2.0**-12, -(2.0**-12),
+         np.nextafter(one, np.float32(0)), one, np.nextafter(one, np.float32(2)), -one,
+         8.0, -8.0, f32.max, -f32.max, np.inf, -np.inf, np.nan],
+        dtype=np.float32,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ours = _erf(special)
+    _assert_bitwise_equal(ours, scipy_erf(special))
+    assert ours[0] == 0.0 and not np.signbit(ours[0]) and np.signbit(ours[1])
+    # A signaling NaN sharing a chunk with |x| > 1 elements: they are still recomputed.
+    shared = np.array([2.0, 0.0, -3.0, 0.5], dtype=np.float32)
+    shared.view(np.uint32)[1] = 0x7F800001
+    _assert_bitwise_equal(_erf(shared), scipy_erf(shared))
+    bits = np.random.default_rng(20210101).integers(0, 2**32, size=10**6, dtype=np.uint64).astype(np.uint32)
+    sample = bits.view(np.float32).reshape(1000, 1000)
+    _assert_bitwise_equal(_erf(sample), scipy_erf(sample))
+
+
+def test_erf_float64_within_one_ulp_of_scipy():
+    from scipy.special import erf as scipy_erf
+
+    rng = np.random.default_rng(907)
+    special = [0.0, -0.0, 5e-324, 1.0, -1.0, 8.0, 1e300, -1e300, np.inf, -np.inf, np.nan, 0.0]
+    x = np.concatenate([rng.normal(0.0, 2.0, 10**5), rng.uniform(-8.0, 8.0, 10**5), special])
+    x.view(np.uint64)[-1] = 0x7FF0000000000001  # a signaling NaN in a chunk with |x| > 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ours = _erf(x)
+    theirs = scipy_erf(x)
+    nan = np.isnan(theirs)
+    assert np.array_equal(np.isnan(ours), nan) and nan.sum() == 2
+    assert np.array_equal(np.signbit(ours[~nan]), np.signbit(theirs[~nan]))
+    assert np.abs(ours[~nan].view(np.int64) - theirs[~nan].view(np.int64)).max() <= 1
 
 
 def test_dropout_rate_zero_is_identity():
