@@ -16,6 +16,7 @@ All losses are in natural-log units (nats).
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from typing import Sequence
@@ -353,45 +354,59 @@ def scatter_rows(rows: Tensor, indices, length: int) -> Tensor:
 
 # erf as Cephes ndtr.c computes it, the algorithm behind scipy.special.erf:
 # x T(x²) / U(x²) for |x| <= 1, else 1 - exp(-x²) P(|x|) / Q(|x|) with the
-# sign of x. U and Q have an implied leading 1.
-_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
-          7.00332514112805075473e3, 5.55923013010394962768e4)
-_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
-          2.26290000613890934246e4, 4.92673942608635921086e4)
-_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
-           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
-           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
-_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
-           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
-           1.65666309194161350182e3, 5.57535340817727675546e2)
-_ERF_CHUNK = 16384  # float64 elements per evaluation pass
+# sign of x. U and Q have an implied leading 1. The coefficients are 0-d
+# float64 arrays: a ufunc takes one of those faster than a python float.
+def _coefficients(*values: float) -> tuple[np.ndarray, ...]:
+    return tuple(np.array(v) for v in values)
 
 
-def _polevl(x: np.ndarray, coef: tuple[float, ...], out: np.ndarray) -> np.ndarray:
+_ERF_T = _coefficients(9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+                       7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = _coefficients(3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+                       2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = _coefficients(2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+                        4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+                        9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = _coefficients(1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+                        9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+                        1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERF_CHUNK = 32768  # float64 elements per evaluation pass: its four buffers take 1 MB
+
+
+def _polevl(x: np.ndarray, coef: tuple[np.ndarray, ...], out: np.ndarray) -> np.ndarray:
     """Cephes ``polevl``: Horner's rule, one multiply and one add per step."""
-    np.multiply(x, coef[0], out=out)
+    np.multiply(x, coef[0], out)
     for c in coef[1:-1]:
-        np.add(out, c, out=out)
-        np.multiply(out, x, out=out)
-    return np.add(out, coef[-1], out=out)
+        np.add(out, c, out)
+        np.multiply(out, x, out)
+    return np.add(out, coef[-1], out)
 
 
-def _p1evl(x: np.ndarray, coef: tuple[float, ...], out: np.ndarray) -> np.ndarray:
+def _p1evl(x: np.ndarray, coef: tuple[np.ndarray, ...], out: np.ndarray) -> np.ndarray:
     """Cephes ``p1evl``: :func:`_polevl` with an implied leading coefficient 1."""
-    np.add(x, coef[0], out=out)
+    np.add(x, coef[0], out)
     for c in coef[1:]:
-        np.multiply(out, x, out=out)
-        np.add(out, c, out=out)
+        np.multiply(out, x, out)
+        np.add(out, c, out)
     return out
 
 
-def _erf_tail(x: np.ndarray) -> np.ndarray:
-    """erf of float64 ``x`` with |x| > 1: 1 - erfc(|x|), signed. From |x| = 8
-    on erfc is below half an ulp of 1, so erf is exactly ±1 and |x| is
-    clipped there, which also keeps inf out of the polynomials."""
+def _erf_tail(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """erf of float64 ``x`` with |x| > 1, given ``z`` = x² (overwritten):
+    1 - erfc(|x|), signed. From |x| = 8 on erfc is below half an ulp of 1,
+    so erf is exactly ±1; |x| is clipped there, which also keeps inf out of
+    the polynomials."""
     a = np.minimum(np.abs(x), 8.0)
-    erfc = np.exp(-(a * a)) * _polevl(a, _ERFC_P, np.empty_like(a)) / _p1evl(a, _ERFC_Q, np.empty_like(a))
-    return np.copysign(1.0 - erfc, x)
+    erfc = np.exp(np.negative(z, z), z)
+    np.multiply(erfc, _polevl(a, _ERFC_P, np.empty_like(a)), erfc)
+    np.divide(erfc, _p1evl(a, _ERFC_Q, np.empty_like(a)), erfc)
+    return np.copysign(np.subtract(1.0, erfc, erfc), x, erfc)
+
+
+def _erf_inner(x: np.ndarray, z: np.ndarray, num: np.ndarray, den: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """x T(z) / U(z) into ``out``, given ``z`` = x²: erf where |x| <= 1."""
+    np.multiply(x, _polevl(z, _ERF_T, num), num)
+    return np.divide(num, _p1evl(z, _ERF_U, den), out)
 
 
 def _erf(x: np.ndarray) -> np.ndarray:
@@ -402,29 +417,34 @@ def _erf(x: np.ndarray) -> np.ndarray:
     bit for bit. float64 results are within 1 ulp of it: np.exp and libm's
     exp may differ by an ulp where |x| > 1.
 
-    The |x| <= 1 formula runs on every element; only elements with |x| > 1
-    can overflow or turn NaN in it, and only a signaling NaN flags its cast,
-    so those warnings are off. If some chunk held an |x| > 1, those elements
-    are found and recomputed.
+    Each chunk runs the |x| <= 1 formula on every element. Only a chunk
+    whose largest x² exceeds 1 runs it with overflow and invalid warnings
+    off, and then recomputes just its |x| > 1 elements. In a model
+    trained on the synthetic data, 1.5-3.4% of GELU's erf inputs lie past 1,
+    spread over most chunks: splitting each chunk by |x| first would gather
+    nearly all of it to spare a few elements. float64 input runs with the
+    warnings off throughout, since its x² can overflow and a signaling NaN
+    flags invalid there. Casting a signaling NaN from float32 flags invalid
+    too, as any numpy cast does.
     """
     out = np.empty(x.shape, x.dtype)
     flat, flat_out = x.reshape(-1), out.reshape(-1)
     size = min(flat.size, _ERF_CHUNK)
     xd, z, num, den = np.empty((4, size))
-    has_tail = False
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore") if x.dtype == np.float64 else contextlib.nullcontext():
         for start in range(0, flat.size, _ERF_CHUNK):
-            chunk = flat[start:start + _ERF_CHUNK]
+            chunk, res = flat[start:start + _ERF_CHUNK], flat_out[start:start + _ERF_CHUNK]
             if chunk.size < size:
                 xd, z, num, den = xd[:chunk.size], z[:chunk.size], num[:chunk.size], den[:chunk.size]
             xd[...] = chunk
-            np.multiply(xd, xd, out=z)
-            np.multiply(xd, _polevl(z, _ERF_T, num), out=num)
-            np.divide(num, _p1evl(z, _ERF_U, den), out=flat_out[start:start + _ERF_CHUNK])
-            has_tail = has_tail or not np.maximum.reduce(z) <= 1.0  # a NaN counts
-    if has_tail:
-        tail = np.flatnonzero(np.abs(flat) > 1.0)
-        flat_out[tail] = _erf_tail(flat[tail].astype(np.float64))
+            np.multiply(xd, xd, z)
+            if np.maximum.reduce(z) <= 1.0:
+                _erf_inner(xd, z, num, den, res)
+                continue
+            with np.errstate(over="ignore", invalid="ignore"):
+                _erf_inner(xd, z, num, den, res)
+            tail = np.flatnonzero(z > 1.0)
+            res[tail] = _erf_tail(xd[tail], z[tail])
     return out
 
 
