@@ -400,7 +400,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit:
         raise
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # data/validation errors from the library layers

@@ -32,15 +32,20 @@ from .tensor import (
     Tensor,
     add,
     attention,
+    attention_kernel,
     dropout,
     gather_rows,
     gelu,
+    gelu_kernel,
     layer_norm,
+    layer_norm_kernel,
     linear,
+    linear_kernel,
     mul,
     reshape,
     scatter_rows,
     split_heads,
+    split_heads_kernel,
     transpose,
 )
 from .vocab import (
@@ -382,18 +387,42 @@ class DecoderCache:
     length: int = 0
 
     def keep(self, rows: Sequence[int]) -> None:
-        """Retain only the given rows, in the given order; groups left
-        empty are dropped."""
+        """Retain only the given distinct rows, in the given order; groups
+        left empty are dropped. Rows move to the front of the buffers in
+        place, and only the filled positions of the self-attention caches
+        move: a step writes its position before it reads it."""
         idx = np.asarray(rows, dtype=np.int64)
+        group_of = np.empty(len(self.self_k[0]), dtype=np.int64)
+        for g, members in enumerate(self.groups):
+            group_of[members] = g
+        kept_group = group_of[idx]
         kept = []
         for g, members in enumerate(self.groups):
-            new_rows = np.flatnonzero(np.isin(idx, members))
+            new_rows = np.flatnonzero(kept_group == g)
             if len(new_rows):
                 kept.append((g, new_rows, np.searchsorted(members, idx[new_rows])))
         self.groups = [new_rows for _, new_rows, _ in kept]
-        self.cross = [[tuple(kv[slots] for kv in layer[g]) for g, _, slots in kept] for layer in self.cross]
-        self.self_k = [k[idx] for k in self.self_k]
-        self.self_v = [v[idx] for v in self.self_v]
+        self.cross = [[tuple(_keep_rows(kv, slots, None) for kv in layer[g]) for g, _, slots in kept] for layer in self.cross]
+        self.self_k = [_keep_rows(k, idx, self.length) for k in self.self_k]
+        self.self_v = [_keep_rows(v, idx, self.length) for v in self.self_v]
+
+
+def _keep_rows(buffer: np.ndarray, idx: np.ndarray, positions: int | None) -> np.ndarray:
+    """Move rows ``idx`` (distinct) of a [rows, H, T, dk] buffer to its
+    front, in place, with their first ``positions`` positions (all for
+    None), and return the front. Rows already in place are not copied."""
+    moved = np.flatnonzero(idx != np.arange(len(idx)))
+    if len(moved):
+        first = moved[0]
+        buffer[first : len(idx), :, :positions] = buffer[idx[first:], :, :positions]
+    return buffer[: len(idx)]
+
+
+def _row_selector(rows: np.ndarray) -> slice | np.ndarray:
+    """``rows`` (ascending, distinct) as a basic slice when they are
+    contiguous, so that selecting them takes a view, not a copy."""
+    start, stop = int(rows[0]), int(rows[-1]) + 1
+    return slice(start, stop) if stop - start == len(rows) else rows
 
 
 class Model:
@@ -499,6 +528,22 @@ class Model:
         ap/rp/mrm classifier heads."""
         return self._linear(gelu(self._linear(x, f"{prefix}.fc1")), f"{prefix}.fc2")
 
+    # Array versions of the helpers above, for decoding: they call the ops'
+    # kernels on the parameters' arrays and record no tape.
+
+    def _linear_array(self, x: np.ndarray, name: str) -> np.ndarray:
+        return linear_kernel(x, self.params[f"{name}.weight"].data, self.params[f"{name}.bias"].data)
+
+    def _heads_array(self, x: np.ndarray, prefix: str, part: str) -> np.ndarray:
+        return split_heads_kernel(self._linear_array(x, f"{prefix}.{part}"), self.config.n_heads)
+
+    def _norm_array(self, x: np.ndarray, prefix: str) -> np.ndarray:
+        return layer_norm_kernel(x, self.params[f"{prefix}.gain"].data, self.params[f"{prefix}.bias"].data)[0]
+
+    def _mlp_array(self, x: np.ndarray, prefix: str) -> np.ndarray:
+        hidden = gelu_kernel(self._linear_array(x, f"{prefix}.fc1"))[0]
+        return self._linear_array(hidden, f"{prefix}.fc2")
+
     def _drop(self, x: Tensor, train: bool, rng) -> Tensor:
         return dropout(x, self.config.dropout_rate, rng, train)
 
@@ -567,10 +612,10 @@ class Model:
         for length in np.unique(row_length):
             rows = np.flatnonzero(row_length == length)
             members, row_member = np.unique(row_example[rows], return_inverse=True)
-            stacked = Tensor(np.stack([encodings[e] for e in members]))
+            stacked = np.stack([encodings[e] for e in members])
             groups.append(rows)
             for i in layers:
-                parts = (self._heads(stacked, f"dec.{i}.cross_attn", part).data[row_member] for part in ("k", "v"))
+                parts = (self._heads_array(stacked, f"dec.{i}.cross_attn", part)[row_member] for part in ("k", "v"))
                 cross[i].append(tuple(parts))
         heads = self.config.n_heads
         shape = (len(row_example), heads, max_len, self.config.d_model // heads)
@@ -589,36 +634,40 @@ class Model:
         per slice and a row's states do not depend on the other rows. Every
         op runs once over all rows, except the cross-attention context,
         which runs once per encoder-length group of the cache over the
-        group's unpadded keys. Writes the position's self-attention keys and
-        values into the cache and returns the final decoder states
-        [rows, 1, d]. Inference only: no dropout.
+        group's unpadded keys (a contiguous group reads a view of the
+        queries). Writes the position's self-attention keys and values into
+        the cache and returns the final decoder states [rows, 1, d].
+
+        Inference only: no dropout, and no tape. The step calls the tape
+        ops' array kernels on the parameters' arrays, so it records nothing
+        even inside an active ``Tape`` and its states have the bits the tape
+        ops would give.
         """
         t = cache.length
         if t >= cache.self_k[0].shape[2]:
             raise ValueError(f"decoder cache holds {t} positions and is full")
         p = self.params
-        x = add(
-            gather_rows(p["tok_emb.weight"], np.asarray(ids, dtype=np.int64)[:, None]),
-            gather_rows(p["pos_emb.weight"], [t]),
-        )
+        x = p["tok_emb.weight"].data[np.asarray(ids, dtype=np.int64)[:, None]]
+        x += p["pos_emb.weight"].data[t : t + 1]
+        selectors = [_row_selector(rows) for rows in cache.groups]
         for i in range(self.config.n_dec_layers):
             prefix = f"dec.{i}.self_attn"
-            normed = self._norm(x, f"dec.{i}.ln1")
-            cache.self_k[i][:, :, t : t + 1] = self._heads(normed, prefix, "k").data
-            cache.self_v[i][:, :, t : t + 1] = self._heads(normed, prefix, "v").data
-            keys = Tensor(cache.self_k[i][:, :, : t + 1])
-            values = Tensor(cache.self_v[i][:, :, : t + 1])
-            x = add(x, self._linear(attention(self._heads(normed, prefix, "q"), keys, values, None), f"{prefix}.o"))
+            normed = self._norm_array(x, f"dec.{i}.ln1")
+            cache.self_k[i][:, :, t : t + 1] = self._heads_array(normed, prefix, "k")
+            cache.self_v[i][:, :, t : t + 1] = self._heads_array(normed, prefix, "v")
+            q = self._heads_array(normed, prefix, "q")
+            context = attention_kernel(q, cache.self_k[i][:, :, : t + 1], cache.self_v[i][:, :, : t + 1], None)[0]
+            x += self._linear_array(context, f"{prefix}.o")
 
             prefix = f"dec.{i}.cross_attn"
-            q = self._heads(self._norm(x, f"dec.{i}.ln2"), prefix, "q").data
+            q = self._heads_array(self._norm_array(x, f"dec.{i}.ln2"), prefix, "q")
             context = np.empty(x.shape, dtype=x.dtype)
-            for rows, (keys, values) in zip(cache.groups, cache.cross[i]):
-                context[rows] = attention(Tensor(q[rows]), Tensor(keys), Tensor(values), None).data
-            x = add(x, self._linear(Tensor(context), f"{prefix}.o"))
-            x = add(x, self.mlp(self._norm(x, f"dec.{i}.ln3"), f"dec.{i}.ffn"))
+            for rows, (keys, values) in zip(selectors, cache.cross[i]):
+                context[rows] = attention_kernel(q[rows], keys, values, None)[0]
+            x += self._linear_array(context, f"{prefix}.o")
+            x += self._mlp_array(self._norm_array(x, f"dec.{i}.ln3"), f"dec.{i}.ffn")
         cache.length += 1
-        return self._norm(x, "dec.ln")
+        return Tensor(self._norm_array(x, "dec.ln"))
 
     # -- heads ---------------------------------------------------------------
 

@@ -5,7 +5,10 @@ Operations run eagerly on numpy buffers. While a :class:`Tape` is active
 records a backward rule onto it; ``Tape.backward(loss)`` then walks the
 recording in reverse and accumulates gradients into the ``grad`` buffer of
 every leaf (a ``requires_grad`` tensor no recorded op produced) reachable
-from the loss.
+from the loss. The fused ops (``linear``, ``split_heads``, ``layer_norm``,
+``attention``, ``gelu``) keep their forward in a plain array kernel
+(``linear_kernel`` and so on) that code recording no tape, such as
+decoding, calls directly.
 
 float32 is the working precision of the package. Ops inherit the dtype of
 their inputs, so verification code (finite-difference checks) can run the
@@ -254,6 +257,13 @@ def scale(x: Tensor, factor: float) -> Tensor:
     return _make(data, (x,), bw)
 
 
+def linear_kernel(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``x @ w + b`` on arrays: the forward of :func:`linear`."""
+    out = x @ w
+    out += b
+    return out
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Affine map ``x @ w + b`` of the last axis, as one tape node.
 
@@ -269,8 +279,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if w.ndim != 2 or len(x_shape) < 2 or x_shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
         raise ValueError(f"linear shape mismatch: {x_shape} x {w.shape} + {b.shape}")
     k, n = w.shape
-    data = x.data @ w.data
-    data += b.data
+    data = linear_kernel(x.data, w.data, b.data)
     w_data = w.data if x.requires_grad else None
     x_data = x.data if w.requires_grad else None
     b_shape = b.shape if b.requires_grad else None
@@ -306,13 +315,20 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     return _make(data, (x,), bw)
 
 
+def split_heads_kernel(x: np.ndarray, heads: int) -> np.ndarray:
+    """The [..., H, T, d / H] view of a [..., T, d] array: the forward of
+    :func:`split_heads`."""
+    shape = x.shape
+    return x.reshape(shape[:-1] + (heads, shape[-1] // heads)).swapaxes(-3, -2)
+
+
 def split_heads(x: Tensor, heads: int) -> Tensor:
     """Split the last axis of [..., T, d] into heads and move them before
     the positions: a [..., H, T, d / H] view."""
     shape = x.shape
     if shape[-1] % heads != 0:
         raise ValueError(f"width {shape[-1]} does not split into {heads} heads")
-    data = x.data.reshape(shape[:-1] + (heads, shape[-1] // heads)).swapaxes(-3, -2)
+    data = split_heads_kernel(x.data, heads)
 
     def bw(g):
         return (g.swapaxes(-3, -2).reshape(shape),)
@@ -448,13 +464,19 @@ def _erf(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def gelu_kernel(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact erf-based GELU of an array, and the normal cdf it scaled ``x``
+    by (backward reads it): the forward of :func:`gelu`."""
+    cdf = _erf(x * _INV_SQRT2)
+    cdf += 1.0
+    cdf *= 0.5
+    return x * cdf, cdf
+
+
 def gelu(x: Tensor) -> Tensor:
     """Exact erf-based GELU."""
     xd = x.data
-    cdf = _erf(xd * _INV_SQRT2)
-    cdf += 1.0
-    cdf *= 0.5
-    data = xd * cdf
+    data, cdf = gelu_kernel(xd)
 
     def bw(g):
         pdf = np.exp(-0.5 * xd * xd) * _INV_SQRT2PI
@@ -483,18 +505,27 @@ def _mean_last(a: np.ndarray) -> np.ndarray:
     return np.add.reduce(a, axis=-1, keepdims=True) / a.dtype.type(a.shape[-1])
 
 
+def layer_norm_kernel(
+    x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Layer norm of an array over its last axis, with the normalized
+    ``xhat`` and the ``1 / std`` that backward reads: the forward of
+    :func:`layer_norm`."""
+    mu = _mean_last(x)
+    centered = x - mu
+    var = _mean_last(centered * centered)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv_std
+    return xhat * gain + bias, xhat, inv_std
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     if gain.shape != x.shape[-1:] or bias.shape != x.shape[-1:]:
         raise ValueError(
             f"layer_norm affine shape mismatch: x {x.shape}, gain {gain.shape}, bias {bias.shape}"
         )
-    mu = _mean_last(x.data)
-    centered = x.data - mu
-    var = _mean_last(centered * centered)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv_std
-    data = xhat * gain.data + bias.data
+    data, xhat, inv_std = layer_norm_kernel(x.data, gain.data, bias.data, eps)
     gain_data = gain.data if x.requires_grad else None
     want_gain, want_bias = gain.requires_grad, bias.requires_grad
 
@@ -542,6 +573,23 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None, train: bool
 # attention
 
 
+def attention_kernel(
+    q: np.ndarray, k: np.ndarray, v: np.ndarray, bias: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Scaled dot-product attention on arrays, and the softmax
+    probabilities backward reads: the forward of :func:`attention`."""
+    factor = q.dtype.type(1.0 / math.sqrt(q.shape[-1]))
+    scores = q @ k.swapaxes(-1, -2)
+    scores *= factor
+    if bias is not None:
+        scores += bias
+    scores -= scores.max(axis=-1, keepdims=True)
+    probs = np.exp(scores, out=scores)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    ctx = (probs @ v).swapaxes(-3, -2)
+    return ctx.reshape(ctx.shape[:-2] + (ctx.shape[-2] * ctx.shape[-1],)), probs
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None) -> Tensor:
     """Scaled dot-product attention of split heads, merged back.
 
@@ -555,17 +603,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None) -> Tensor:
     """
     if bias is not None and bias.requires_grad:
         raise ValueError("attention bias is a constant and takes no gradient")
+    data, probs = attention_kernel(q.data, k.data, v.data, None if bias is None else bias.data)
     factor = q.dtype.type(1.0 / math.sqrt(q.shape[-1]))
-    scores = q.data @ k.data.swapaxes(-1, -2)
-    scores *= factor
-    if bias is not None:
-        scores += bias.data
-    scores -= scores.max(axis=-1, keepdims=True)
-    probs = np.exp(scores, out=scores)
-    probs /= probs.sum(axis=-1, keepdims=True)
-    ctx = (probs @ v.data).swapaxes(-3, -2)
-    ctx_shape = ctx.shape
-    data = ctx.reshape(ctx_shape[:-2] + (ctx_shape[-2] * ctx_shape[-1],))
+    ctx_shape = data.shape[:-1] + (probs.shape[-3], v.shape[-1])
     want_q, want_k, want_v = q.requires_grad, k.requires_grad, v.requires_grad
     v_data = v.data if want_q or want_k else None
     k_data = k.data if want_q else None

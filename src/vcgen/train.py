@@ -75,13 +75,19 @@ def _checkpoint_config(cfg: RunConfig) -> dict:
     return {key: value for key, value in to_dict(cfg).items() if key != "paths"}
 
 
-def resolve_vocab_size(cfg: RunConfig, vocab: Vocabulary) -> None:
+def load_run_vocab(cfg: RunConfig, command: str) -> Vocabulary:
+    """The run's vocabulary from ``paths.vocab``; resolves a zero
+    ``model.vocab_size`` from it and rejects any other size mismatch."""
+    if not cfg.paths.vocab:
+        raise ValueError(f"{command} needs paths.vocab")
+    vocab = Vocabulary.load(cfg.paths.vocab)
     if cfg.model.vocab_size == 0:
         cfg.model.vocab_size = len(vocab)
     elif cfg.model.vocab_size != len(vocab):
         raise ValueError(
             f"config vocab_size {cfg.model.vocab_size} does not match vocabulary size {len(vocab)}"
         )
+    return vocab
 
 
 def check_dataset_dims(examples: Sequence[MultimodalExample], cfg: RunConfig, path: str) -> None:
@@ -244,8 +250,7 @@ def _run_epochs(
 def pretrain(cfg: RunConfig) -> dict:
     """Multi-task pretraining over the configured task mix."""
     cfg.validate()
-    vocab = Vocabulary.load(cfg.paths.vocab)
-    resolve_vocab_size(cfg, vocab)
+    vocab = load_run_vocab(cfg, "pretrain")
     active = [t for t in LOSS_ORDER if t in cfg.tasks]
 
     datasets: dict[str, list[MultimodalExample]] = {}
@@ -283,8 +288,7 @@ def finetune(cfg: RunConfig, init_checkpoint: str | Path | None = None) -> dict:
     (structural config fields must agree); otherwise from random init.
     """
     cfg.validate()
-    vocab = Vocabulary.load(cfg.paths.vocab)
-    resolve_vocab_size(cfg, vocab)
+    vocab = load_run_vocab(cfg, "finetune")
     if not cfg.paths.train_data:
         raise ValueError("finetune needs paths.train_data")
     train_examples = load_jsonl(cfg.paths.train_data)

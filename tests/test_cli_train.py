@@ -139,6 +139,22 @@ def test_non_integer_layer_count_in_config_exits_2(workspace, tmp_path, capsys, 
     assert capsys.readouterr().err.splitlines() == [f"error: n_enc_layers must be an integer, got {value!r}"]
 
 
+@pytest.mark.parametrize("command", ["pretrain", "finetune"])
+def test_training_without_a_vocabulary_path_exits_2(tmp_path, capsys, command):
+    out = tmp_path / "run"
+    assert main([command, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {command} needs paths.vocab"]
+    assert not out.exists()
+
+
+def test_pretrain_with_a_directory_for_a_path_exits_2(workspace, tmp_path, capsys):
+    args = pretrain_args(workspace, tmp_path / "run", "kcg")
+    args[args.index("--paths.vocab") + 1] = str(workspace)
+    assert main(args) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and str(workspace) in line
+
+
 # ---------------------------------------------------------------------------
 # pretrain
 

@@ -200,10 +200,12 @@ def test_shared_gradient_buffers_give_exact_gradients_and_private_leaf_grads():
 
 
 def _public_ops():
+    """The module's public tape ops; an op's ``*_kernel`` is its array
+    forward and records nothing."""
     return {
         name
         for name, fn in inspect.getmembers(tensor_mod, inspect.isfunction)
-        if fn.__module__ == tensor_mod.__name__ and not name.startswith("_")
+        if fn.__module__ == tensor_mod.__name__ and not name.startswith("_") and not name.endswith("_kernel")
     }
 
 

@@ -23,7 +23,7 @@ from vcgen.generate import (
 )
 from vcgen.model import Model, assemble_input
 from vcgen.synthetic import make_rois
-from vcgen.tensor import Tensor
+from vcgen.tensor import Tape, Tensor
 from vcgen.vocab import BOS_ID, EOS_ID, N_RESERVED
 
 from helpers import tiny_config, tiny_examples, tiny_vocab
@@ -243,7 +243,8 @@ def test_decode_step_rows_over_encodings_of_three_lengths_match_one_encoding_dec
     different lengths get at the first position exactly the states of the
     uncached decoder run over their own encoding alone, and at every step
     those of a one-row cache, also after a reordering ``keep`` has emptied
-    a group."""
+    a group. After the ``keep`` the cache positions not yet written hold
+    NaN: a step must write its position before it reads it."""
     vocab = tiny_vocab()
     config = tiny_config(len(vocab))
     config.d_model, config.n_heads, config.d_ffn = 128, 4, 256
@@ -274,10 +275,32 @@ def test_decode_step_rows_over_encodings_of_three_lengths_match_one_encoding_dec
         if step == 2:
             kept = [2, 4, 5, 0]  # drops both rows over encoding 0
             cache.keep(kept)
+            for buffer in cache.self_k + cache.self_v:
+                buffer[:, :, cache.length :] = np.nan
             alone = [alone[j] for j in kept]
             assert len(cache.groups) == 2
         ids = tokens[step, : len(alone)]
     assert cache.length == max_len
+
+
+def test_decode_step_records_nothing_on_an_active_tape():
+    """Inside an active tape, with parameters that take gradients, decoding
+    records no op and gives the states of frozen parameters bit for bit."""
+    vocab = tiny_vocab()
+    config = tiny_config(len(vocab))
+    model = Model.init_random(config, 0)
+    frozen = Model(config, {name: Tensor(param.data) for name, param in model.params.items()})
+    kcg, _, _ = tiny_examples()
+    enc_out = frozen.encoder_states(pad_batch([(assemble_input(kcg, vocab, "gen"), kcg)]))
+    tokens = np.random.default_rng(3).integers(N_RESERVED, len(vocab), size=(4, 2))
+    frozen_cache = frozen.start_decoding(enc_out.data, [0, 0], 4)
+    with Tape() as tape:
+        cache = model.start_decoding(enc_out.data, [0, 0], 4)
+        for ids in tokens:
+            states = model.decode_step(ids, cache)
+            assert len(tape) == 0
+            assert not states.requires_grad
+            assert np.array_equal(states.data, frozen.decode_step(ids, frozen_cache).data)
 
 
 def test_nucleus_rows_do_not_depend_on_other_rows(gen_setup):

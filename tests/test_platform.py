@@ -59,3 +59,43 @@ def test_lm_head_row_slices_are_lone_products(vocab, rows):
     x = rng.normal(size=(rows, 1, D)).astype(np.float32)
     assert not emb.T.flags.c_contiguous
     _assert_slices_are_lone_products(x, emb.T)
+
+
+MASKED_KEYS = (
+    "attention over keys padded with masked positions must differ in bits from "
+    "attention over the unpadded keys: the masked keys add exact zeros, but the "
+    "longer softmax sum and probs @ v product pair their terms differently. "
+    "Model.decode_step's per-length-group cross-attention and data.exact_batches "
+    "rely on it: they group rows and examples by exact encoder length so that no "
+    "key is ever padded"
+)
+
+
+def _attention_parts(q, k, v, bias):
+    """The softmax sums and the context of the numpy expressions
+    tensor.attention runs."""
+    scores = q @ k.swapaxes(-1, -2)
+    scores *= q.dtype.type(1.0 / np.sqrt(q.shape[-1]))
+    if bias is not None:
+        scores += bias
+    scores -= scores.max(axis=-1, keepdims=True)
+    probs = np.exp(scores)
+    sums = probs.sum(axis=-1, keepdims=True)
+    return sums, (probs / sums) @ v
+
+
+@pytest.mark.parametrize("rows", [2, 8])
+@pytest.mark.parametrize("length", [14, 15])
+def test_masked_extra_keys_change_the_attention_sums(rows, length):
+    """Decoding's cross-attention: [rows, 4, 1, 32] queries over the keys of
+    one encoding of ``length`` positions, alone and padded to 16 with masked
+    keys."""
+    rng = np.random.default_rng([rows, length])
+    q = rng.normal(size=(rows, 4, 1, 32)).astype(np.float32)
+    k, v = rng.normal(size=(2, rows, 4, 16, 32)).astype(np.float32)
+    mask = np.where(np.arange(16) < length, 0.0, -1e9).astype(np.float32)
+    sums, context = _attention_parts(q, k[:, :, :length], v[:, :, :length], None)
+    padded_sums, padded_context = _attention_parts(q, k, v, mask)
+    shape = f"[{rows}, 4, 1, 32] queries over {length} keys padded to 16"
+    assert not np.array_equal(sums, padded_sums), f"{shape}, softmax sums: {MASKED_KEYS}"
+    assert not np.array_equal(context, padded_context), f"{shape}, probs @ v: {MASKED_KEYS}"
