@@ -205,8 +205,6 @@ def check_model_config(checkpoint: Checkpoint, config: ModelConfig) -> None:
         raise ConfigMismatchError("model config mismatch: " + "; ".join(diffs))
 
 
-def params_as_tensors(checkpoint: Checkpoint, dtype=np.float32, requires_grad: bool = True) -> dict[str, Tensor]:
-    return {
-        name: Tensor(data.astype(dtype, copy=False), requires_grad=requires_grad)
-        for name, data in checkpoint.params.items()
-    }
+def params_as_tensors(checkpoint: Checkpoint) -> dict[str, Tensor]:
+    return {name: Tensor(data.astype(np.float32, copy=False), requires_grad=True)
+            for name, data in checkpoint.params.items()}

@@ -136,13 +136,13 @@ def cmd_finetune(args) -> int:
 
 
 def _load_inference_model(checkpoint: str, vocab_path: str):
-    """The checkpoint's model with frozen parameters, and its vocabulary."""
+    """The checkpoint's model and its vocabulary."""
     from .checkpoint import load_checkpoint, params_as_tensors
     from .model import Model
     from .vocab import Vocabulary
 
     ckpt = load_checkpoint(checkpoint)
-    model = Model(ckpt.model_config(), params_as_tensors(ckpt, requires_grad=False))
+    model = Model(ckpt.model_config(), params_as_tensors(ckpt))
     vocab = Vocabulary.load(vocab_path)
     if len(vocab) != model.config.vocab_size:
         raise ValueError(

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 import numpy as np
 
 from .model import AssembledInput, RoIFeature, assemble_input
-from .tensor import Tensor, log_softmax
+from .tensor import ARRAYS, log_softmax_kernel
 from .vocab import GENERATION_TASKS, PAD_ID, TaskType, Vocabulary
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -83,6 +83,17 @@ def _check(condition: bool, line_no: int | None, message: str) -> None:
         raise DatasetError(where + message)
 
 
+def _list_field(obj: dict, name: str, line_no: int | None) -> list:
+    """Field ``name`` of a record: a list, or [] where absent or null."""
+    value = obj.get(name)
+    _check(value is None or isinstance(value, list), line_no, f"field {name!r} must be a list")
+    return value or []
+
+
+def _all_ints(values) -> bool:
+    return all(isinstance(v, int) and not isinstance(v, bool) for v in values)
+
+
 def example_from_dict(
     obj: dict,
     line_no: int | None = None,
@@ -111,8 +122,14 @@ def example_from_dict(
             line_no,
             f"roi {i} must be an object with 'feat' and 'class_probs'",
         )
+        arrays = []
+        for name in ("feat", "class_probs"):
+            try:
+                arrays.append(np.asarray(r[name], dtype=np.float64))
+            except (TypeError, ValueError):
+                raise DatasetError(f"line {line_no}: roi {i} field {name!r} must be a list of numbers") from None
         try:
-            rois.append(RoIFeature(np.asarray(r["feat"], dtype=np.float64), np.asarray(r["class_probs"], dtype=np.float64)))
+            rois.append(RoIFeature(*arrays))
         except ValueError as exc:
             raise DatasetError(f"line {line_no}: roi {i} field invalid: {exc}") from None
     if rois:
@@ -133,13 +150,13 @@ def example_from_dict(
 
     n_rois = len(rois)
     attributes: list[tuple[int, int]] = []
-    for a in obj.get("attributes", []) or []:
+    for a in _list_field(obj, "attributes", line_no):
         _check(
-            isinstance(a, (list, tuple)) and len(a) == 2,
+            isinstance(a, (list, tuple)) and len(a) == 2 and _all_ints(a),
             line_no,
-            "field 'attributes' entries must be [roi_idx, attr_label]",
+            "field 'attributes' entries must be [roi_idx, attr_label] integers",
         )
-        idx, label = int(a[0]), int(a[1])
+        idx, label = a
         _check(0 <= idx < n_rois, line_no, f"attribute roi index {idx} out of range for {n_rois} rois")
         _check(label >= 0, line_no, f"attribute label {label} must be >= 0")
         if n_attr is not None:
@@ -147,13 +164,13 @@ def example_from_dict(
         attributes.append((idx, label))
 
     relations: list[tuple[int, int, int]] = []
-    for r in obj.get("relations", []) or []:
+    for r in _list_field(obj, "relations", line_no):
         _check(
-            isinstance(r, (list, tuple)) and len(r) == 3,
+            isinstance(r, (list, tuple)) and len(r) == 3 and _all_ints(r),
             line_no,
-            "field 'relations' entries must be [subj_idx, obj_idx, rel_label]",
+            "field 'relations' entries must be [subj_idx, obj_idx, rel_label] integers",
         )
-        subj, obj_idx, label = int(r[0]), int(r[1]), int(r[2])
+        subj, obj_idx, label = r
         _check(0 <= subj < n_rois and 0 <= obj_idx < n_rois, line_no, f"relation indices ({subj}, {obj_idx}) out of range for {n_rois} rois")
         _check(subj != obj_idx, line_no, f"relation pair ({subj}, {obj_idx}) must name two distinct rois")
         _check(label >= 0, line_no, f"relation label {label} must be >= 0")
@@ -249,11 +266,12 @@ def score_dataset(
 ) -> list[ScoredExample]:
     """Teacher-forced per-token mean cross-entropy of each target, in nats.
 
-    Runs in eval mode (no dropout), conditioning on the example's task token,
-    regions, and event text; the end-of-sequence token counts as the final
-    label, matching the generation training objective. Forwards run over
-    ``exact_batches``, so each score is bit for bit the one the example gets
-    alone. Results keep the input order.
+    Runs in eval mode (no dropout) on the array ops, which record no tape,
+    conditioning on the example's task token, regions, and event text; the
+    end-of-sequence token counts as the final label, matching the
+    generation training objective. Forwards run over ``exact_batches``, so
+    each score is bit for bit the one the example gets alone. Results keep
+    the input order.
     """
     items = [
         (assemble_input(ex, vocab, "kcg", use_event=use_event, max_positions=model.config.max_positions), ex)
@@ -261,7 +279,7 @@ def score_dataset(
     ]
     scored: list[ScoredExample | None] = [None] * len(items)
     for indices, batch in exact_batches(items):
-        logits = model.lm_head(model.forward(batch)).data
+        logits = model.lm_head(model.forward(batch, ops=ARRAYS), ARRAYS)
         for i, avg_ce in zip(indices, _mean_token_nll(logits, batch.dec_labels)):
             scored[i] = ScoredExample(example=examples[i], avg_ce=avg_ce, n_tokens=len(items[i][0].dec_labels))
     return scored
@@ -273,7 +291,7 @@ def _mean_token_nll(logits: np.ndarray, labels: np.ndarray) -> list[float]:
     Takes the same numpy steps, in the same order, as ``cross_entropy`` on
     one row's [T, V] slice, so each row's value is the one it gets alone.
     """
-    logp = log_softmax(Tensor(logits)).data
+    logp = log_softmax_kernel(logits)
     rows, positions = np.indices(labels.shape)
     nll = -logp[rows, positions, labels]
     n = labels.shape[1]

@@ -10,6 +10,7 @@ import numpy as np
 
 from .data import SCORE_CHUNK_ROWS, exact_batches
 from .model import assemble_input
+from .tensor import ARRAYS
 from .vocab import BOS_ID, EOS_ID, N_RESERVED, GENERATION_TASKS, Vocabulary
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -54,17 +55,6 @@ def _top_p_prefix(probs: np.ndarray, top_p: float) -> tuple[np.ndarray, np.ndarr
         rows = width == w
         mass[rows] = ranked[rows, :w].sum(axis=-1)
     return order, ranked / mass[:, None], width
-
-
-def nucleus_candidates(probs: np.ndarray, top_p: float) -> tuple[np.ndarray, np.ndarray]:
-    """Minimal prefix of the distribution (descending prob, ties by lowest id)
-    whose cumulative mass reaches top_p, renormalized: the one-row case of
-    the prefix ``sample_next_token`` draws from.
-
-    Zero-probability tokens are never candidates.
-    """
-    order, renormed, width = _top_p_prefix(np.asarray(probs, dtype=np.float64)[None], top_p)
-    return order[0, : width[0]], renormed[0, : width[0]]
 
 
 @functools.cache
@@ -187,7 +177,7 @@ def _decode_rows(
     distinct, row_example = np.unique([i for i, _ in rows], return_inverse=True)
     encodings: list[np.ndarray] = [None] * len(distinct)
     for members, batch in exact_batches([items[i] for i in distinct]):
-        for m, encoding in zip(members, model.encoder_states(batch).data):
+        for m, encoding in zip(members, model.encoder_states(batch, ops=ARRAYS)):
             encodings[m] = encoding
     max_len = min(config.max_len, model.config.max_positions - 1)
     cache = model.start_decoding(encodings, row_example, max_len)
@@ -198,7 +188,7 @@ def _decode_rows(
     live = np.arange(len(rows))  # the row behind each cache row
     ids = np.full(len(rows), BOS_ID, dtype=np.int64)
     for _ in range(max_len):
-        logits = model.lm_head(model.decode_step(ids, cache)).data[:, 0]
+        logits = model.lm_head(model.decode_step(ids, cache), ARRAYS)[:, 0]
         nxt = sample_next_token(logits, config, rngs)
         kept = np.flatnonzero(nxt != EOS_ID)
         if len(kept) == 0:

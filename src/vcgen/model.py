@@ -27,27 +27,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as np
 
 from .masking import plan_mlm_mask, plan_mrm_mask
-from .tensor import (
-    NEG_MASK_VALUE,
-    Tensor,
-    add,
-    attention,
-    attention_kernel,
-    dropout,
-    gather_rows,
-    gelu,
-    gelu_kernel,
-    layer_norm,
-    layer_norm_kernel,
-    linear,
-    linear_kernel,
-    mul,
-    reshape,
-    scatter_rows,
-    split_heads,
-    split_heads_kernel,
-    transpose,
-)
+from .tensor import ARRAYS, NEG_MASK_VALUE, TAPE, Operand, Ops, Tensor
 from .vocab import (
     BOS_ID,
     CLS_ID,
@@ -457,13 +437,15 @@ class Model:
             p.grad = None
 
     # -- embedding ----------------------------------------------------------
+    # Each layer is written once over an op table: training runs it on
+    # ``TAPE`` (tensors), inference on ``ARRAYS`` (arrays).
 
-    def _positions(self, length: int) -> Tensor:
+    def _positions(self, length: int, ops: Ops) -> Operand:
         if length > self.config.max_positions:
             raise ValueError(f"sequence length {length} exceeds max_positions {self.config.max_positions}")
-        return gather_rows(self.params["pos_emb.weight"], np.arange(length))
+        return ops.gather_rows(ops.param(self.params["pos_emb.weight"]), np.arange(length))
 
-    def embed(self, batch: "PaddedBatch") -> Tensor:
+    def embed(self, batch: "PaddedBatch", ops: Ops = TAPE) -> Operand:
         """Encoder-side embedding [B, T, d]: tokens + projected regions + positions.
 
         Each item's regions are projected as one [R, d_visual] product of
@@ -472,126 +454,105 @@ class Model:
         """
         ids = batch.enc_ids
         rows, length = ids.shape
-        tok = gather_rows(self.params["tok_emb.weight"], ids)
-        pos = self._positions(length)
+        tok = ops.gather_rows(ops.param(self.params["tok_emb.weight"]), ids)
+        pos = self._positions(length, ops)
         if len(batch.slot_index) == 0:
-            return add(tok, pos)
+            return ops.add(tok, pos)
         keep = np.ones((rows * length, 1), dtype=self.dtype)
         keep[batch.slot_index] = 0.0
-        projected = self._linear(Tensor(batch.roi_feats.astype(self.dtype)), "vis_proj")
-        regions = gather_rows(reshape(projected, (-1, self.config.d_model)), batch.roi_index)
-        visual = reshape(scatter_rows(regions, batch.slot_index, rows * length), tok.shape)
-        return add(add(mul(tok, Tensor(keep.reshape(rows, length, 1))), visual), pos)
+        projected = self._linear(ops.param(Tensor(batch.roi_feats.astype(self.dtype))), "vis_proj", ops)
+        regions = ops.gather_rows(ops.reshape(projected, (-1, self.config.d_model)), batch.roi_index)
+        visual = ops.reshape(ops.scatter_rows(regions, batch.slot_index, rows * length), tok.shape)
+        return ops.add(ops.add(ops.mul(tok, ops.param(Tensor(keep.reshape(rows, length, 1)))), visual), pos)
 
-    def embed_decoder(self, dec_ids: np.ndarray) -> Tensor:
+    def embed_decoder(self, dec_ids: np.ndarray, ops: Ops = TAPE) -> Operand:
         """Decoder-side embedding [B, T, d] of [B, T] token ids."""
-        tok = gather_rows(self.params["tok_emb.weight"], dec_ids)
-        return add(tok, self._positions(dec_ids.shape[-1]))
+        tok = ops.gather_rows(ops.param(self.params["tok_emb.weight"]), dec_ids)
+        return ops.add(tok, self._positions(dec_ids.shape[-1], ops))
 
     # -- transformer stacks -------------------------------------------------
 
-    def _linear(self, x: Tensor, name: str) -> Tensor:
-        return linear(x, self.params[f"{name}.weight"], self.params[f"{name}.bias"])
+    def _linear(self, x: Operand, name: str, ops: Ops = TAPE) -> Operand:
+        return ops.linear(x, ops.param(self.params[f"{name}.weight"]), ops.param(self.params[f"{name}.bias"]))
 
-    def _heads(self, x: Tensor, prefix: str, part: str) -> Tensor:
+    def _heads(self, x: Operand, prefix: str, part: str, ops: Ops = TAPE) -> Operand:
         """Project ``x`` [..., T, d] with ``{prefix}.{part}`` and split it
         into heads: [..., H, T, dk]."""
-        return split_heads(self._linear(x, f"{prefix}.{part}"), self.config.n_heads)
+        return ops.split_heads(self._linear(x, f"{prefix}.{part}", ops), self.config.n_heads)
 
-    def _attention(
-        self,
-        x: Tensor,
-        kv: Tensor,
-        prefix: str,
-        bias: Tensor | None,
-    ) -> Tensor:
-        q, k, v = self._heads(x, prefix, "q"), self._heads(kv, prefix, "k"), self._heads(kv, prefix, "v")
-        return self._linear(attention(q, k, v, bias), f"{prefix}.o")
+    def _attention(self, x: Operand, kv: Operand, prefix: str, bias: np.ndarray | None, ops: Ops) -> Operand:
+        q = self._heads(x, prefix, "q", ops)
+        k, v = self._heads(kv, prefix, "k", ops), self._heads(kv, prefix, "v", ops)
+        return self._linear(ops.attention(q, k, v, bias), f"{prefix}.o", ops)
 
-    def _key_bias(self, pad_mask: np.ndarray) -> Tensor | None:
+    def _key_bias(self, pad_mask: np.ndarray) -> np.ndarray | None:
         """[B, 1, 1, T] additive bias hiding the padded key positions of a
         [B, T] mask; None when nothing is padded."""
         if pad_mask.all():
             return None
-        bias = np.where(pad_mask, 0.0, NEG_MASK_VALUE).astype(self.dtype)
-        return Tensor(bias[:, None, None, :])
+        return np.where(pad_mask, 0.0, NEG_MASK_VALUE).astype(self.dtype)[:, None, None, :]
 
-    def _causal_bias(self, length: int) -> Tensor:
+    def _causal_bias(self, length: int) -> np.ndarray:
         bias = np.triu(np.full((length, length), NEG_MASK_VALUE, dtype=self.dtype), k=1)
-        return Tensor(bias.reshape(1, length, length))
+        return bias.reshape(1, length, length)
 
-    def _norm(self, x: Tensor, prefix: str) -> Tensor:
-        return layer_norm(x, self.params[f"{prefix}.gain"], self.params[f"{prefix}.bias"])
+    def _norm(self, x: Operand, prefix: str, ops: Ops = TAPE) -> Operand:
+        return ops.layer_norm(x, ops.param(self.params[f"{prefix}.gain"]), ops.param(self.params[f"{prefix}.bias"]))
 
-    def mlp(self, x: Tensor, prefix: str) -> Tensor:
+    def mlp(self, x: Operand, prefix: str, ops: Ops = TAPE) -> Operand:
         """``{prefix}.fc2(gelu({prefix}.fc1(x)))``: the FFN blocks and the
         ap/rp/mrm classifier heads."""
-        return self._linear(gelu(self._linear(x, f"{prefix}.fc1")), f"{prefix}.fc2")
-
-    # Array versions of the helpers above, for decoding: they call the ops'
-    # kernels on the parameters' arrays and record no tape.
-
-    def _linear_array(self, x: np.ndarray, name: str) -> np.ndarray:
-        return linear_kernel(x, self.params[f"{name}.weight"].data, self.params[f"{name}.bias"].data)
-
-    def _heads_array(self, x: np.ndarray, prefix: str, part: str) -> np.ndarray:
-        return split_heads_kernel(self._linear_array(x, f"{prefix}.{part}"), self.config.n_heads)
-
-    def _norm_array(self, x: np.ndarray, prefix: str) -> np.ndarray:
-        return layer_norm_kernel(x, self.params[f"{prefix}.gain"].data, self.params[f"{prefix}.bias"].data)[0]
-
-    def _mlp_array(self, x: np.ndarray, prefix: str) -> np.ndarray:
-        hidden = gelu_kernel(self._linear_array(x, f"{prefix}.fc1"))[0]
-        return self._linear_array(hidden, f"{prefix}.fc2")
-
-    def _drop(self, x: Tensor, train: bool, rng) -> Tensor:
-        return dropout(x, self.config.dropout_rate, rng, train)
+        return self._linear(ops.gelu(self._linear(x, f"{prefix}.fc1", ops)), f"{prefix}.fc2", ops)
 
     def encode(
         self,
-        embedded: Tensor,
+        embedded: Operand,
         pad_mask: np.ndarray,
         train: bool = False,
         rng: np.random.Generator | None = None,
-    ) -> Tensor:
+        ops: Ops = TAPE,
+    ) -> Operand:
         """Bidirectional pre-norm encoder stack over [B, T, d]; pad positions
         are hidden from keys."""
         key_bias = self._key_bias(pad_mask)
+        rate = self.config.dropout_rate
         x = embedded
         for i in range(self.config.n_enc_layers):
-            normed = self._norm(x, f"enc.{i}.ln1")
-            a = self._attention(normed, normed, f"enc.{i}.attn", key_bias)
-            x = add(x, self._drop(a, train, rng))
-            f = self.mlp(self._norm(x, f"enc.{i}.ln2"), f"enc.{i}.ffn")
-            x = add(x, self._drop(f, train, rng))
-        return self._norm(x, "enc.ln")
+            normed = self._norm(x, f"enc.{i}.ln1", ops)
+            a = self._attention(normed, normed, f"enc.{i}.attn", key_bias, ops)
+            x = ops.add(x, ops.dropout(a, rate, rng, train))
+            f = self.mlp(self._norm(x, f"enc.{i}.ln2", ops), f"enc.{i}.ffn", ops)
+            x = ops.add(x, ops.dropout(f, rate, rng, train))
+        return self._norm(x, "enc.ln", ops)
 
     def decode(
         self,
-        dec_embedded: Tensor,
-        enc_out: Tensor,
+        dec_embedded: Operand,
+        enc_out: Operand,
         enc_pad_mask: np.ndarray,
         train: bool = False,
         rng: np.random.Generator | None = None,
-    ) -> Tensor:
+        ops: Ops = TAPE,
+    ) -> Operand:
         """Causal self-attention plus cross-attention over encoder states.
 
         Padding sits after each row's real positions, which the causal mask
         already hides from them.
         """
-        length = dec_embedded.shape[-2]
-        causal = self._causal_bias(length)
+        causal = self._causal_bias(dec_embedded.shape[-2])
         key_bias = self._key_bias(enc_pad_mask)
+        rate = self.config.dropout_rate
         x = dec_embedded
         for i in range(self.config.n_dec_layers):
-            normed = self._norm(x, f"dec.{i}.ln1")
-            a = self._attention(normed, normed, f"dec.{i}.self_attn", causal)
-            x = add(x, self._drop(a, train, rng))
-            c = self._attention(self._norm(x, f"dec.{i}.ln2"), enc_out, f"dec.{i}.cross_attn", key_bias)
-            x = add(x, self._drop(c, train, rng))
-            f = self.mlp(self._norm(x, f"dec.{i}.ln3"), f"dec.{i}.ffn")
-            x = add(x, self._drop(f, train, rng))
-        return self._norm(x, "dec.ln")
+            normed = self._norm(x, f"dec.{i}.ln1", ops)
+            a = self._attention(normed, normed, f"dec.{i}.self_attn", causal, ops)
+            x = ops.add(x, ops.dropout(a, rate, rng, train))
+            normed = self._norm(x, f"dec.{i}.ln2", ops)
+            c = self._attention(normed, enc_out, f"dec.{i}.cross_attn", key_bias, ops)
+            x = ops.add(x, ops.dropout(c, rate, rng, train))
+            f = self.mlp(self._norm(x, f"dec.{i}.ln3", ops), f"dec.{i}.ffn", ops)
+            x = ops.add(x, ops.dropout(f, rate, rng, train))
+        return self._norm(x, "dec.ln", ops)
 
     def start_decoding(
         self, encodings: Sequence[np.ndarray], row_example: Sequence[int], max_len: int
@@ -615,7 +576,7 @@ class Model:
             stacked = np.stack([encodings[e] for e in members])
             groups.append(rows)
             for i in layers:
-                parts = (self._heads_array(stacked, f"dec.{i}.cross_attn", part)[row_member] for part in ("k", "v"))
+                parts = (self._heads(stacked, f"dec.{i}.cross_attn", part, ARRAYS)[row_member] for part in ("k", "v"))
                 cross[i].append(tuple(parts))
         heads = self.config.n_heads
         shape = (len(row_example), heads, max_len, self.config.d_model // heads)
@@ -626,54 +587,52 @@ class Model:
             self_v=[np.zeros(shape, dtype=self.dtype) for _ in layers],
         )
 
-    def decode_step(self, ids: np.ndarray, cache: DecoderCache) -> Tensor:
-        """Run the decoder at position ``cache.length`` for every cached row.
+    def decode_step(self, ids: np.ndarray, cache: DecoderCache) -> np.ndarray:
+        """Run the decoder at position ``cache.length`` for every cached row,
+        on ``ARRAYS``: no dropout, and no tape even inside an active one.
 
         ``ids`` holds each row's token at that position. Rows are stacked
         [rows, 1, d] slices, never one [rows, d] matrix, so each product acts
-        per slice and a row's states do not depend on the other rows. Every
-        op runs once over all rows, except the cross-attention context,
-        which runs once per encoder-length group of the cache over the
-        group's unpadded keys (a contiguous group reads a view of the
-        queries). Writes the position's self-attention keys and values into
-        the cache and returns the final decoder states [rows, 1, d].
-
-        Inference only: no dropout, and no tape. The step calls the tape
-        ops' array kernels on the parameters' arrays, so it records nothing
-        even inside an active ``Tape`` and its states have the bits the tape
-        ops would give.
+        per slice and a row's states do not depend on the other rows. The
+        layer body is ``decode``'s, except that self-attention reads its keys
+        and values from the cache, and the cross-attention context runs once
+        per encoder-length group of the cache over the group's unpadded keys
+        (a contiguous group reads a view of the queries). Writes the
+        position's self-attention keys and values into the cache and returns
+        the final decoder states [rows, 1, d], with the uncached decoder's bits.
         """
         t = cache.length
         if t >= cache.self_k[0].shape[2]:
             raise ValueError(f"decoder cache holds {t} positions and is full")
-        p = self.params
+        p, ops = self.params, ARRAYS
         x = p["tok_emb.weight"].data[np.asarray(ids, dtype=np.int64)[:, None]]
         x += p["pos_emb.weight"].data[t : t + 1]
         selectors = [_row_selector(rows) for rows in cache.groups]
         for i in range(self.config.n_dec_layers):
             prefix = f"dec.{i}.self_attn"
-            normed = self._norm_array(x, f"dec.{i}.ln1")
-            cache.self_k[i][:, :, t : t + 1] = self._heads_array(normed, prefix, "k")
-            cache.self_v[i][:, :, t : t + 1] = self._heads_array(normed, prefix, "v")
-            q = self._heads_array(normed, prefix, "q")
-            context = attention_kernel(q, cache.self_k[i][:, :, : t + 1], cache.self_v[i][:, :, : t + 1], None)[0]
-            x += self._linear_array(context, f"{prefix}.o")
+            normed = self._norm(x, f"dec.{i}.ln1", ops)
+            cache.self_k[i][:, :, t : t + 1] = self._heads(normed, prefix, "k", ops)
+            cache.self_v[i][:, :, t : t + 1] = self._heads(normed, prefix, "v", ops)
+            q = self._heads(normed, prefix, "q", ops)
+            context = ops.attention(q, cache.self_k[i][:, :, : t + 1], cache.self_v[i][:, :, : t + 1], None)
+            x += self._linear(context, f"{prefix}.o", ops)
 
             prefix = f"dec.{i}.cross_attn"
-            q = self._heads_array(self._norm_array(x, f"dec.{i}.ln2"), prefix, "q")
+            q = self._heads(self._norm(x, f"dec.{i}.ln2", ops), prefix, "q", ops)
             context = np.empty(x.shape, dtype=x.dtype)
             for rows, (keys, values) in zip(selectors, cache.cross[i]):
-                context[rows] = attention_kernel(q[rows], keys, values, None)[0]
-            x += self._linear_array(context, f"{prefix}.o")
-            x += self._mlp_array(self._norm_array(x, f"dec.{i}.ln3"), f"dec.{i}.ffn")
+                context[rows] = ops.attention(q[rows], keys, values, None)
+            x += self._linear(context, f"{prefix}.o", ops)
+            x += self.mlp(self._norm(x, f"dec.{i}.ln3", ops), f"dec.{i}.ffn", ops)
         cache.length += 1
-        return Tensor(self._norm_array(x, "dec.ln"))
+        return self._norm(x, "dec.ln", ops)
 
     # -- heads ---------------------------------------------------------------
 
-    def lm_head(self, hidden: Tensor) -> Tensor:
+    def lm_head(self, hidden: Operand, ops: Ops = TAPE) -> Operand:
         """Token logits via the transposed input embedding (weight tying)."""
-        return linear(hidden, transpose(self.params["tok_emb.weight"]), self.params["lm_head.bias"])
+        p = self.params
+        return ops.linear(hidden, ops.transpose(ops.param(p["tok_emb.weight"])), ops.param(p["lm_head.bias"]))
 
     # -- full passes ----------------------------------------------------------
 
@@ -682,27 +641,30 @@ class Model:
         batch: "PaddedBatch",
         train: bool = False,
         rng: np.random.Generator | None = None,
-    ) -> Tensor:
+        ops: Ops = TAPE,
+    ) -> Operand:
         """Encoder states [B, T_enc, d]."""
-        return self.encode(self.embed(batch), batch.enc_mask, train, rng)
+        return self.encode(self.embed(batch, ops), batch.enc_mask, train, rng, ops)
 
     def decode_ids(
         self,
         dec_ids: np.ndarray,
-        enc_out: Tensor,
+        enc_out: Operand,
         enc_pad_mask: np.ndarray,
         train: bool = False,
         rng: np.random.Generator | None = None,
-    ) -> Tensor:
+        ops: Ops = TAPE,
+    ) -> Operand:
         """Decoder states [B, T_dec, d] for [B, T_dec] ids over ``enc_out``."""
-        return self.decode(self.embed_decoder(dec_ids), enc_out, enc_pad_mask, train, rng)
+        return self.decode(self.embed_decoder(dec_ids, ops), enc_out, enc_pad_mask, train, rng, ops)
 
     def forward(
         self,
         batch: "PaddedBatch",
         train: bool = False,
         rng: np.random.Generator | None = None,
-    ) -> Tensor:
+        ops: Ops = TAPE,
+    ) -> Operand:
         """Run encoder and decoder; returns decoder hidden states [B, T_dec, d]."""
-        enc_out = self.encoder_states(batch, train, rng)
-        return self.decode_ids(batch.dec_ids, enc_out, batch.enc_mask, train, rng)
+        enc_out = self.encoder_states(batch, train, rng, ops)
+        return self.decode_ids(batch.dec_ids, enc_out, batch.enc_mask, train, rng, ops)

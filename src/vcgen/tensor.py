@@ -6,9 +6,10 @@ records a backward rule onto it; ``Tape.backward(loss)`` then walks the
 recording in reverse and accumulates gradients into the ``grad`` buffer of
 every leaf (a ``requires_grad`` tensor no recorded op produced) reachable
 from the loss. The fused ops (``linear``, ``split_heads``, ``layer_norm``,
-``attention``, ``gelu``) keep their forward in a plain array kernel
-(``linear_kernel`` and so on) that code recording no tape, such as
-decoding, calls directly.
+``attention``, ``gelu``, ``scatter_rows``, ``log_softmax``) keep their
+forward in a plain array kernel (``linear_kernel`` and so on). The op
+tables ``TAPE`` and ``ARRAYS`` pair each op with its kernel, so the model
+writes a layer once and runs it with or without the tape.
 
 float32 is the working precision of the package. Ops inherit the dtype of
 their inputs, so verification code (finite-difference checks) can run the
@@ -22,6 +23,8 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
+import operator
+from collections import namedtuple
 from typing import Sequence
 
 import numpy as np
@@ -70,9 +73,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -352,11 +352,18 @@ def gather_rows(x: Tensor, indices) -> Tensor:
     return _make(data, (x,), bw)
 
 
+def scatter_rows_kernel(rows: np.ndarray, idx: np.ndarray, length: int) -> np.ndarray:
+    """``rows`` placed at the given (distinct) positions of a zero [length,
+    ...] array: the forward of :func:`scatter_rows`."""
+    data = np.zeros((length,) + rows.shape[1:], dtype=rows.dtype)
+    data[idx] = rows
+    return data
+
+
 def scatter_rows(rows: Tensor, indices, length: int) -> Tensor:
     """Place rows at the given (distinct) positions of a zero [length, d] tensor."""
     idx = np.asarray(indices, dtype=np.int64)
-    data = np.zeros((length,) + rows.shape[1:], dtype=rows.dtype)
-    data[idx] = rows.data
+    data = scatter_rows_kernel(rows.data, idx, length)
 
     def bw(g):
         return (g[idx],)
@@ -485,12 +492,18 @@ def gelu(x: Tensor) -> Tensor:
     return _make(data, (x,), bw)
 
 
+def log_softmax_kernel(x: np.ndarray) -> np.ndarray:
+    """Log-softmax of an array over its last axis: the forward of
+    :func:`log_softmax` and of :func:`cross_entropy`."""
+    shifted = x - x.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
 def log_softmax(x: Tensor) -> Tensor:
     """Log-softmax over the last axis."""
     if x.shape[-1] == 0:
         raise ValueError("log_softmax over an empty axis")
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    data = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    data = log_softmax_kernel(x.data)
 
     def bw(g):
         probs = np.exp(data)
@@ -590,20 +603,18 @@ def attention_kernel(
     return ctx.reshape(ctx.shape[:-2] + (ctx.shape[-2] * ctx.shape[-1],)), probs
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None) -> Tensor:
+def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None) -> Tensor:
     """Scaled dot-product attention of split heads, merged back.
 
     ``q`` is [..., H, T_q, dk], ``k`` and ``v`` are [..., H, T_k, dk], and
-    ``bias`` is a constant (no gradient) added to the [..., H, T_q, T_k]
-    scores, or None. Returns the context [..., T_q, H * dk], as one tape
-    node. The forward runs the numpy expressions of the unfused chain
+    ``bias`` is a constant array added to the [..., H, T_q, T_k] scores, or
+    None. Returns the context [..., T_q, H * dk], as one tape node. The
+    forward runs the numpy expressions of the unfused chain
     ``softmax(q @ kᵀ * dk**-0.5 + bias) @ v``, heads merged, in its order;
     the backward is the closed form of that chain's rules, also in its
     order, so value and gradients have the chain's bits.
     """
-    if bias is not None and bias.requires_grad:
-        raise ValueError("attention bias is a constant and takes no gradient")
-    data, probs = attention_kernel(q.data, k.data, v.data, None if bias is None else bias.data)
+    data, probs = attention_kernel(q.data, k.data, v.data, bias)
     factor = q.dtype.type(1.0 / math.sqrt(q.shape[-1]))
     ctx_shape = data.shape[:-1] + (probs.shape[-3], v.shape[-1])
     want_q, want_k, want_v = q.requires_grad, k.requires_grad, v.requires_grad
@@ -646,9 +657,7 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     if tgt.min() < 0 or tgt.max() >= logits.shape[1]:
         raise ValueError(f"target id out of range [0, {logits.shape[1]})")
 
-    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
-    logz = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    logp = shifted - logz
+    logp = log_softmax_kernel(logits.data)
     rows = np.arange(n)
     nll = -logp[rows, tgt]
     data = nll.sum() / n
@@ -689,3 +698,39 @@ def kl_divergence(p: Tensor, log_q: Tensor) -> Tensor:
         return None, gq
 
     return _make(np.asarray(data, dtype=log_q.dtype), (p, log_q), bw)
+
+
+# ---------------------------------------------------------------------------
+# op tables
+
+# The ops a forward definition runs on, passed as one argument so that the
+# definition is written once; its operands are tensors on ``TAPE`` and arrays
+# on ``ARRAYS``. ``param`` makes an operand of a tensor (a parameter, or a
+# constant wrapped in one). Each other field of ``ARRAYS`` is the forward of
+# the ``TAPE`` op of its name, so both tables give the same bits.
+Operand = Tensor | np.ndarray
+Ops = namedtuple("Ops", "param add mul reshape transpose gather_rows scatter_rows linear split_heads layer_norm "
+                        "gelu attention dropout")
+
+
+def _no_dropout(x: np.ndarray, rate: float, rng, train: bool) -> np.ndarray:
+    if train:
+        raise ValueError("the array ops serve inference only; train on the tape ops")
+    return x
+
+
+# Tape ops on parameter tensors: training, and anything that takes gradients.
+TAPE = Ops(lambda p: p, add, mul, reshape, transpose, gather_rows, scatter_rows, linear, split_heads, layer_norm,
+           gelu, attention, dropout)
+
+# Kernels on the parameters' arrays: inference, which records nothing, even
+# inside an active tape.
+ARRAYS = Ops(
+    param=operator.attrgetter("data"), add=np.add, mul=np.multiply, reshape=np.reshape,
+    transpose=lambda x: x.swapaxes(-1, -2), gather_rows=operator.getitem, scatter_rows=scatter_rows_kernel,
+    linear=linear_kernel, split_heads=split_heads_kernel,
+    layer_norm=lambda x, gain, bias: layer_norm_kernel(x, gain, bias)[0],
+    gelu=lambda x: gelu_kernel(x)[0],
+    attention=lambda q, k, v, bias: attention_kernel(q, k, v, bias)[0],
+    dropout=_no_dropout,
+)

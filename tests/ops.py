@@ -145,9 +145,9 @@ def unfused_split_heads(x: Tensor, heads: int) -> Tensor:
     return permute(split, _swap_heads_axis(split.ndim))
 
 
-def unfused_attention(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None) -> Tensor:
+def unfused_attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None) -> Tensor:
     scores = scale(matmul(q, transpose(k)), 1.0 / math.sqrt(q.shape[-1]))
     if bias is not None:
-        scores = add(scores, bias)
+        scores = add(scores, Tensor(bias))
     ctx = permute(matmul(softmax(scores, axis=-1), v), _swap_heads_axis(q.ndim))
     return reshape(ctx, ctx.shape[:-2] + (ctx.shape[-2] * ctx.shape[-1],))

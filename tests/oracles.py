@@ -1,7 +1,8 @@
 """Independent reference implementations used as test oracles.
 
 Deliberately plain and step-by-step; nothing here shares code with the
-package paths it checks.
+package paths it checks, apart from ``nucleus_candidates``, a one-row view
+of the package's top-p ranking for tests that check it on fixed rows.
 """
 
 from __future__ import annotations
@@ -14,8 +15,10 @@ from collections import Counter
 import numpy as np
 
 from vcgen.data import pad_batch
+from vcgen.generate import _top_p_prefix
 from vcgen.model import assemble_input
 from vcgen.tensor import (
+    ARRAYS,
     NEG_MASK_VALUE,
     Tape,
     Tensor,
@@ -131,7 +134,7 @@ def per_example_forward(model, assembled, rois):
         gather_rows(p["tok_emb.weight"], assembled.dec_ids),
         gather_rows(p["pos_emb.weight"], np.arange(dec_len)),
     )
-    causal = Tensor(np.triu(np.full((1, dec_len, dec_len), NEG_MASK_VALUE, dtype=model.dtype), k=1))
+    causal = np.triu(np.full((1, dec_len, dec_len), NEG_MASK_VALUE, dtype=model.dtype), k=1)
     for i in range(cfg.n_dec_layers):
         h = norm(y, f"dec.{i}.ln1")
         y = add(y, attention(h, h, f"dec.{i}.self_attn", causal))
@@ -193,6 +196,15 @@ def per_row_nucleus_prefix(probs, top_p):
     return ids, probs[ids] / probs[ids].sum()
 
 
+def nucleus_candidates(probs, top_p):
+    """Minimal prefix of the distribution (descending prob, ties by lowest id)
+    whose cumulative mass reaches top_p, renormalized: the one-row case of
+    the package's ``_top_p_prefix``, the prefix ``sample_next_token`` draws
+    from. Zero-probability tokens are never candidates."""
+    order, renormed, width = _top_p_prefix(np.asarray(probs, dtype=np.float64)[None], top_p)
+    return order[0, : width[0]], renormed[0, : width[0]]
+
+
 def per_row_sample_next_token(logits, config, rng):
     """One row's next token, picked the way decoding did it one row at a
     time: mask a float64 copy of the row, then argmax, or softmax, take the
@@ -228,7 +240,7 @@ def per_example_generate(model, vocab, example, config, index, use_event=True):
     live = list(range(len(rngs)))
     ids = [BOS_ID] * len(rngs)
     for _ in range(max_len):
-        logits = model.lm_head(model.decode_step(np.asarray(ids), cache)).data[:, 0]
+        logits = model.lm_head(model.decode_step(np.asarray(ids), cache), ARRAYS)[:, 0]
         nxt = [per_row_sample_next_token(row, config, rngs[k]) for k, row in zip(live, logits)]
         kept = [j for j, token in enumerate(nxt) if token != EOS_ID]
         if not kept:

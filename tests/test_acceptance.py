@@ -32,7 +32,7 @@ from vcgen.data import (
     save_jsonl,
     score_dataset,
 )
-from vcgen.generate import GenerationConfig, generate, nucleus_candidates, sample_next_token
+from vcgen.generate import GenerationConfig, generate, sample_next_token
 from vcgen.losses import LOSS_ORDER, LossWeights, combine_losses, compute_losses
 from vcgen.masking import plan_mlm_mask, plan_mrm_mask
 from vcgen.metrics import EvalCorpus, EvalEntry, bleu2, cider, novel_metric, unique_metric
@@ -49,7 +49,7 @@ from helpers import (
     tiny_model_and_items,
     tiny_vocab,
 )
-from oracles import assert_grads_close, bleu2_reference, central_difference_grads, cider_reference
+from oracles import assert_grads_close, bleu2_reference, central_difference_grads, cider_reference, nucleus_candidates
 import repro_case
 
 FIXTURES = Path(__file__).parent / "fixtures"

@@ -465,6 +465,21 @@ def test_filter_unknown_relation_errors_with_line(workspace, tmp_path, capsys):
     assert "line 2" in err and "xAttr" in err
 
 
+def test_filter_mistyped_field_exits_2_naming_line_and_field(workspace, tmp_path, capsys):
+    vocab_path = small_vocab_file(tmp_path)
+    ckpt, _ = make_zero_checkpoint(tmp_path, vocab_path)
+    rows = (workspace / "candidates.jsonl").read_text().splitlines()
+    obj = json.loads(rows[1])
+    obj["attributes"] = 1
+    bad = tmp_path / "bad_cands.jsonl"
+    bad.write_text("\n".join([rows[0], json.dumps(obj)]) + "\n")
+    args = filter_args(workspace, ckpt, vocab_path, tmp_path, 3.5)
+    args[args.index("--candidates") + 1] = str(bad)
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "line 2" in err and "'attributes'" in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # generate + evaluate
 
@@ -639,3 +654,33 @@ def test_inspect_checkpoint(workspace, tmp_path, capsys):
     assert main(["inspect-checkpoint", str(ckpt)]) == 0
     out = capsys.readouterr().out
     assert "tok_emb.weight" in out and "global_step" in out
+
+
+@pytest.mark.parametrize("command", ["filter", "greedy", "nucleus", "evaluate_kcg"])
+def test_inference_makes_no_tape_tensor(workspace, tmp_path, monkeypatch, command):
+    """Scoring and decoding run the array ops: a filter command, a greedy
+    and a nucleus generate command and validation scoring make no tensor
+    through the tape ops, whose every output passes through ``_make``."""
+    import vcgen.tensor
+    from vcgen.checkpoint import load_checkpoint, params_as_tensors
+    from vcgen.data import load_jsonl
+    from vcgen.model import Model
+    from vcgen.train import evaluate_kcg
+
+    ckpt, vocab = make_zero_checkpoint(tmp_path, workspace / "vocab.txt", name="rand.kmbt", init_seed=3)
+    made = []
+    make = vcgen.tensor._make
+    monkeypatch.setattr(vcgen.tensor, "_make", lambda *args: made.append(args[0].shape) or make(*args))
+    if command == "filter":
+        assert main(filter_args(workspace, ckpt, workspace / "vocab.txt", tmp_path, 3.5)) == 0
+    elif command == "evaluate_kcg":
+        loaded = load_checkpoint(ckpt)
+        model = Model(loaded.model_config(), params_as_tensors(loaded))
+        assert np.isfinite(evaluate_kcg(model, vocab, load_jsonl(workspace / "vcg_val.jsonl")))
+    else:
+        out = tmp_path / "gen.jsonl"
+        assert main(generate_args(workspace, ckpt, out, command, ("--num-samples", "5", "--max-len", "8"))) == 0
+        assert any(g for row in read_log(out)[1:] for g in row["generations"])
+    assert made == []
+    vcgen.tensor.add(vcgen.tensor.Tensor(np.ones(2)), vcgen.tensor.Tensor(np.ones(2)))
+    assert made == [(2,)]  # the count sees a tape op

@@ -31,7 +31,7 @@ from vcgen.data import (
 )
 from vcgen.model import Model, assemble_input
 from vcgen.synthetic import make_rois, make_vcg_dataset
-from vcgen.tensor import cross_entropy
+from vcgen.tensor import Tape, Tensor, cross_entropy
 from vcgen.vocab import TaskType
 
 from helpers import tiny_config, tiny_examples, tiny_vocab
@@ -120,6 +120,39 @@ def test_unknown_task_rejected(tmp_path):
     write_lines(path, [valid_row(task="dance")])
     with pytest.raises(DatasetError, match="task"):
         load_jsonl(path)
+
+
+@pytest.mark.parametrize(
+    "field,value,where",
+    [("attributes", 1, None), ("relations", 1, None), ("feat", {}, 0), ("class_probs", {}, 0)],
+)
+def test_mistyped_field_error_names_line_and_field(tmp_path, field, value, where):
+    """A field of the wrong JSON type is a schema error naming its line
+    and field, not a crash."""
+    bad = valid_row()
+    if where is None:
+        bad[field] = value
+    else:
+        bad["rois"][where][field] = value
+    path = tmp_path / "data.jsonl"
+    write_lines(path, [valid_row(source_id="ok"), bad])
+    with pytest.raises(DatasetError, match=rf"line 2: .*'{field}'"):
+        load_jsonl(path)
+
+
+@pytest.mark.parametrize("entry", [[0, None], [0, [1]], [0, 1.5], [True, 1]])
+def test_attribute_entries_must_be_integers(tmp_path, entry):
+    path = tmp_path / "data.jsonl"
+    write_lines(path, [valid_row(attributes=[entry])])
+    with pytest.raises(DatasetError, match="line 1: field 'attributes' entries"):
+        load_jsonl(path)
+
+
+def test_null_attributes_and_relations_read_as_empty(tmp_path):
+    path = tmp_path / "data.jsonl"
+    write_lines(path, [valid_row(attributes=None, relations=None)])
+    [example] = load_jsonl(path)
+    assert example.attributes == [] and example.relations == []
 
 
 def test_round_trip_load_save_load(tmp_path):
@@ -273,6 +306,23 @@ def test_bucketed_scoring_equals_per_example_scoring_bitwise(use_event, monkeypa
         reference = float(cross_entropy(logits, assembled.dec_labels).data)
         assert s.avg_ce == reference, example.source_id
         assert s.n_tokens == len(assembled.dec_labels)
+
+
+def test_score_dataset_records_nothing_on_an_active_tape():
+    """Inside an active tape, with parameters that take gradients, scoring
+    records no op and gives the scores of frozen parameters bit for bit."""
+    vocab = tiny_vocab()
+    config = tiny_config(len(vocab))
+    model = Model.init_random(config, 2)
+    frozen = Model(config, {name: Tensor(param.data) for name, param in model.params.items()})
+    kcg, _, _ = tiny_examples()
+    examples = [kcg, dataclasses.replace(kcg, event_text="w3 w4", target_text="tgt2", source_id="short")]
+    expected = [s.avg_ce for s in score_dataset(frozen, vocab, examples)]
+    with Tape() as tape:
+        scored = score_dataset(model, vocab, examples)
+    assert len(tape) == 0
+    assert [s.avg_ce for s in scored] == expected
+    assert all(param.grad is None for param in model.params.values())
 
 
 # ---------------------------------------------------------------------------

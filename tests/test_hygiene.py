@@ -1,5 +1,6 @@
-"""Source hygiene of the package: every imported name is read somewhere, and
-nothing is imported from outside the standard library, numpy and vcgen."""
+"""Source hygiene of the package: every imported name is read somewhere,
+nothing is imported from outside the standard library, numpy and vcgen, and
+the inference modules import nothing of the tape."""
 
 from __future__ import annotations
 
@@ -103,3 +104,50 @@ def test_foreign_import_is_found_anywhere_in_the_module():
         "    import yaml\n"
     )
     assert foreign_imports(source) == [(5, "scipy.special"), (6, "yaml")]
+
+
+# Inference modules: they score and decode on the array ops alone.
+INFERENCE_MODULES = ("data.py", "generate.py")
+
+
+def tape_imports(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each import from ``vcgen.tensor`` that could reach the
+    tape: any name but the ``ARRAYS`` op table and the ``*_kernel`` array
+    functions (so ``Tensor``, ``Tape``, ``TAPE`` and every tape op), and the
+    module itself."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names if alias.name == "vcgen.tensor"]
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            if module in (".tensor", "vcgen.tensor"):
+                found += [
+                    (node.lineno, alias.name)
+                    for alias in node.names
+                    if alias.name != "ARRAYS" and not alias.name.endswith("_kernel")
+                ]
+            elif module in (".", "vcgen"):
+                found += [(node.lineno, alias.name) for alias in node.names if alias.name == "tensor"]
+    return found
+
+
+@pytest.mark.parametrize("module", INFERENCE_MODULES)
+def test_inference_module_imports_no_tape(module):
+    found = tape_imports((PACKAGE / module).read_text(encoding="utf-8"))
+    assert not found, f"{module}: imports from vcgen.tensor beyond ARRAYS and the kernels: {found}"
+
+
+def test_tape_import_is_found_in_every_form():
+    source = (
+        "from .tensor import ARRAYS, Tensor, log_softmax_kernel, log_softmax\n"
+        "from . import tensor, vocab\n"
+        "import vcgen.tensor as t\n"
+        "def f():\n"
+        "    from vcgen.tensor import Tape\n"
+        "    from vcgen import tensor\n"
+        "    from .tensor import TAPE, linear_kernel\n"
+    )
+    found = [(1, "Tensor"), (1, "log_softmax"), (2, "tensor"), (3, "vcgen.tensor"), (5, "Tape"), (6, "tensor"),
+             (7, "TAPE")]
+    assert sorted(tape_imports(source)) == found

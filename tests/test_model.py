@@ -17,7 +17,7 @@ from vcgen.model import (
     count_params,
     param_shapes,
 )
-from vcgen.tensor import Tensor
+from vcgen.tensor import ARRAYS, Tape, Tensor
 from vcgen.vocab import (
     BOS_ID,
     CLS_ID,
@@ -389,3 +389,36 @@ def test_dropout_train_changes_eval_does_not(setup):
     train_c = model.forward(batch, train=True, rng=np.random.default_rng(1)).data
     assert np.array_equal(train_a, train_b)
     assert not np.allclose(train_a, train_c)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_array_ops_run_each_layer_with_the_tape_ops_bits(setup, dtype):
+    """Each layer is one definition over an op table. On ``ARRAYS`` the
+    forward, the LM head and a classifier head give the ``TAPE`` values bit
+    for bit, as plain arrays, over a padded batch of three passes with
+    regions (some masked), and record nothing inside an active tape."""
+    vocab, config, _, kcg, region, caption = setup
+    model = Model.init_random(config, 4, dtype=dtype)
+    seed = denoise_seed_with_both_masks(caption, vocab)
+    batch = pad_batch([
+        (assemble_input(kcg, vocab, "kcg"), kcg),
+        (assemble_input(region, vocab, "ap"), region),
+        (assemble_input(caption, vocab, "mlm", seed=seed), caption),
+    ])
+    assert not batch.enc_mask.all() and len(batch.slot_index)
+    hidden = model.forward(batch)
+    expected = [hidden.data, model.lm_head(hidden).data, model.mlp(hidden, "ap_head").data]
+    with Tape() as tape:
+        states = model.forward(batch, ops=ARRAYS)
+        got = [states, model.lm_head(states, ARRAYS), model.mlp(states, "ap_head", ARRAYS)]
+    assert len(tape) == 0
+    for array, reference in zip(got, expected, strict=True):
+        assert type(array) is np.ndarray and array.dtype == dtype
+        assert np.array_equal(array, reference)
+
+
+def test_array_ops_refuse_training(setup):
+    vocab, _, model, kcg, _, _ = setup
+    batch = pad_batch([(assemble_input(kcg, vocab, "kcg"), kcg)])
+    with pytest.raises(ValueError, match="inference only"):
+        model.forward(batch, train=True, rng=np.random.default_rng(0), ops=ARRAYS)
