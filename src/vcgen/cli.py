@@ -219,28 +219,32 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _load_generations(path: str):
+def _load_generations(path: str) -> list[dict]:
+    """The rows of a generations file, after its optional header line (an
+    object with no source_id); each row is checked, naming its line."""
+    from .data import DatasetError, iter_jsonl
+
     records = []
-    header = None
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            if "source_id" not in obj:
-                if line_no == 1:
-                    header = obj
-                    continue
-                raise ValueError(f"line {line_no}: generation rows need a source_id")
-            records.append(obj)
-    return header, records
+    for line_no, obj in iter_jsonl(path):
+        if line_no == 1 and isinstance(obj, dict) and "source_id" not in obj:
+            continue
+        if not isinstance(obj, dict):
+            raise DatasetError(f"line {line_no}: generation rows must be JSON objects")
+        for name in ("source_id", "task"):
+            if not isinstance(obj.get(name), str):
+                raise DatasetError(f"line {line_no}: generation rows need a string {name!r}")
+        generations = obj.get("generations")
+        if not isinstance(generations, list) or not all(isinstance(g, str) for g in generations):
+            raise DatasetError(f"line {line_no}: generation rows need a list of strings under 'generations'")
+        records.append(obj)
+    return records
 
 
 def cmd_evaluate(args) -> int:
     from .data import load_jsonl
     from .metrics import EvalCorpus, EvalEntry, metric_report
 
-    _, records = _load_generations(args.generations)
+    records = _load_generations(args.generations)
     references = load_jsonl(args.references)
     refs_by_key: dict[tuple[str, str], list[str]] = {}
     for example in references:

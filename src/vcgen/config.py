@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -55,6 +56,14 @@ class RunConfig:
 
     def validate(self) -> None:
         self.model.validate()
+        for dotted, kind in leaf_fields():
+            value = self
+            for name in dotted.split("."):
+                value = getattr(value, name)
+            if not _has_type(value, kind):
+                raise ValueError(f"{dotted} must be {_TYPE_NAMES[kind]}, got {value!r}")
+        if not isinstance(self.tasks, list) or not all(isinstance(t, str) for t in self.tasks):
+            raise ValueError(f"tasks must be a list of strings, got {self.tasks!r}")
         if not self.tasks:
             raise ValueError("task mix must be non-empty")
         unknown = set(self.tasks) - set(LOSS_ORDER)
@@ -64,8 +73,8 @@ class RunConfig:
             raise ValueError("task mix has duplicates")
         if self.interleave not in INTERLEAVE_MODES:
             raise ValueError(f"interleave must be one of {INTERLEAVE_MODES}")
-        if self.schedule.batch_size < 1 or self.schedule.epochs < 0:
-            raise ValueError("schedule needs batch_size >= 1 and epochs >= 0")
+        if self.schedule.batch_size < 1 or self.schedule.epochs < 0 or self.schedule.seed < 0:
+            raise ValueError("schedule needs batch_size >= 1, epochs >= 0 and seed >= 0")
 
 
 # The model presets. "desk" is what the test suite exercises end to end;
@@ -160,6 +169,19 @@ def leaf_fields() -> list[tuple[str, type]]:
     out.append(("use_event", bool))
     out.append(("interleave", str))
     return out
+
+
+_TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a finite number", str: "a string"}
+
+
+def _has_type(value, kind: type) -> bool:
+    """A bool is no integer or number here, an integer is a number, and a
+    number is finite."""
+    if isinstance(value, bool):
+        return kind is bool
+    if kind is float:
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    return isinstance(value, kind)
 
 
 def _resolve(annotation) -> type:

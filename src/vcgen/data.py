@@ -125,9 +125,11 @@ def example_from_dict(
         arrays = []
         for name in ("feat", "class_probs"):
             try:
-                arrays.append(np.asarray(r[name], dtype=np.float64))
+                array = np.asarray(r[name], dtype=np.float64)
             except (TypeError, ValueError):
                 raise DatasetError(f"line {line_no}: roi {i} field {name!r} must be a list of numbers") from None
+            _check(np.isfinite(array).all(), line_no, f"roi {i} field {name!r} must hold finite numbers")
+            arrays.append(array)
         try:
             rois.append(RoIFeature(*arrays))
         except ValueError as exc:
@@ -207,10 +209,11 @@ def example_to_dict(example: MultimodalExample) -> dict:
     }
 
 
-def _iter_jsonl(path: str | Path):
+def iter_jsonl(path: str | Path):
+    """(line number, parsed object) for each non-blank line of a JSONL file."""
     path = Path(path)
     if not path.exists():
-        raise FileNotFoundError(f"dataset file not found: {path}")
+        raise FileNotFoundError(f"file not found: {path}")
     with path.open("r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
@@ -223,7 +226,7 @@ def _iter_jsonl(path: str | Path):
 
 def load_jsonl(path: str | Path, n_attr: int | None = None, n_rel: int | None = None) -> list[MultimodalExample]:
     """Parse and validate a dataset file; fails fast with the line number."""
-    return [example_from_dict(obj, line_no, n_attr, n_rel) for line_no, obj in _iter_jsonl(path)]
+    return [example_from_dict(obj, line_no, n_attr, n_rel) for line_no, obj in iter_jsonl(path)]
 
 
 def save_jsonl(path: str | Path, examples: Sequence[MultimodalExample], extras: Sequence[dict] | None = None) -> None:
@@ -239,7 +242,7 @@ def save_jsonl(path: str | Path, examples: Sequence[MultimodalExample], extras: 
 def load_candidates_jsonl(path: str | Path) -> list[tuple[str, MultimodalExample]]:
     """Load filter candidates whose rows carry a 'relation' instead of a task."""
     out: list[tuple[str, MultimodalExample]] = []
-    for line_no, obj in _iter_jsonl(path):
+    for line_no, obj in iter_jsonl(path):
         relation = obj.get("relation")
         if not isinstance(relation, str):
             raise DatasetError(f"line {line_no}: candidate rows need a string 'relation' field")

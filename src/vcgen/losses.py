@@ -85,10 +85,10 @@ def compute_losses(
     model: "Model",
     batch: "PaddedBatch | Sequence",
     wanted: Iterable[str],
-    train: bool = False,
     rng: np.random.Generator | None = None,
 ) -> dict[str, Tensor]:
-    """Forward the batch once and build the wanted terms.
+    """Forward the batch once and build the wanted terms; ``rng``, when
+    given, draws the forward's dropout.
 
     ``batch`` is a PaddedBatch or a plain sequence of (assembled, example)
     pairs. Each term gathers its units from every row of the batch with one
@@ -136,7 +136,7 @@ def compute_losses(
         kcg_rows = np.flatnonzero(labels != PAD_ID)
         kcg_labels = labels[kcg_rows]
 
-    hidden = model.forward(batch, train=train, rng=rng)
+    hidden = model.forward(batch, rng)
     d = hidden.shape[-1]
     flat = reshape(hidden, (-1, d))
     terms: dict[str, Tensor] = {}

@@ -10,7 +10,8 @@ embeddings plus three two-layer MLP classifiers.
 
 Blocks are pre-norm for stability at random initialization.
 
-Parameter count is a pure function of the config (see ``count_params``):
+Parameter count is a pure function of the config (``param_shapes``; the
+closed form below is the oracle ``count_params`` in ``tests/oracles.py``):
 
     V*d + P*d + V                               embeddings + token-head bias
     + d_visual*d + d                            visual projection
@@ -88,8 +89,8 @@ class ModelConfig:
                 raise ValueError(f"{name} must be at least {minimum}, got {value}")
         if self.d_model % self.n_heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
+        if type(self.dropout_rate) not in (int, float) or not 0.0 <= self.dropout_rate < 1.0:
+            raise ValueError(f"dropout_rate must be a number in [0, 1), got {self.dropout_rate!r}")
 
 
 @dataclass
@@ -281,22 +282,6 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def count_params(config: ModelConfig) -> int:
-    """Closed-form parameter count (matches ``param_shapes`` exactly)."""
-    d, f = config.d_model, config.d_ffn
-    v, p = config.vocab_size, config.max_positions
-    attn = 4 * (d * d + d)
-    ln = 2 * d
-    ffn = d * f + f + f * d + d
-    total = v * d + p * d + v + config.d_visual * d + d
-    total += config.n_enc_layers * (attn + 2 * ln + ffn) + ln
-    total += config.n_dec_layers * (2 * attn + 3 * ln + ffn) + ln
-    total += d * d + d + d * config.n_attr + config.n_attr
-    total += 2 * d * d + d + d * config.n_rel + config.n_rel
-    total += d * d + d + d * config.n_classes + config.n_classes
-    return total
-
-
 def check_param_shapes(config: ModelConfig, shapes: Mapping[str, tuple[int, ...]]) -> None:
     """Raise ValueError unless ``shapes`` holds exactly the parameters of
     ``config`` (already validated) with their shapes.
@@ -418,16 +403,6 @@ class Model:
     def init_random(cls, config: ModelConfig, seed_or_rng, dtype=np.float32) -> "Model":
         return cls(config, init_params(config, seed_or_rng, dtype))
 
-    @classmethod
-    def init_zeros(cls, config: ModelConfig, dtype=np.float32) -> "Model":
-        """All-zero parameters; every head then predicts a uniform distribution."""
-        config.validate()
-        params = {
-            name: Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
-            for name, shape in param_shapes(config).items()
-        }
-        return cls(config, params)
-
     @property
     def dtype(self):
         return self.params["tok_emb.weight"].dtype
@@ -508,21 +483,20 @@ class Model:
         self,
         embedded: Operand,
         pad_mask: np.ndarray,
-        train: bool = False,
         rng: np.random.Generator | None = None,
         ops: Ops = TAPE,
     ) -> Operand:
         """Bidirectional pre-norm encoder stack over [B, T, d]; pad positions
-        are hidden from keys."""
+        are hidden from keys. Dropout draws from ``rng`` when one is given."""
         key_bias = self._key_bias(pad_mask)
         rate = self.config.dropout_rate
         x = embedded
         for i in range(self.config.n_enc_layers):
             normed = self._norm(x, f"enc.{i}.ln1", ops)
             a = self._attention(normed, normed, f"enc.{i}.attn", key_bias, ops)
-            x = ops.add(x, ops.dropout(a, rate, rng, train))
+            x = ops.add(x, ops.dropout(a, rate, rng))
             f = self.mlp(self._norm(x, f"enc.{i}.ln2", ops), f"enc.{i}.ffn", ops)
-            x = ops.add(x, ops.dropout(f, rate, rng, train))
+            x = ops.add(x, ops.dropout(f, rate, rng))
         return self._norm(x, "enc.ln", ops)
 
     def decode(
@@ -530,7 +504,6 @@ class Model:
         dec_embedded: Operand,
         enc_out: Operand,
         enc_pad_mask: np.ndarray,
-        train: bool = False,
         rng: np.random.Generator | None = None,
         ops: Ops = TAPE,
     ) -> Operand:
@@ -546,12 +519,12 @@ class Model:
         for i in range(self.config.n_dec_layers):
             normed = self._norm(x, f"dec.{i}.ln1", ops)
             a = self._attention(normed, normed, f"dec.{i}.self_attn", causal, ops)
-            x = ops.add(x, ops.dropout(a, rate, rng, train))
+            x = ops.add(x, ops.dropout(a, rate, rng))
             normed = self._norm(x, f"dec.{i}.ln2", ops)
             c = self._attention(normed, enc_out, f"dec.{i}.cross_attn", key_bias, ops)
-            x = ops.add(x, ops.dropout(c, rate, rng, train))
+            x = ops.add(x, ops.dropout(c, rate, rng))
             f = self.mlp(self._norm(x, f"dec.{i}.ln3", ops), f"dec.{i}.ffn", ops)
-            x = ops.add(x, ops.dropout(f, rate, rng, train))
+            x = ops.add(x, ops.dropout(f, rate, rng))
         return self._norm(x, "dec.ln", ops)
 
     def start_decoding(
@@ -637,34 +610,25 @@ class Model:
     # -- full passes ----------------------------------------------------------
 
     def encoder_states(
-        self,
-        batch: "PaddedBatch",
-        train: bool = False,
-        rng: np.random.Generator | None = None,
-        ops: Ops = TAPE,
+        self, batch: "PaddedBatch", rng: np.random.Generator | None = None, ops: Ops = TAPE
     ) -> Operand:
         """Encoder states [B, T_enc, d]."""
-        return self.encode(self.embed(batch, ops), batch.enc_mask, train, rng, ops)
+        return self.encode(self.embed(batch, ops), batch.enc_mask, rng, ops)
 
     def decode_ids(
         self,
         dec_ids: np.ndarray,
         enc_out: Operand,
         enc_pad_mask: np.ndarray,
-        train: bool = False,
         rng: np.random.Generator | None = None,
         ops: Ops = TAPE,
     ) -> Operand:
         """Decoder states [B, T_dec, d] for [B, T_dec] ids over ``enc_out``."""
-        return self.decode(self.embed_decoder(dec_ids, ops), enc_out, enc_pad_mask, train, rng, ops)
+        return self.decode(self.embed_decoder(dec_ids, ops), enc_out, enc_pad_mask, rng, ops)
 
-    def forward(
-        self,
-        batch: "PaddedBatch",
-        train: bool = False,
-        rng: np.random.Generator | None = None,
-        ops: Ops = TAPE,
-    ) -> Operand:
-        """Run encoder and decoder; returns decoder hidden states [B, T_dec, d]."""
-        enc_out = self.encoder_states(batch, train, rng, ops)
-        return self.decode_ids(batch.dec_ids, enc_out, batch.enc_mask, train, rng, ops)
+    def forward(self, batch: "PaddedBatch", rng: np.random.Generator | None = None, ops: Ops = TAPE) -> Operand:
+        """Run encoder and decoder; returns decoder hidden states [B, T_dec, d].
+        Training passes the dropout generator ``rng``; without one the
+        forward is deterministic."""
+        enc_out = self.encoder_states(batch, rng, ops)
+        return self.decode_ids(batch.dec_ids, enc_out, batch.enc_mask, rng, ops)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import MultimodalExample, example_to_dict, save_jsonl
+from .data import COMET_RELATION_TASKS, MultimodalExample, example_to_dict, save_jsonl
 from .model import RoIFeature
 from .vocab import TaskType
 
@@ -154,16 +154,6 @@ def make_region_dataset(
     return out
 
 
-COMET_RELATIONS = ("xIntent", "xWant", "xNeed", "xReact", "xEffect")
-_RELATION_TASK = {
-    "xIntent": TaskType.INTENT,
-    "xWant": TaskType.INTENT,
-    "xNeed": TaskType.BEFORE,
-    "xReact": TaskType.AFTER,
-    "xEffect": TaskType.AFTER,
-}
-
-
 def make_candidate_rows(
     n: int,
     seed=0,
@@ -174,11 +164,12 @@ def make_candidate_rows(
 ) -> list[dict]:
     """Filter candidates: template targets mixed with shuffled-word nonsense."""
     rng = np.random.default_rng(seed)
+    relations = list(COMET_RELATION_TASKS)
     rows = []
     for i in range(n):
         person, verb, obj, place = _entities(rng)
-        relation = COMET_RELATIONS[i % len(COMET_RELATIONS)]
-        task = _RELATION_TASK[relation]
+        relation = relations[i % len(relations)]
+        task = COMET_RELATION_TASKS[relation]
         target = make_target(task, person, verb, obj, place)
         if rng.random() < nonsense_ratio:
             words = target.split()

@@ -71,9 +71,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -560,18 +557,17 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _make(data, (x, gain, bias), bw)
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator | None, train: bool) -> Tensor:
-    """Inverted-scaling dropout; identity when not training or rate == 0.
+def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
+    """Inverted-scaling dropout; identity when ``rng`` is None (not
+    training) or rate == 0.
 
     The keep mask comes from the supplied generator and is treated as a
     constant in backward.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if not train or rate == 0.0:
+    if rng is None or rate == 0.0:
         return x
-    if rng is None:
-        raise ValueError("dropout in train mode needs an explicit generator")
     keep = rng.random(x.shape) >= rate
     dtype = x.dtype
     data = x.data * (keep.astype(dtype) / dtype.type(1.0 - rate))
@@ -713,8 +709,8 @@ Ops = namedtuple("Ops", "param add mul reshape transpose gather_rows scatter_row
                         "gelu attention dropout")
 
 
-def _no_dropout(x: np.ndarray, rate: float, rng, train: bool) -> np.ndarray:
-    if train:
+def _no_dropout(x: np.ndarray, rate: float, rng) -> np.ndarray:
+    if rng is not None:
         raise ValueError("the array ops serve inference only; train on the tape ops")
     return x
 

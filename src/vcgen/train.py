@@ -150,7 +150,7 @@ def _train_step(
     with Tape() as tape:
         terms = {}
         for batch, wanted in batch_terms:
-            terms.update(compute_losses(model, batch, wanted, train=True, rng=rng))
+            terms.update(compute_losses(model, batch, wanted, rng))
         if not terms:
             return None
         total, logged = combine_losses(terms, weights)
@@ -180,10 +180,10 @@ def _epoch_steps(
     cfg: RunConfig,
     vocab: Vocabulary,
     datasets: dict[str, list[MultimodalExample]],
-    active: list[str],
     epoch: int,
 ):
-    """Yield each step of one epoch as (log label, batch_terms).
+    """Yield each step of one epoch as (log label, batch_terms) over the
+    active tasks, the keys of ``datasets`` in ``LOSS_ORDER``.
 
     Round-robin takes one batch per task in turn, labelled with the task,
     until every task runs out. Joint takes one batch per dataset stream per
@@ -191,14 +191,14 @@ def _epoch_steps(
     of them, and cycles the shorter streams until the longest runs out.
     """
     if cfg.interleave == "round-robin":
-        queues = [(task, _task_batches(datasets[task], vocab, task, cfg, epoch)) for task in active]
+        queues = [(task, _task_batches(datasets[task], vocab, task, cfg, epoch)) for task in datasets]
         for r in range(max(len(batches) for _, batches in queues)):
             for task, batches in queues:
                 if r < len(batches):
                     yield task, [(batches[r], {task})]
         return
     tasks_of_stream: dict[str, list[str]] = {}
-    for task in active:
+    for task in datasets:
         tasks_of_stream.setdefault(STREAM_OF_TASK[task], []).append(task)
     streams = [
         (_task_batches(datasets[tasks[0]], vocab, tasks[0], cfg, epoch), set(tasks))
@@ -213,11 +213,9 @@ def _run_epochs(
     model: Model,
     vocab: Vocabulary,
     datasets: dict[str, list[MultimodalExample]],
-    active: list[str],
     log_fh,
     out_dir: Path,
-    val_examples: Sequence[MultimodalExample] | None = None,
-    start_step: int = 0,
+    val_examples: Sequence[MultimodalExample] | None,
 ) -> int:
     optimizer = AdamW(
         model.params,
@@ -227,9 +225,9 @@ def _run_epochs(
         weight_decay=cfg.optimizer.weight_decay,
     )
     weights = cfg.loss_weights
-    global_step = start_step
+    global_step = 0
     for epoch in range(cfg.schedule.epochs):
-        for label, batch_terms in _epoch_steps(cfg, vocab, datasets, active, epoch):
+        for label, batch_terms in _epoch_steps(cfg, vocab, datasets, epoch):
             logged = _train_step(model, optimizer, batch_terms, weights, cfg, epoch, global_step)
             if logged is None:
                 continue
@@ -247,61 +245,48 @@ def _run_epochs(
     return global_step
 
 
-def pretrain(cfg: RunConfig) -> dict:
-    """Multi-task pretraining over the configured task mix."""
-    cfg.validate()
-    vocab = load_run_vocab(cfg, "pretrain")
-    active = [t for t in LOSS_ORDER if t in cfg.tasks]
+def _train(
+    cfg: RunConfig,
+    command: str,
+    streams: dict[str, str],
+    val_field: str | None = None,
+    init_checkpoint: str | Path | None = None,
+) -> dict:
+    """The run path of both training commands.
 
-    datasets: dict[str, list[MultimodalExample]] = {}
-    input_paths = [cfg.paths.vocab]
+    ``streams`` maps each task the command can train, in ``LOSS_ORDER``, to
+    the ``paths`` field of its dataset; the run trains those that
+    ``cfg.tasks`` names. ``val_field`` names the optional validation file.
+    Every distinct file is loaded once, with the configured label ranges
+    checked. The parameters start from ``init_checkpoint`` (structural
+    config fields must agree) or from random init.
+    """
+    cfg.validate()
+    vocab = load_run_vocab(cfg, command)
+    active = [task for task in streams if task in cfg.tasks]
+    if not active:
+        raise ValueError(f"{command} trains {list(streams)}; tasks {cfg.tasks} names none of them")
     loaded: dict[str, list[MultimodalExample]] = {}
-    for task in active:
-        path = getattr(cfg.paths, STREAM_OF_TASK[task])
-        if not path:
-            raise ValueError(f"active task {task!r} has no dataset path configured")
+
+    def load(path: str) -> list[MultimodalExample]:
         if path not in loaded:
             loaded[path] = load_jsonl(path, n_attr=cfg.model.n_attr, n_rel=cfg.model.n_rel)
             check_dataset_dims(loaded[path], cfg, path)
-            input_paths.append(path)
-        if not loaded[path]:
+        return loaded[path]
+
+    datasets: dict[str, list[MultimodalExample]] = {}
+    for task in active:
+        path = getattr(cfg.paths, streams[task])
+        if not path:
+            raise ValueError(f"{command} needs paths.{streams[task]}")
+        datasets[task] = load(path)
+        if not datasets[task]:
             raise ValueError(f"active task {task!r} has an empty dataset: {path}")
-        datasets[task] = loaded[path]
-
-    out_dir = Path(cfg.paths.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_manifest(out_dir, "pretrain", cfg, input_paths)
-
-    model = Model.init_random(cfg.model, [cfg.schedule.seed, TAG_INIT])
-    log_path = out_dir / "train_log.jsonl"
-    with log_path.open("w", encoding="utf-8", newline="\n") as log_fh:
-        global_step = _run_epochs(cfg, model, vocab, datasets, active, log_fh, out_dir)
-    final = out_dir / "final.kmbt"
-    save_checkpoint(final, _checkpoint_config(cfg), model.params, global_step=global_step)
-    return {"log": str(log_path), "checkpoint": str(final), "steps": global_step}
-
-
-def finetune(cfg: RunConfig, init_checkpoint: str | Path | None = None) -> dict:
-    """Generation-only training on a VCG-format dataset.
-
-    With ``init_checkpoint`` the parameters start from the checkpoint
-    (structural config fields must agree); otherwise from random init.
-    """
-    cfg.validate()
-    vocab = load_run_vocab(cfg, "finetune")
-    if not cfg.paths.train_data:
-        raise ValueError("finetune needs paths.train_data")
-    train_examples = load_jsonl(cfg.paths.train_data)
-    if not train_examples:
-        raise ValueError(f"empty training dataset: {cfg.paths.train_data}")
-    check_dataset_dims(train_examples, cfg, cfg.paths.train_data)
-    val_examples = load_jsonl(cfg.paths.val_data) if cfg.paths.val_data else None
-    if val_examples is not None:
-        check_dataset_dims(val_examples, cfg, cfg.paths.val_data)
-
-    input_paths = [cfg.paths.vocab, cfg.paths.train_data]
-    if cfg.paths.val_data:
-        input_paths.append(cfg.paths.val_data)
+    val_path = getattr(cfg.paths, val_field) if val_field else ""
+    val_examples = load(val_path) if val_path else None
+    if val_examples == []:
+        raise ValueError(f"{command} has an empty validation dataset: {val_path}")
+    input_paths = [cfg.paths.vocab, *loaded]
 
     if init_checkpoint is not None:
         ckpt = load_checkpoint(init_checkpoint)
@@ -313,20 +298,21 @@ def finetune(cfg: RunConfig, init_checkpoint: str | Path | None = None) -> dict:
 
     out_dir = Path(cfg.paths.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_manifest(out_dir, "finetune", cfg, input_paths)
-
+    write_manifest(out_dir, command, cfg, input_paths)
     log_path = out_dir / "train_log.jsonl"
     with log_path.open("w", encoding="utf-8", newline="\n") as log_fh:
-        global_step = _run_epochs(
-            cfg,
-            model,
-            vocab,
-            {"kcg": train_examples},
-            ["kcg"],
-            log_fh,
-            out_dir,
-            val_examples=val_examples,
-        )
+        global_step = _run_epochs(cfg, model, vocab, datasets, log_fh, out_dir, val_examples)
     final = out_dir / "final.kmbt"
     save_checkpoint(final, _checkpoint_config(cfg), model.params, global_step=global_step)
     return {"log": str(log_path), "checkpoint": str(final), "steps": global_step}
+
+
+def pretrain(cfg: RunConfig) -> dict:
+    """Multi-task pretraining over the configured task mix."""
+    return _train(cfg, "pretrain", STREAM_OF_TASK)
+
+
+def finetune(cfg: RunConfig, init_checkpoint: str | Path | None = None) -> dict:
+    """Generation-only training on a VCG-format dataset, from
+    ``init_checkpoint`` when given."""
+    return _train(cfg, "finetune", {"kcg": "train_data"}, "val_data", init_checkpoint)

@@ -5,9 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 from vcgen.data import MultimodalExample
-from vcgen.model import Model, ModelConfig, assemble_input
+from vcgen.model import Model, ModelConfig, assemble_input, param_shapes
 from vcgen.synthetic import make_rois
-from vcgen.tensor import Tape
+from vcgen.tensor import Tape, Tensor
 from vcgen.vocab import TaskType, Vocabulary, build_vocab
 
 TINY_WORDS = "w1 w2 w3 w4 w5 w6 tgt1 tgt2 tgt3 tgt4"
@@ -32,6 +32,16 @@ def tiny_config(vocab_size: int, dropout: float = 0.0) -> ModelConfig:
         max_positions=20,
         dropout_rate=dropout,
     )
+
+
+def zero_model(config: ModelConfig, dtype=np.float32) -> Model:
+    """All-zero parameters; every head then predicts a uniform distribution."""
+    config.validate()
+    params = {
+        name: Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
+        for name, shape in param_shapes(config).items()
+    }
+    return Model(config, params)
 
 
 def tiny_examples(seed: int = 0):
@@ -83,7 +93,7 @@ def tiny_model_and_items(dtype=np.float64, seed: int = 0, init: str = "random"):
     if init == "random":
         model = Model.init_random(config, seed, dtype=dtype)
     else:
-        model = Model.init_zeros(config, dtype=dtype)
+        model = zero_model(config, dtype=dtype)
     kcg, region, caption = tiny_examples(seed)
     denoise_seed = denoise_seed_with_both_masks(caption, vocab)
     items = [

@@ -80,6 +80,27 @@ def assert_grads_close(analytic, numeric, rtol=1e-3, atol=1e-8, label=""):
 
 
 # ---------------------------------------------------------------------------
+# parameter count
+
+
+def count_params(config) -> int:
+    """Closed-form parameter count of a ``ModelConfig``, the formula of
+    ``vcgen.model``'s docstring and README's "Parameter count"."""
+    d, f = config.d_model, config.d_ffn
+    v, p = config.vocab_size, config.max_positions
+    attn = 4 * (d * d + d)
+    ln = 2 * d
+    ffn = d * f + f + f * d + d
+    total = v * d + p * d + v + config.d_visual * d + d
+    total += config.n_enc_layers * (attn + 2 * ln + ffn) + ln
+    total += config.n_dec_layers * (2 * attn + 3 * ln + ffn) + ln
+    total += d * d + d + d * config.n_attr + config.n_attr
+    total += 2 * d * d + d + d * config.n_rel + config.n_rel
+    total += d * d + d + d * config.n_classes + config.n_classes
+    return total
+
+
+# ---------------------------------------------------------------------------
 # per-example forward
 
 

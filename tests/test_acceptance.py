@@ -48,6 +48,7 @@ from helpers import (
     tiny_examples,
     tiny_model_and_items,
     tiny_vocab,
+    zero_model,
 )
 from oracles import assert_grads_close, bleu2_reference, central_difference_grads, cider_reference, nucleus_candidates
 import repro_case
@@ -141,7 +142,7 @@ def test_acceptance_uniform_model_calibration():
 
     vocab = tiny_vocab()
     config = tiny_config(len(vocab))
-    model = Model.init_zeros(config)  # float32 production dtype
+    model = zero_model(config)  # float32 production dtype
     rng = np.random.default_rng(0)
 
     def uniform_rois(n):
@@ -273,7 +274,7 @@ def test_acceptance_filter_pipeline():
     vocab = build_vocab(["walk to the park and drop cup"], min_freq=1)
     assert np.log(len(vocab)) < 3.5
     config = tiny_config(len(vocab))
-    model = Model.init_zeros(config)
+    model = zero_model(config)
 
     rng = np.random.default_rng(0)
     candidates = []

@@ -140,6 +140,32 @@ def test_non_integer_layer_count_in_config_exits_2(workspace, tmp_path, capsys, 
 
 
 @pytest.mark.parametrize("command", ["pretrain", "finetune"])
+@pytest.mark.parametrize("field, config", [
+    ("use_event", {"use_event": "false"}),
+    ("schedule.batch_size", {"schedule": {"batch_size": True}}),
+    ("schedule.epochs", {"schedule": {"epochs": 1.5}}),
+    ("paths.vocab", {"paths": {"vocab": 5}}),
+    ("optimizer.lr", {"optimizer": {"lr": "1e-3"}}),
+    ("loss_weights.mlm", {"loss_weights": {"mlm": float("nan")}}),
+    ("tasks", {"tasks": "kcg"}),
+    ("tasks", {"tasks": 5}),
+])
+def test_mistyped_config_leaf_exits_2_naming_it(workspace, tmp_path, capsys, command, field, config):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "run"
+    args = pretrain_args(workspace, out, "kcg") if command == "pretrain" else finetune_args(workspace, out)
+    args += ["--config", str(path)]
+    flag = "--" + field
+    if flag in args:  # the flag would override the file's value
+        del args[args.index(flag):args.index(flag) + 2]
+    assert main(args) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {field} must be "), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["pretrain", "finetune"])
 def test_training_without_a_vocabulary_path_exits_2(tmp_path, capsys, command):
     out = tmp_path / "run"
     assert main([command, "--out-dir", str(out)]) == 2
@@ -316,6 +342,52 @@ def test_finetune_runs_and_logs_val(workspace, tmp_path):
     assert all(set(r) & {"ap", "rp", "mlm", "mrm"} == set() for r in steps)
 
 
+@pytest.mark.parametrize("data_flag", ["--paths.train_data", "--paths.val_data"])
+def test_finetune_checks_label_ranges_like_pretrain(workspace, tmp_path, capsys, data_flag):
+    rows = [json.loads(line) for line in (workspace / "vcg_train.jsonl").read_text().splitlines()]
+    rows[2]["attributes"] = [[0, 8]]  # the model flags configure 8 attributes
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    out = tmp_path / "ft"
+    args = finetune_args(workspace, out)
+    args[args.index(data_flag) + 1] = str(bad)
+    assert main(args) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: line 3: attribute label 8 exceeds configured count 8"
+    ]
+    assert not out.exists()
+
+
+def test_finetune_with_an_empty_validation_file_exits_2_before_training(workspace, tmp_path, capsys):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    out = tmp_path / "ft"
+    args = finetune_args(workspace, out)
+    args[args.index("--paths.val_data") + 1] = str(empty)
+    assert main(args) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: finetune has an empty validation dataset: {empty}"]
+    assert not out.exists()
+
+
+def test_finetune_with_a_task_mix_that_leaves_out_kcg_exits_2(workspace, tmp_path, capsys):
+    out = tmp_path / "ft"
+    assert main(finetune_args(workspace, out, extra=["--tasks", "ap,rp"])) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: finetune trains ['kcg']; tasks ['ap', 'rp'] names none of them"
+    ]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, field", [("pretrain", "kcg_data"), ("finetune", "train_data")])
+def test_training_without_its_dataset_path_names_the_field(workspace, tmp_path, capsys, command, field):
+    out = tmp_path / "run"
+    args = pretrain_args(workspace, out, "kcg") if command == "pretrain" else finetune_args(workspace, out)
+    del args[args.index(f"--paths.{field}"):args.index(f"--paths.{field}") + 2]
+    assert main(args) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {command} needs paths.{field}"]
+    assert not out.exists()
+
+
 def test_finetune_from_checkpoint_starts_at_checkpoint_loss(workspace, tmp_path):
     pre_out = tmp_path / "pre_for_ft"
     assert main(pretrain_args(workspace, pre_out, "kcg")) == 0
@@ -378,14 +450,14 @@ def make_zero_checkpoint(tmp_path, vocab_path, name="zero.kmbt", init_seed=None)
     from vcgen.model import Model
     from vcgen.vocab import Vocabulary
 
-    from helpers import tiny_config
+    from helpers import tiny_config, zero_model
 
     vocab = Vocabulary.load(vocab_path)
     config = tiny_config(len(vocab))
     config.d_visual = 16
     config.n_classes = 10
     config.max_positions = 48
-    model = Model.init_zeros(config) if init_seed is None else Model.init_random(config, init_seed)
+    model = zero_model(config) if init_seed is None else Model.init_random(config, init_seed)
     path = tmp_path / name
     save_checkpoint(path, to_dict(RunConfig(model=config)), model.params)
     return path, vocab
@@ -478,6 +550,23 @@ def test_filter_mistyped_field_exits_2_naming_line_and_field(workspace, tmp_path
     assert main(args) == 2
     err = capsys.readouterr().err
     assert "line 2" in err and "'attributes'" in err and "Traceback" not in err
+
+
+def test_filter_non_finite_feature_exits_2_and_writes_nothing(workspace, tmp_path, capsys):
+    vocab_path = small_vocab_file(tmp_path)
+    ckpt, _ = make_zero_checkpoint(tmp_path, vocab_path)
+    rows = (workspace / "candidates.jsonl").read_text().splitlines()
+    obj = json.loads(rows[1])
+    obj["rois"][0]["feat"][0] = float("nan")
+    bad = tmp_path / "bad_cands.jsonl"
+    bad.write_text("\n".join([rows[0], json.dumps(obj)]) + "\n")
+    out = tmp_path / "fnan"
+    out.mkdir()
+    args = filter_args(workspace, ckpt, vocab_path, out, 3.5)
+    args[args.index("--candidates") + 1] = str(bad)
+    assert main(args) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: line 2: roi 0 field 'feat' must hold finite numbers"]
+    assert list(out.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -628,6 +717,27 @@ def test_evaluate_missing_reference_names_source_id(workspace, tmp_path, capsys)
     refs.write_text("\n".join(json.dumps(r) for r in rows[1:]) + "\n")  # drop one
     assert main(["evaluate", "--generations", str(gens), "--references", str(refs)]) == 2
     assert rows[0]["source_id"] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row, message", [
+    ('{"source_id": "before-0", "task": "before", "generations": "walk to the park"}',
+     "need a list of strings under 'generations'"),
+    ('{"source_id": "before-0", "task": "before"}', "need a list of strings under 'generations'"),
+    ('{"source_id": "before-0", "task": "before", "generations": ["walk", 7]}',
+     "need a list of strings under 'generations'"),
+    ('{"source_id": "before-0", "generations": ["walk"]}', "need a string 'task'"),
+    ('{"source_id": 0, "task": "before", "generations": ["walk"]}', "need a string 'source_id'"),
+    ('["before-0", "before", ["walk"]]', "must be JSON objects"),
+    ('{"source_id": "before-0", "task": "before", "generations": ["walk"]', "malformed JSON"),
+], ids=["string", "missing", "non-string-entry", "no-task", "int-source-id", "list-row", "malformed-json"])
+def test_evaluate_malformed_generation_row_exits_2_naming_its_line(tmp_path, capsys, row, message):
+    refs, gens = write_eval_pair(tmp_path)
+    lines = gens.read_text().splitlines()
+    lines[3] = row
+    gens.write_text("\n".join(lines) + "\n")
+    assert main(["evaluate", "--generations", str(gens), "--references", str(refs)]) == 2
+    [err] = capsys.readouterr().err.splitlines()
+    assert err.startswith("error: line 4: ") and message in err
 
 
 def test_evaluate_novel_against_training_corpus(workspace, tmp_path):

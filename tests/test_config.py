@@ -97,6 +97,10 @@ def test_validate_rejects_bad_mixes():
     cfg.interleave = "zigzag"
     with pytest.raises(ValueError, match="interleave"):
         cfg.validate()
+    cfg.interleave = "joint"
+    cfg.schedule.seed = -1  # the seed streams take no negative entropy
+    with pytest.raises(ValueError, match="seed >= 0"):
+        cfg.validate()
 
 
 @pytest.mark.parametrize("field, value", [("n_heads", True), ("vocab_size", 20.0), ("d_ffn", "256")])
@@ -111,4 +115,11 @@ def test_validate_checks_n_heads_before_dividing_by_it():
     cfg = preset("desk")
     cfg.model.n_heads = 0
     with pytest.raises(ValueError, match="n_heads must be at least 1"):
+        cfg.validate()
+
+
+def test_validate_rejects_a_dropout_rate_that_is_no_number():
+    cfg = preset("desk")
+    cfg.model.dropout_rate = "0.1"
+    with pytest.raises(ValueError, match="dropout_rate must be a number"):
         cfg.validate()

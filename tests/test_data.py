@@ -34,7 +34,7 @@ from vcgen.synthetic import make_rois, make_vcg_dataset
 from vcgen.tensor import Tape, Tensor, cross_entropy
 from vcgen.vocab import TaskType
 
-from helpers import tiny_config, tiny_examples, tiny_vocab
+from helpers import tiny_config, tiny_examples, tiny_vocab, zero_model
 from oracles import per_example_forward
 
 
@@ -140,6 +140,19 @@ def test_mistyped_field_error_names_line_and_field(tmp_path, field, value, where
         load_jsonl(path)
 
 
+@pytest.mark.parametrize("field", ["feat", "class_probs"])
+@pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_region_number_error_names_line_roi_and_field(tmp_path, field, number):
+    """NaN passes every comparison check, and no JSON writer may emit it."""
+    bad = valid_row()
+    bad["rois"][0][field][-1] = float(number)  # json.dumps writes it back as the bare token
+    path = tmp_path / "data.jsonl"
+    write_lines(path, [valid_row(source_id="ok"), bad])
+    assert number in path.read_text()
+    with pytest.raises(DatasetError, match=rf"line 2: roi 0 field '{field}' must hold finite numbers"):
+        load_jsonl(path)
+
+
 @pytest.mark.parametrize("entry", [[0, None], [0, [1]], [0, 1.5], [True, 1]])
 def test_attribute_entries_must_be_integers(tmp_path, entry):
     path = tmp_path / "data.jsonl"
@@ -225,7 +238,7 @@ def test_candidate_unknown_relation_names_line(tmp_path):
 def test_zero_model_scores_log_v():
     vocab = tiny_vocab()
     config = tiny_config(len(vocab))
-    model = Model.init_zeros(config)
+    model = zero_model(config)
     kcg, _, _ = tiny_examples()
     scored = score_description(model, vocab, kcg)
     assert scored.avg_ce == pytest.approx(np.log(len(vocab)), abs=1e-4)

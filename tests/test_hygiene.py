@@ -1,6 +1,7 @@
 """Source hygiene of the package: every imported name is read somewhere,
-nothing is imported from outside the standard library, numpy and vcgen, and
-the inference modules import nothing of the tape."""
+nothing is imported from outside the standard library, numpy and vcgen, the
+inference modules import nothing of the tape, and every function, class and
+method is read by package code."""
 
 from __future__ import annotations
 
@@ -151,3 +152,81 @@ def test_tape_import_is_found_in_every_form():
     found = [(1, "Tensor"), (1, "log_softmax"), (2, "tensor"), (3, "vcgen.tensor"), (5, "Tape"), (6, "tensor"),
              (7, "TAPE")]
     assert sorted(tape_imports(source)) == found
+
+
+def _definitions(tree: ast.Module):
+    """(dotted name, bare name) of each top-level function and class and
+    each non-dunder method of a top-level class."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, kinds):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, kinds) and not (sub.name.startswith("__") and sub.name.endswith("__")):
+                    yield f"{node.name}.{sub.name}", sub.name
+
+
+def _read_names(tree: ast.Module) -> set[str]:
+    """Every name the module reads: as a name, an attribute or an import."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.alias):
+            read.add(node.name.split(".")[-1])
+    return read
+
+
+def unread_definitions(sources: dict[str, str]) -> list[str]:
+    """``module.name`` of each definition (see ``_definitions``) that no
+    module of ``sources`` (module name -> source) reads."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set().union(*(_read_names(tree) for tree in trees.values()))
+    return [
+        f"{module}.{dotted}"
+        for module, tree in trees.items()
+        for dotted, name in _definitions(tree)
+        if name not in read
+    ]
+
+
+# Definitions the package keeps though no package code reads them.
+UNREAD_ALLOWED = {
+    "cli._Parser.error": "argparse calls it",
+    "generate.generate": "the benchmark's decode probes wrap it (ROADMAP item 8)",
+    "optim.AdamW.state_arrays": "optimizer state for resumable training (ROADMAP item 5)",
+    "optim.AdamW.load_state_arrays": "optimizer state for resumable training (ROADMAP item 5)",
+}
+
+
+def test_package_reads_every_definition_it_makes():
+    """A function, class or method that only tests read belongs under tests/."""
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    unread = unread_definitions(sources)
+    assert sorted(set(unread) - set(UNREAD_ALLOWED)) == []
+    assert sorted(set(UNREAD_ALLOWED) - set(unread)) == [], "read now: drop it from UNREAD_ALLOWED"
+
+
+def test_unread_definition_is_found_and_any_module_may_read_it():
+    sources = {
+        "a": (
+            "import numpy as np\n"
+            "from .b import helper\n"
+            "class Box:\n"
+            "    def __init__(self):\n"
+            "        self.v = helper()\n"
+            "    def shown(self):\n"
+            "        return self.v\n"
+            "    def hidden(self):\n"
+            "        return np.zeros(1)\n"
+            "def orphan():\n"
+            "    def inner():\n"
+            "        return Box().shown()\n"
+            "    return inner\n"
+        ),
+        "b": "def helper():\n    return 1\n",
+    }
+    assert unread_definitions(sources) == ["a.Box.hidden", "a.orphan"]

@@ -24,6 +24,7 @@ from helpers import (
     tiny_examples,
     tiny_model_and_items,
     tiny_vocab,
+    zero_model,
 )
 from oracles import per_example_losses
 
@@ -36,7 +37,7 @@ def uniform_roi(d_visual, n_classes, rng):
 def zero_setup():
     vocab = tiny_vocab()
     config = tiny_config(len(vocab))
-    model = Model.init_zeros(config)  # float32, the production dtype
+    model = zero_model(config)  # float32, the production dtype
     rng = np.random.default_rng(0)
     kcg = MultimodalExample(
         task=TaskType.INTENT,
@@ -433,7 +434,7 @@ def test_tape_nodes_per_step_do_not_grow_with_batch_size(kind, wanted):
 
     def nodes(batch_items):
         with Tape() as tape:
-            terms = compute_losses(model, batch_items, wanted, train=True, rng=np.random.default_rng(0))
+            terms = compute_losses(model, batch_items, wanted, np.random.default_rng(0))
             assert set(terms) == set(wanted)
             combine_losses(terms)
         return len(tape)

@@ -14,7 +14,6 @@ from vcgen.model import (
     ModelConfig,
     RoIFeature,
     assemble_input,
-    count_params,
     param_shapes,
 )
 from vcgen.tensor import ARRAYS, Tape, Tensor
@@ -32,7 +31,8 @@ from vcgen.vocab import (
     TaskType,
 )
 
-from helpers import tiny_config, tiny_examples, tiny_vocab, denoise_seed_with_both_masks
+from helpers import tiny_config, tiny_examples, tiny_vocab, denoise_seed_with_both_masks, zero_model
+from oracles import count_params
 from ops import softmax
 
 
@@ -299,7 +299,7 @@ def test_single_layer_ffn_branch_matches_hand_computation(setup):
 
 def test_zero_hidden_zero_bias_gives_uniform_softmax(setup):
     vocab, config, _, *_ = setup
-    model = Model.init_zeros(config, dtype=np.float64)
+    model = zero_model(config, dtype=np.float64)
     hidden = Tensor(np.zeros((3, config.d_model)))
     for logits, labels in (
         (model.lm_head(hidden), config.vocab_size),
@@ -381,12 +381,12 @@ def test_dropout_train_changes_eval_does_not(setup):
     config = tiny_config(len(tiny_vocab()), dropout=0.5)
     model = Model.init_random(config, 1, dtype=np.float64)
     batch = pad_batch([(assemble_input(kcg, vocab, "kcg"), kcg)])
-    eval_a = model.forward(batch, train=False).data
-    eval_b = model.forward(batch, train=False).data
+    eval_a = model.forward(batch).data
+    eval_b = model.forward(batch).data
     assert np.array_equal(eval_a, eval_b)
-    train_a = model.forward(batch, train=True, rng=np.random.default_rng(0)).data
-    train_b = model.forward(batch, train=True, rng=np.random.default_rng(0)).data
-    train_c = model.forward(batch, train=True, rng=np.random.default_rng(1)).data
+    train_a = model.forward(batch, np.random.default_rng(0)).data
+    train_b = model.forward(batch, np.random.default_rng(0)).data
+    train_c = model.forward(batch, np.random.default_rng(1)).data
     assert np.array_equal(train_a, train_b)
     assert not np.allclose(train_a, train_c)
 
@@ -421,4 +421,4 @@ def test_array_ops_refuse_training(setup):
     vocab, _, model, kcg, _, _ = setup
     batch = pad_batch([(assemble_input(kcg, vocab, "kcg"), kcg)])
     with pytest.raises(ValueError, match="inference only"):
-        model.forward(batch, train=True, rng=np.random.default_rng(0), ops=ARRAYS)
+        model.forward(batch, np.random.default_rng(0), ARRAYS)

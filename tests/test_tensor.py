@@ -132,14 +132,14 @@ def test_softmax_rows_sum_to_one():
 
 def test_cross_entropy_uniform_is_log_v():
     logits = t64(np.zeros((3, 4)))
-    assert cross_entropy(logits, [0, 1, 3]).item() == pytest.approx(np.log(4.0), abs=1e-12)
+    assert float(cross_entropy(logits, [0, 1, 3]).data) == pytest.approx(np.log(4.0), abs=1e-12)
 
 
 def test_cross_entropy_confident_is_zero():
     logits = np.full((2, 5), -1e4)
     logits[0, 2] = 1e4
     logits[1, 0] = 1e4
-    assert cross_entropy(t64(logits), [2, 0]).item() == pytest.approx(0.0, abs=1e-12)
+    assert float(cross_entropy(t64(logits), [2, 0]).data) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_cross_entropy_matches_scalar_recomputation():
@@ -151,7 +151,7 @@ def test_cross_entropy_matches_scalar_recomputation():
         probs = np.exp(row) / np.exp(row).sum()
         expected += -np.log(probs[target])
     expected /= 3.0
-    assert cross_entropy(t64(logits), targets).item() == pytest.approx(expected, rel=1e-12)
+    assert float(cross_entropy(t64(logits), targets).data) == pytest.approx(expected, rel=1e-12)
 
 
 def test_cross_entropy_no_targets_raises():
@@ -164,18 +164,18 @@ def test_cross_entropy_nonnegative():
     for _ in range(20):
         logits = rng.normal(size=(4, 6)) * 3.0
         targets = rng.integers(0, 6, size=4)
-        assert cross_entropy(t64(logits), targets).item() >= 0.0
+        assert float(cross_entropy(t64(logits), targets).data) >= 0.0
 
 
 def test_kl_divergence_identical_is_zero():
     p = np.array([[0.2, 0.3, 0.5], [0.6, 0.1, 0.3]])
     out = kl_divergence(t64(p), t64(np.log(p)))
-    assert out.item() == pytest.approx(0.0, abs=1e-12)
+    assert float(out.data) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_kl_divergence_closed_form():
     out = kl_divergence(t64([[1.0, 0.0]]), t64(np.log([[0.5, 0.5]])))
-    assert out.item() == pytest.approx(np.log(2.0), rel=1e-12)
+    assert float(out.data) == pytest.approx(np.log(2.0), rel=1e-12)
 
 
 def test_kl_divergence_matches_scalar_recomputation():
@@ -187,7 +187,7 @@ def test_kl_divergence_matches_scalar_recomputation():
         expected += sum(pi * (np.log(pi) - np.log(qi)) for pi, qi in zip(pr, qr) if pi > 0)
     expected /= 4.0
     out = kl_divergence(t64(p), t64(np.log(q)))
-    assert out.item() == pytest.approx(expected, abs=1e-6)
+    assert float(out.data) == pytest.approx(expected, abs=1e-6)
 
 
 def test_kl_divergence_nonnegative_and_zero_iff_equal():
@@ -195,7 +195,7 @@ def test_kl_divergence_nonnegative_and_zero_iff_equal():
     for _ in range(10):
         p = rng.dirichlet(np.ones(5), size=3)
         q = rng.dirichlet(np.ones(5), size=3)
-        val = kl_divergence(t64(p), t64(np.log(q))).item()
+        val = float(kl_divergence(t64(p), t64(np.log(q))).data)
         assert val >= 0.0
         if not np.allclose(p, q, atol=1e-6):
             assert val > 0.0
@@ -321,13 +321,13 @@ def test_erf_float64_within_one_ulp_of_scipy():
 
 def test_dropout_rate_zero_is_identity():
     x = t64([1.0, 2.0, 3.0], requires_grad=True)
-    assert dropout(x, 0.0, None, train=True) is x
-    assert dropout(x, 0.5, None, train=False) is x
+    assert dropout(x, 0.0, np.random.default_rng(0)) is x
+    assert dropout(x, 0.5, None) is x
 
 
 def test_dropout_inverted_scaling_and_constant_mask():
     x = Tensor(np.ones(10_000, dtype=np.float64), requires_grad=True)
-    out = dropout(x, 0.25, np.random.default_rng(0), train=True)
+    out = dropout(x, 0.25, np.random.default_rng(0))
     kept = out.data != 0.0
     assert np.allclose(out.data[kept], 1.0 / 0.75)
     assert abs(kept.mean() - 0.75) < 0.02
@@ -335,7 +335,7 @@ def test_dropout_inverted_scaling_and_constant_mask():
 
 def test_dropout_invalid_rate():
     with pytest.raises(ValueError, match="rate"):
-        dropout(t64([1.0]), 1.0, np.random.default_rng(0), train=True)
+        dropout(t64([1.0]), 1.0, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +441,7 @@ def test_backward_gives_grad_to_leaves_only_with_the_reference_bits():
         with tape_type() as tape:
             terms = {}
             for batch, wanted in batches:
-                terms.update(compute_losses(model, batch, wanted, train=True, rng=rng))
+                terms.update(compute_losses(model, batch, wanted, rng))
             total, _ = combine_losses(terms)
         tape.backward(total)
         grads[tape_type] = {name: p.grad for name, p in model.params.items()}
@@ -497,7 +497,7 @@ def test_backward_peak_is_a_few_buffers_whatever_the_depth():
 
 def _fd_check(build_loss, params, label, rtol=1e-3):
     def eval_fn():
-        return {"loss": build_loss().item()}
+        return {"loss": float(build_loss().data)}
 
     numeric = central_difference_grads(eval_fn, params)["loss"]
     for p in params.values():
