@@ -19,6 +19,7 @@ carries optional optimizer moments (opt.m.<name> / opt.v.<name>).
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,6 +27,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .errors import InputError
 from .model import ModelConfig, check_param_shapes
 from .tensor import Tensor
 
@@ -34,24 +36,8 @@ VERSION = 1
 OPT_PREFIX = "opt."
 
 
-class CheckpointError(Exception):
-    pass
-
-
-class CheckpointMagicError(CheckpointError):
-    pass
-
-
-class CheckpointTruncatedError(CheckpointError):
-    pass
-
-
-class CheckpointShapeError(CheckpointError):
-    pass
-
-
-class ConfigMismatchError(CheckpointError):
-    """Model config fields disagree between a checkpoint and a run config."""
+class CheckpointError(InputError):
+    """A checkpoint that cannot be read, or that does not fit the run."""
 
 
 @dataclass
@@ -110,14 +96,15 @@ def save_checkpoint(
 class _Reader:
     """Reads fields off the blob through a memoryview, so a slice is not a copy."""
 
-    def __init__(self, blob: bytes):
+    def __init__(self, blob: bytes, path: str | Path):
         self.blob = memoryview(blob)
+        self.path = path
         self.pos = 0
 
     def take(self, n: int) -> memoryview:
-        if n < 0 or self.pos + n > len(self.blob):
-            raise CheckpointTruncatedError(
-                f"truncated checkpoint: wanted {n} bytes at offset {self.pos}, "
+        if self.pos + n > len(self.blob):
+            raise CheckpointError(
+                f"{self.path}: truncated checkpoint: wanted {n} bytes at offset {self.pos}, "
                 f"file has {len(self.blob)}"
             )
         out = self.blob[self.pos : self.pos + n]
@@ -132,19 +119,20 @@ class _Reader:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    """Parse and validate; tensor shapes must agree with the embedded config."""
+    """Parse and validate; tensor shapes must agree with the embedded config,
+    and every value must be finite."""
     blob = Path(path).read_bytes()
-    reader = _Reader(blob)
+    reader = _Reader(blob, path)
     if reader.take(4) != MAGIC:
-        raise CheckpointMagicError(f"bad magic in {path}: expected {MAGIC!r}")
+        raise CheckpointError(f"{path}: bad magic, expected {MAGIC!r}")
     version = reader.u32()
     if version != VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
+        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
     header_len = reader.u64()
     try:
         header = json.loads(str(reader.take(header_len), "utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"unreadable config block: {exc}") from None
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise CheckpointError(f"{path}: unreadable config block: {exc}") from None
 
     n_tensors = reader.u32()
     params: dict[str, np.ndarray] = {}
@@ -154,43 +142,39 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         try:
             name = str(reader.take(name_len), "utf-8")
         except UnicodeDecodeError as exc:
-            raise CheckpointError(f"unreadable tensor name: {exc}") from None
+            raise CheckpointError(f"{path}: unreadable tensor name: {exc}") from None
         ndim = reader.u32()
         if ndim > 8:
-            raise CheckpointError(f"implausible ndim {ndim} for tensor {name!r}")
+            raise CheckpointError(f"{path}: implausible ndim {ndim} for tensor {name!r}")
         shape = tuple(reader.u32() for _ in range(ndim))
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        raw = reader.take(4 * count)
+        raw = reader.take(4 * math.prod(shape))
         data = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+        if not np.isfinite(data).all():
+            raise CheckpointError(f"{path}: tensor {name!r} holds a non-finite value")
         if name.startswith(OPT_PREFIX):
             opt_state[name] = data
         else:
             params[name] = data
     if reader.pos != len(blob):
-        raise CheckpointError(f"{len(blob) - reader.pos} trailing bytes after tensor data")
+        raise CheckpointError(f"{path}: {len(blob) - reader.pos} trailing bytes after tensor data")
 
     config = header.get("run_config") if isinstance(header, dict) else None
     if not isinstance(config, dict) or not isinstance(config.get("model"), dict):
-        raise CheckpointError("config block lacks a run_config with a model section")
+        raise CheckpointError(f"{path}: config block lacks a run_config with a model section")
     try:
         model_config = ModelConfig(**config["model"])
         model_config.validate()
-    except (TypeError, ValueError) as exc:
-        raise CheckpointError(f"unreadable model section: {exc}") from None
-    try:
         check_param_shapes(model_config, {name: data.shape for name, data in params.items()})
-    except TypeError as exc:  # e.g. a float layer count
-        raise CheckpointError(f"unreadable model section: {exc}") from None
-    except ValueError as exc:
-        raise CheckpointShapeError(str(exc)) from None
+    except (TypeError, ValueError) as exc:  # TypeError: an unknown field
+        raise CheckpointError(f"{path}: model section: {exc}") from None
     global_step = header.get("global_step", 0)
     if not isinstance(global_step, int):
-        raise CheckpointError(f"global_step {global_step!r} is not an integer")
+        raise CheckpointError(f"{path}: global_step {global_step!r} is not an integer")
     return Checkpoint(config=config, params=params, opt_state=opt_state, global_step=global_step)
 
 
 def check_model_config(checkpoint: Checkpoint, config: ModelConfig) -> None:
-    """Raise ConfigMismatchError listing every differing structural field.
+    """Raise CheckpointError listing every differing structural field.
 
     dropout_rate is a training knob, not a shape constraint, so finetuning
     may change it.
@@ -202,7 +186,7 @@ def check_model_config(checkpoint: Checkpoint, config: ModelConfig) -> None:
         if name != "dropout_rate" and getattr(own, name) != getattr(config, name)
     ]
     if diffs:
-        raise ConfigMismatchError("model config mismatch: " + "; ".join(diffs))
+        raise CheckpointError("model config mismatch: " + "; ".join(diffs))
 
 
 def params_as_tensors(checkpoint: Checkpoint) -> dict[str, Tensor]:

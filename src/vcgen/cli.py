@@ -1,7 +1,8 @@
 """Command-line surface: build-vocab, pretrain, finetune, filter, generate,
 evaluate, inspect-checkpoint.
 
-Exit codes: 0 success, 1 usage errors, 2 data/validation errors. Heavy
+Exit codes: 0 success, 1 usage errors, 2 bad input (an ``InputError`` or an
+``OSError``); any other exception is a bug and keeps its traceback. Heavy
 imports happen inside the command handlers so that ``--threads`` can pin the
 BLAS thread pools before numpy loads.
 """
@@ -13,6 +14,8 @@ import json
 import os
 import sys
 from pathlib import Path
+
+from .errors import InputError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -107,10 +110,10 @@ def cmd_build_vocab(args) -> int:
         return EXIT_USAGE
     lines: list[str] = []
     for path in args.input:
-        p = Path(path)
-        if not p.exists():
-            raise FileNotFoundError(f"corpus file not found: {p}")
-        lines.extend(p.read_text(encoding="utf-8").splitlines())
+        try:
+            lines.extend(Path(path).read_text(encoding="utf-8").splitlines())
+        except UnicodeDecodeError as exc:
+            raise InputError(f"corpus file {path} is not UTF-8: {exc}") from None
     vocab = build_vocab(lines, min_freq=args.min_freq)
     vocab.save(args.out)
     print(f"wrote vocabulary of {len(vocab)} tokens to {args.out}")
@@ -145,14 +148,15 @@ def _load_inference_model(checkpoint: str, vocab_path: str):
     model = Model(ckpt.model_config(), params_as_tensors(ckpt))
     vocab = Vocabulary.load(vocab_path)
     if len(vocab) != model.config.vocab_size:
-        raise ValueError(
-            f"vocabulary size {len(vocab)} does not match checkpoint vocab_size {model.config.vocab_size}"
+        raise InputError(
+            f"vocabulary {vocab_path} has {len(vocab)} tokens, checkpoint vocab_size is {model.config.vocab_size}"
         )
     return model, vocab
 
 
 def cmd_filter(args) -> int:
     from .data import (
+        check_dataset_dims,
         filter_dataset,
         filter_report,
         load_candidates_jsonl,
@@ -164,7 +168,9 @@ def cmd_filter(args) -> int:
     use_event = args.use_event != "false"
 
     candidates = load_candidates_jsonl(args.candidates)
-    scored = score_dataset(model, vocab, [example for _, example in candidates], use_event=use_event)
+    examples = [example for _, example in candidates]
+    check_dataset_dims(examples, model.config, args.candidates)
+    scored = score_dataset(model, vocab, examples, use_event=use_event)
     for (relation, _), s in zip(candidates, scored):
         s.relation = relation
     kept, dropped = filter_dataset(scored, threshold=args.threshold)
@@ -186,8 +192,8 @@ def cmd_filter(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    from .data import load_jsonl
-    from .generate import GenerationConfig, generate_dataset
+    from .data import check_dataset_dims, load_jsonl
+    from .generate import GenerationConfig, decode_length, generate_dataset
 
     model, vocab = _load_inference_model(args.checkpoint, args.vocab)
     gen_cfg = GenerationConfig(
@@ -198,6 +204,7 @@ def cmd_generate(args) -> int:
         seed=args.seed if args.seed is not None else 0,
     )
     examples = load_jsonl(args.dataset)
+    check_dataset_dims(examples, model.config, args.dataset)
     generations = generate_dataset(model, vocab, examples, gen_cfg, use_event=args.use_event != "false")
     with Path(args.out).open("w", encoding="utf-8", newline="\n") as fh:
         header = {
@@ -205,7 +212,7 @@ def cmd_generate(args) -> int:
             "mode": gen_cfg.mode,
             "top_p": gen_cfg.top_p,
             "num_samples": gen_cfg.num_samples,
-            "max_len": gen_cfg.max_len,
+            "max_len": decode_length(model, gen_cfg),
         }
         fh.write(json.dumps(header) + "\n")
         for example, sequences in zip(examples, generations):
@@ -262,10 +269,12 @@ def cmd_evaluate(args) -> int:
         for row in rows:
             key = (row["source_id"], row["task"])
             if key not in refs_by_key:
-                raise ValueError(
-                    f"source_id {row['source_id']!r} (task {row['task']!r}) missing from references"
+                raise InputError(
+                    f"source_id {row['source_id']!r} (task {row['task']!r}) missing from {args.references}"
                 )
             entries.append(EvalEntry(generated=list(row["generations"]), references=refs_by_key[key]))
+        if not any(entry.generated for entry in entries):
+            raise InputError(f"{args.generations} holds no generations to score")
         return EvalCorpus(entries=entries, training_sentences=training_sentences)
 
     distinct = args.unique_mode == "distinct"
@@ -402,18 +411,9 @@ def main(argv=None) -> int:
     args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit:
-        raise
-    except (FileNotFoundError, IsADirectoryError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except Exception as exc:  # data/validation errors from the library layers
-        from .checkpoint import CheckpointError
-
-        if isinstance(exc, (CheckpointError, ValueError, KeyError)):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_DATA
-        raise
 
 
 if __name__ == "__main__":

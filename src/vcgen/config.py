@@ -6,9 +6,11 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .errors import InputError
 from .losses import LOSS_ORDER, LossWeights
 from .model import ModelConfig
 
@@ -61,20 +63,26 @@ class RunConfig:
             for name in dotted.split("."):
                 value = getattr(value, name)
             if not _has_type(value, kind):
-                raise ValueError(f"{dotted} must be {_TYPE_NAMES[kind]}, got {value!r}")
+                raise InputError(f"{dotted} must be {_TYPE_NAMES[kind]}, got {value!r}")
+        for name, path in vars(self.paths).items():
+            if not _is_file_name(path):
+                raise InputError(f"paths.{name} is no file name: {path!r}")
         if not isinstance(self.tasks, list) or not all(isinstance(t, str) for t in self.tasks):
-            raise ValueError(f"tasks must be a list of strings, got {self.tasks!r}")
+            raise InputError(f"tasks must be a list of strings, got {self.tasks!r}")
         if not self.tasks:
-            raise ValueError("task mix must be non-empty")
+            raise InputError("task mix must be non-empty")
         unknown = set(self.tasks) - set(LOSS_ORDER)
         if unknown:
-            raise ValueError(f"unknown tasks {sorted(unknown)}; choose from {LOSS_ORDER}")
+            raise InputError(f"unknown tasks {sorted(unknown)}; choose from {LOSS_ORDER}")
         if len(set(self.tasks)) != len(self.tasks):
-            raise ValueError("task mix has duplicates")
+            raise InputError("task mix has duplicates")
         if self.interleave not in INTERLEAVE_MODES:
-            raise ValueError(f"interleave must be one of {INTERLEAVE_MODES}")
+            raise InputError(f"interleave must be one of {INTERLEAVE_MODES}")
         if self.schedule.batch_size < 1 or self.schedule.epochs < 0 or self.schedule.seed < 0:
-            raise ValueError("schedule needs batch_size >= 1, epochs >= 0 and seed >= 0")
+            raise InputError("schedule needs batch_size >= 1, epochs >= 0 and seed >= 0")
+        opt = self.optimizer  # AdamW's moments turn non-finite outside these ranges
+        if not (0 <= opt.beta1 < 1 and 0 <= opt.beta2 < 1 and opt.eps > 0 and min(opt.lr, opt.weight_decay) >= 0):
+            raise InputError("optimizer needs beta1 and beta2 in [0, 1), eps > 0, lr >= 0 and weight_decay >= 0")
 
 
 # The model presets. "desk" is what the test suite exercises end to end;
@@ -103,7 +111,7 @@ PRESET_MODELS = {
 
 def preset(name: str = "desk") -> RunConfig:
     if name not in PRESET_MODELS:
-        raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESET_MODELS)}")
+        raise InputError(f"unknown preset {name!r}; choose from {sorted(PRESET_MODELS)}")
     cfg = RunConfig()
     for key, value in PRESET_MODELS[name].items():
         setattr(cfg.model, key, value)
@@ -134,21 +142,28 @@ def from_dict(data: dict, base: RunConfig | None = None) -> RunConfig:
         if key in _SECTIONS:
             section = getattr(cfg, key)
             if not isinstance(value, dict):
-                raise ValueError(f"config section {key!r} must be an object")
+                raise InputError(f"config section {key!r} must be an object")
             for sub_key, sub_value in value.items():
                 if sub_key not in section.__dataclass_fields__:
-                    raise ValueError(f"unknown config field {key}.{sub_key}")
+                    raise InputError(f"unknown config field {key}.{sub_key}")
                 setattr(section, sub_key, sub_value)
         elif key in ("tasks", "use_event", "interleave"):
             setattr(cfg, key, value)
         else:
-            raise ValueError(f"unknown config field {key!r}")
+            raise InputError(f"unknown config field {key!r}")
     return cfg
 
 
 def load_config(path: str | Path, base: RunConfig | None = None) -> RunConfig:
-    with Path(path).open("r", encoding="utf-8") as fh:
-        return from_dict(json.load(fh), base=base)
+    """``from_dict`` over the JSON object in the file at ``path``; any
+    failure to read one names the file."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(data, dict):
+            raise InputError(f"the top level must be a JSON object, got {type(data).__name__}")
+        return from_dict(data, base=base)
+    except (InputError, json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        raise InputError(f"config {path}: {exc}") from None
 
 
 def config_hash(cfg: RunConfig) -> str:
@@ -184,28 +199,38 @@ def _has_type(value, kind: type) -> bool:
     return isinstance(value, kind)
 
 
+def _is_file_name(path: str) -> bool:
+    """Whether the OS can take ``path``: no NUL, and no lone surrogate that
+    the file system encoding cannot write."""
+    try:
+        os.fsencode(path)
+    except UnicodeEncodeError:
+        return False
+    return "\x00" not in path
+
+
 def _resolve(annotation) -> type:
     mapping = {"int": int, "float": float, "str": str, "bool": bool}
     return mapping.get(str(annotation), str)
 
 
-def parse_scalar(raw: str, kind: type):
-    if kind is bool:
-        low = raw.lower()
-        if low in ("true", "1", "yes"):
-            return True
-        if low in ("false", "0", "no"):
-            return False
-        raise ValueError(f"expected a boolean, got {raw!r}")
-    return kind(raw)
+_BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
+def parse_scalar(raw: str, kind: type, dotted: str):
+    """The value of flag ``--dotted`` from its raw string."""
+    try:
+        return _BOOLEANS[raw.lower()] if kind is bool else kind(raw)
+    except (KeyError, ValueError):
+        raise InputError(f"--{dotted} expects {_TYPE_NAMES[kind]}, got {raw!r}") from None
 
 
 def apply_override(cfg: RunConfig, dotted: str, raw: str) -> None:
     """Set one leaf by its dotted name from a raw command-line string."""
     known = dict(leaf_fields())
     if dotted not in known:
-        raise ValueError(f"unknown config field {dotted!r}")
-    value = parse_scalar(raw, known[dotted])
+        raise InputError(f"unknown config field {dotted!r}")
+    value = parse_scalar(raw, known[dotted], dotted)
     if "." in dotted:
         section, name = dotted.split(".", 1)
         setattr(getattr(cfg, section), name, value)

@@ -25,20 +25,17 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
+from .errors import InputError
 from .model import AssembledInput, RoIFeature, assemble_input
 from .tensor import ARRAYS, log_softmax_kernel
 from .vocab import GENERATION_TASKS, PAD_ID, TaskType, Vocabulary
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .model import Model
+    from .model import Model, ModelConfig
 
 
-class DatasetError(ValueError):
+class DatasetError(InputError):
     """Schema violation; message carries the offending line number."""
-
-
-class UnknownRelationError(ValueError):
-    pass
 
 
 COMET_RELATION_TASKS = {
@@ -50,12 +47,10 @@ COMET_RELATION_TASKS = {
 }
 
 
-def map_comet_relation(relation: str) -> TaskType:
+def map_comet_relation(relation: str, line_no: int | None = None) -> TaskType:
     """xIntent/xWant -> intent, xNeed -> before, xReact/xEffect -> after."""
-    try:
-        return COMET_RELATION_TASKS[relation]
-    except KeyError:
-        raise UnknownRelationError(f"unknown relation {relation!r}") from None
+    _check(relation in COMET_RELATION_TASKS, line_no, f"unknown relation {relation!r}")
+    return COMET_RELATION_TASKS[relation]
 
 
 @dataclass
@@ -126,7 +121,7 @@ def example_from_dict(
         for name in ("feat", "class_probs"):
             try:
                 array = np.asarray(r[name], dtype=np.float64)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise DatasetError(f"line {line_no}: roi {i} field {name!r} must be a list of numbers") from None
             _check(np.isfinite(array).all(), line_no, f"roi {i} field {name!r} must hold finite numbers")
             arrays.append(array)
@@ -210,18 +205,22 @@ def example_to_dict(example: MultimodalExample) -> dict:
 
 
 def iter_jsonl(path: str | Path):
-    """(line number, parsed object) for each non-blank line of a JSONL file."""
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"file not found: {path}")
-    with path.open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+    """(line number, parsed object) for each non-blank line of a UTF-8 JSONL
+    file; lines end at LF."""
+    with Path(path).open("rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
             try:
-                yield line_no, json.loads(line)
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
+                obj = json.loads(line)
+            except UnicodeDecodeError as exc:
+                raise DatasetError(f"line {line_no}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
             except json.JSONDecodeError as exc:
                 raise DatasetError(f"line {line_no}: malformed JSON ({exc.msg})") from None
+            except RecursionError:
+                raise DatasetError(f"line {line_no}: JSON nested too deeply") from None
+            yield line_no, obj
 
 
 def load_jsonl(path: str | Path, n_attr: int | None = None, n_rel: int | None = None) -> list[MultimodalExample]:
@@ -243,15 +242,27 @@ def load_candidates_jsonl(path: str | Path) -> list[tuple[str, MultimodalExample
     """Load filter candidates whose rows carry a 'relation' instead of a task."""
     out: list[tuple[str, MultimodalExample]] = []
     for line_no, obj in iter_jsonl(path):
-        relation = obj.get("relation")
-        if not isinstance(relation, str):
-            raise DatasetError(f"line {line_no}: candidate rows need a string 'relation' field")
-        try:
-            task = map_comet_relation(relation)
-        except UnknownRelationError:
-            raise UnknownRelationError(f"line {line_no}: unknown relation {relation!r}") from None
+        relation = obj.get("relation") if isinstance(obj, dict) else None
+        _check(isinstance(relation, str), line_no, "candidate rows need a string 'relation' field")
+        task = map_comet_relation(relation, line_no)
         out.append((relation, example_from_dict(obj, line_no, task_override=task)))
     return out
+
+
+def check_dataset_dims(examples: Sequence[MultimodalExample], config: "ModelConfig", path: str) -> None:
+    """Fail fast when region feature widths disagree with the model config."""
+    for example in examples:
+        for roi in example.rois:
+            if len(roi.feat) != config.d_visual:
+                raise DatasetError(
+                    f"{path}: example {example.source_id!r} has RoI feature width "
+                    f"{len(roi.feat)}, model d_visual is {config.d_visual}"
+                )
+            if len(roi.class_probs) != config.n_classes:
+                raise DatasetError(
+                    f"{path}: example {example.source_id!r} has {len(roi.class_probs)} "
+                    f"detector classes, model n_classes is {config.n_classes}"
+                )
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +320,7 @@ def filter_dataset(
 ) -> tuple[list[ScoredExample], list[ScoredExample]]:
     """Partition by strict avg_ce < threshold ("below"); order preserved."""
     if np.isnan(threshold):
-        raise ValueError("threshold must not be NaN")
+        raise InputError("filter threshold must not be NaN")
     kept = [s for s in scored if s.avg_ce < threshold]
     dropped = [s for s in scored if not (s.avg_ce < threshold)]
     return kept, dropped

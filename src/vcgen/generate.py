@@ -9,6 +9,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .data import SCORE_CHUNK_ROWS, exact_batches
+from .errors import InputError
 from .model import assemble_input
 from .tensor import ARRAYS
 from .vocab import BOS_ID, EOS_ID, N_RESERVED, GENERATION_TASKS, Vocabulary
@@ -30,13 +31,13 @@ class GenerationConfig:
 
     def validate(self) -> None:
         if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+            raise InputError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not 0.0 < self.top_p <= 1.0:
-            raise ValueError(f"top_p must be in (0, 1], got {self.top_p}")
+            raise InputError(f"top_p must be in (0, 1], got {self.top_p}")
         if self.max_len < 1:
-            raise ValueError(f"max_len must be positive, got {self.max_len}")
+            raise InputError(f"max_len must be positive, got {self.max_len}")
         if self.num_samples < 1:
-            raise ValueError(f"num_samples must be positive, got {self.num_samples}")
+            raise InputError(f"num_samples must be positive, got {self.num_samples}")
 
 
 def _top_p_prefix(probs: np.ndarray, top_p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -102,6 +103,12 @@ def _mix_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence([seed, index]).generate_state(1)[0])
 
 
+def decode_length(model: "Model", config: GenerationConfig) -> int:
+    """The most tokens a row decodes: ``max_len``, capped so that <s> and
+    every token fit the model's positions."""
+    return min(config.max_len, model.config.max_positions - 1)
+
+
 def generate(
     model: "Model",
     vocab: Vocabulary,
@@ -128,7 +135,7 @@ def generate_dataset(
     per example and repeats it for every sample; nucleus sample k of example
     i draws from a generator seeded by (``_mix_seed(config.seed, i)``, k).
     Every example must be a generation task; the first that is not raises
-    ValueError before anything is decoded.
+    InputError before anything is decoded.
 
     Rows, ordered by encoder length (file order among equal lengths), are
     cut into chunks of at most ``SCORE_CHUNK_ROWS``. A chunk's examples are
@@ -143,7 +150,7 @@ def generate_dataset(
     items = []
     for example in examples:
         if example.task not in GENERATION_TASKS:
-            raise ValueError(
+            raise InputError(
                 f"example {example.source_id!r} has non-generation task {example.task.value!r}"
             )
         assembled = assemble_input(
@@ -179,7 +186,7 @@ def _decode_rows(
     for members, batch in exact_batches([items[i] for i in distinct]):
         for m, encoding in zip(members, model.encoder_states(batch, ops=ARRAYS)):
             encodings[m] = encoding
-    max_len = min(config.max_len, model.config.max_positions - 1)
+    max_len = decode_length(model, config)
     cache = model.start_decoding(encodings, row_example, max_len)
     rngs = None
     if config.mode == "nucleus":

@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
+from .errors import InputError
 from .masking import plan_mlm_mask, plan_mrm_mask
 from .tensor import ARRAYS, NEG_MASK_VALUE, TAPE, Operand, Ops, Tensor
 from .vocab import (
@@ -83,14 +84,14 @@ class ModelConfig:
         ):
             value = getattr(self, name)
             if type(value) is not int:  # a bool is an int, a whole float is not
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+                raise InputError(f"{name} must be an integer, got {value!r}")
             minimum = 0 if name == "vocab_size" else 1  # vocab_size 0: resolved from the vocabulary
             if value < minimum:
-                raise ValueError(f"{name} must be at least {minimum}, got {value}")
+                raise InputError(f"{name} must be at least {minimum}, got {value}")
         if self.d_model % self.n_heads != 0:
-            raise ValueError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
+            raise InputError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if type(self.dropout_rate) not in (int, float) or not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError(f"dropout_rate must be a number in [0, 1), got {self.dropout_rate!r}")
+            raise InputError(f"dropout_rate must be a number in [0, 1), got {self.dropout_rate!r}")
 
 
 @dataclass
@@ -178,7 +179,7 @@ def assemble_input(
         if mode == "kcg":
             target = vocab.encode(example.target_text)
             if not target:
-                raise ValueError("empty target text for a generation-style pass")
+                raise InputError(f"example {example.source_id!r}: empty target text for a generation-style pass")
             assembled.dec_ids = np.asarray([BOS_ID] + target, dtype=np.int64)
             assembled.dec_labels = np.asarray(target + [EOS_ID], dtype=np.int64)
         else:
@@ -219,8 +220,9 @@ def assemble_input(
     if max_positions is not None:
         longest = max(assembled.enc_len, assembled.dec_len)
         if longest > max_positions:
-            raise ValueError(
-                f"assembled sequence length {longest} exceeds max_positions {max_positions}"
+            raise InputError(
+                f"example {example.source_id!r}: assembled sequence length {longest} "
+                f"exceeds max_positions {max_positions}"
             )
     return assembled
 

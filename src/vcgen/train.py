@@ -25,8 +25,9 @@ from .checkpoint import (
     save_checkpoint,
 )
 from .config import RunConfig, config_hash, to_dict
-from .data import MultimodalExample, PaddedBatch, load_jsonl, make_batches, score_dataset
+from .data import MultimodalExample, PaddedBatch, check_dataset_dims, load_jsonl, make_batches, score_dataset
 from .data import score_description  # noqa: F401  (unused here; the benchmark traces this name)
+from .errors import InputError
 from .losses import LOSS_ORDER, LossWeights, combine_losses, compute_losses
 from .model import Model, assemble_input
 from .optim import AdamW
@@ -79,31 +80,15 @@ def load_run_vocab(cfg: RunConfig, command: str) -> Vocabulary:
     """The run's vocabulary from ``paths.vocab``; resolves a zero
     ``model.vocab_size`` from it and rejects any other size mismatch."""
     if not cfg.paths.vocab:
-        raise ValueError(f"{command} needs paths.vocab")
+        raise InputError(f"{command} needs paths.vocab")
     vocab = Vocabulary.load(cfg.paths.vocab)
     if cfg.model.vocab_size == 0:
         cfg.model.vocab_size = len(vocab)
     elif cfg.model.vocab_size != len(vocab):
-        raise ValueError(
+        raise InputError(
             f"config vocab_size {cfg.model.vocab_size} does not match vocabulary size {len(vocab)}"
         )
     return vocab
-
-
-def check_dataset_dims(examples: Sequence[MultimodalExample], cfg: RunConfig, path: str) -> None:
-    """Fail fast when region feature widths disagree with the model config."""
-    for example in examples:
-        for roi in example.rois:
-            if len(roi.feat) != cfg.model.d_visual:
-                raise ValueError(
-                    f"{path}: example {example.source_id!r} has RoI feature width "
-                    f"{len(roi.feat)}, config d_visual is {cfg.model.d_visual}"
-                )
-            if len(roi.class_probs) != cfg.model.n_classes:
-                raise ValueError(
-                    f"{path}: example {example.source_id!r} has {len(roi.class_probs)} "
-                    f"detector classes, config n_classes is {cfg.model.n_classes}"
-                )
 
 
 def _task_batches(
@@ -265,27 +250,27 @@ def _train(
     vocab = load_run_vocab(cfg, command)
     active = [task for task in streams if task in cfg.tasks]
     if not active:
-        raise ValueError(f"{command} trains {list(streams)}; tasks {cfg.tasks} names none of them")
+        raise InputError(f"{command} trains {list(streams)}; tasks {cfg.tasks} names none of them")
     loaded: dict[str, list[MultimodalExample]] = {}
 
     def load(path: str) -> list[MultimodalExample]:
         if path not in loaded:
             loaded[path] = load_jsonl(path, n_attr=cfg.model.n_attr, n_rel=cfg.model.n_rel)
-            check_dataset_dims(loaded[path], cfg, path)
+            check_dataset_dims(loaded[path], cfg.model, path)
         return loaded[path]
 
     datasets: dict[str, list[MultimodalExample]] = {}
     for task in active:
         path = getattr(cfg.paths, streams[task])
         if not path:
-            raise ValueError(f"{command} needs paths.{streams[task]}")
+            raise InputError(f"{command} needs paths.{streams[task]}")
         datasets[task] = load(path)
         if not datasets[task]:
-            raise ValueError(f"active task {task!r} has an empty dataset: {path}")
+            raise InputError(f"active task {task!r} has an empty dataset: {path}")
     val_path = getattr(cfg.paths, val_field) if val_field else ""
     val_examples = load(val_path) if val_path else None
     if val_examples == []:
-        raise ValueError(f"{command} has an empty validation dataset: {val_path}")
+        raise InputError(f"{command} has an empty validation dataset: {val_path}")
     input_paths = [cfg.paths.vocab, *loaded]
 
     if init_checkpoint is not None:

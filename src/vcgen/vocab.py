@@ -7,6 +7,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .errors import InputError
+
 # Reserved tokens always occupy ids 0..17, in this exact order, regardless
 # of the corpus the vocabulary was built from.
 RESERVED_TOKENS: tuple[str, ...] = (
@@ -72,8 +74,6 @@ class Vocabulary:
     def __init__(self, regular_tokens: Sequence[str]):
         self.id_to_token: list[str] = list(RESERVED_TOKENS) + list(regular_tokens)
         self.token_to_id: dict[str, int] = {t: i for i, t in enumerate(self.id_to_token)}
-        if len(self.token_to_id) != len(self.id_to_token):
-            raise ValueError("duplicate tokens in vocabulary")
         self.n_regular = len(regular_tokens)
 
     def __len__(self) -> int:
@@ -107,11 +107,16 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
-        lines = Path(path).read_bytes().decode("utf-8").split("\n")
+        try:
+            lines = Path(path).read_bytes().decode("utf-8").split("\n")
+        except UnicodeDecodeError as exc:
+            raise InputError(f"vocab file {path} is not UTF-8: {exc}") from None
         if lines and lines[-1] == "":
             lines = lines[:-1]
         if tuple(lines[:N_RESERVED]) != RESERVED_TOKENS:
-            raise ValueError(f"vocab file {path} does not start with the reserved tokens")
+            raise InputError(f"vocab file {path} does not start with the reserved tokens")
+        if len(set(lines)) != len(lines):
+            raise InputError(f"vocab file {path} holds a token twice")
         return cls(lines[N_RESERVED:])
 
 

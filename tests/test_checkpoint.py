@@ -11,10 +11,6 @@ import pytest
 from vcgen import cli
 from vcgen.checkpoint import (
     CheckpointError,
-    CheckpointMagicError,
-    CheckpointShapeError,
-    CheckpointTruncatedError,
-    ConfigMismatchError,
     check_model_config,
     load_checkpoint,
     params_as_tensors,
@@ -62,7 +58,7 @@ def test_magic_mismatch(saved, tmp_path):
     blob[:4] = b"NOPE"
     bad = tmp_path / "bad.kmbt"
     bad.write_bytes(bytes(blob))
-    with pytest.raises(CheckpointMagicError):
+    with pytest.raises(CheckpointError, match="bad magic"):
         load_checkpoint(bad)
 
 
@@ -71,7 +67,7 @@ def test_truncated_file(saved, tmp_path):
     blob = path.read_bytes()
     bad = tmp_path / "cut.kmbt"
     bad.write_bytes(blob[: len(blob) // 2])
-    with pytest.raises(CheckpointTruncatedError):
+    with pytest.raises(CheckpointError, match="truncated"):
         load_checkpoint(bad)
 
 
@@ -82,7 +78,7 @@ def test_corrupted_length_field_is_truncation_not_crash(saved, tmp_path):
     blob[8:16] = (2**40).to_bytes(8, "little")
     bad = tmp_path / "len.kmbt"
     bad.write_bytes(bytes(blob))
-    with pytest.raises(CheckpointTruncatedError):
+    with pytest.raises(CheckpointError, match="truncated"):
         load_checkpoint(bad)
 
 
@@ -92,7 +88,7 @@ def test_shape_disagreement_with_embedded_config(saved, tmp_path):
     doctored["model"]["d_model"] = 32  # tensors were built with 16
     bad = tmp_path / "shape.kmbt"
     save_checkpoint(bad, doctored, model.params)
-    with pytest.raises(CheckpointShapeError):
+    with pytest.raises(CheckpointError, match="shape"):
         load_checkpoint(bad)
 
 
@@ -102,7 +98,7 @@ def test_missing_parameter_is_shape_error(saved, tmp_path):
     subset.pop("lm_head.bias")
     bad = tmp_path / "missing.kmbt"
     save_checkpoint(bad, to_dict(run), subset)
-    with pytest.raises(CheckpointShapeError, match="lm_head.bias"):
+    with pytest.raises(CheckpointError, match="missing.*lm_head.bias"):
         load_checkpoint(bad)
 
 
@@ -112,7 +108,7 @@ def test_config_mismatch_lists_fields(saved):
     other = tiny_config(run.model.vocab_size)
     other.d_model = 32
     other.n_heads = 8
-    with pytest.raises(ConfigMismatchError) as err:
+    with pytest.raises(CheckpointError, match="model config mismatch") as err:
         check_model_config(ckpt, other)
     message = str(err.value)
     assert "d_model" in message and "n_heads" in message
@@ -224,7 +220,7 @@ def test_spliced_layer_count_is_a_short_shape_error(saved, tmp_path, capsys):
     is built, with a short message."""
     path, _, run = saved
     bad = _with_layers(path, run, tmp_path, 20000)
-    with pytest.raises(CheckpointShapeError, match="need") as caught:
+    with pytest.raises(CheckpointError, match="need") as caught:
         load_checkpoint(bad)
     assert len(str(caught.value)) < 4096
     assert cli.main(["inspect-checkpoint", str(bad)]) == 2
@@ -234,6 +230,6 @@ def test_spliced_layer_count_is_a_short_shape_error(saved, tmp_path, capsys):
 
 def test_shape_error_names_at_most_8_missing_tensors(saved, tmp_path):
     path, _, run = saved
-    with pytest.raises(CheckpointShapeError, match="16 missing") as caught:
+    with pytest.raises(CheckpointError, match="16 missing") as caught:
         load_checkpoint(_with_layers(path, run, tmp_path, 2))
     assert str(caught.value).count("'enc.1.") == 8

@@ -16,6 +16,7 @@ from vcgen.config import (
     preset,
     to_dict,
 )
+from vcgen.errors import InputError
 
 
 def test_presets():
@@ -122,4 +123,25 @@ def test_validate_rejects_a_dropout_rate_that_is_no_number():
     cfg = preset("desk")
     cfg.model.dropout_rate = "0.1"
     with pytest.raises(ValueError, match="dropout_rate must be a number"):
+        cfg.validate()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("beta1", 1.0), ("beta2", 1.5), ("beta1", -0.1), ("eps", 0.0), ("lr", -1e-3), ("weight_decay", -0.01),
+])
+def test_validate_rejects_optimizer_settings_that_make_adamw_diverge(field, value):
+    cfg = preset("desk")
+    cfg.model.vocab_size = 20
+    cfg.validate()
+    setattr(cfg.optimizer, field, value)
+    with pytest.raises(InputError, match="optimizer needs"):
+        cfg.validate()
+
+
+@pytest.mark.parametrize("path", ["a\x00b", "\ud800"])
+def test_validate_rejects_a_path_no_file_system_takes(path):
+    cfg = preset("desk")
+    cfg.model.vocab_size = 20
+    cfg.paths.kcg_data = path
+    with pytest.raises(InputError, match="paths.kcg_data is no file name"):
         cfg.validate()

@@ -16,7 +16,6 @@ from vcgen.data import (
     DatasetError,
     MultimodalExample,
     ScoredExample,
-    UnknownRelationError,
     exact_batches,
     filter_dataset,
     filter_report,
@@ -206,7 +205,7 @@ def test_comet_relation_mapping(relation, task):
 
 
 def test_unknown_relation_raises():
-    with pytest.raises(UnknownRelationError, match="xAttr"):
+    with pytest.raises(DatasetError, match="unknown relation 'xAttr'"):
         map_comet_relation("xAttr")
 
 
@@ -227,7 +226,7 @@ def test_candidate_unknown_relation_names_line(tmp_path):
     del row["task"]
     row["relation"] = "xAttr"
     write_lines(path, [row])
-    with pytest.raises(UnknownRelationError, match="line 1"):
+    with pytest.raises(DatasetError, match="line 1: unknown relation"):
         load_candidates_jsonl(path)
 
 

@@ -1,11 +1,12 @@
 """Source hygiene of the package: every imported name is read somewhere,
 nothing is imported from outside the standard library, numpy and vcgen, the
-inference modules import nothing of the tape, and every function, class and
-method is read by package code."""
+inference modules import nothing of the tape, every function, class and
+method is read by package code, and every exception class is an InputError."""
 
 from __future__ import annotations
 
 import ast
+import builtins
 import sys
 from pathlib import Path
 
@@ -230,3 +231,76 @@ def test_unread_definition_is_found_and_any_module_may_read_it():
         "b": "def helper():\n    return 1\n",
     }
     assert unread_definitions(sources) == ["a.Box.hidden", "a.orphan"]
+
+
+def _base_names(node: ast.ClassDef) -> list[str]:
+    """The last dotted name of each base: ``ValueError``, ``InputError`` for
+    ``errors.InputError``."""
+    return [b.attr if isinstance(b, ast.Attribute) else b.id for b in node.bases
+            if isinstance(b, (ast.Name, ast.Attribute))]
+
+
+def exceptions_outside_input_error(sources: dict[str, str]) -> list[str]:
+    """``module.Class`` of each exception class in ``sources`` (module name ->
+    source), nested ones included, that does not derive from ``InputError``.
+    A class is an exception if it derives, through classes of ``sources``,
+    from a built-in exception."""
+    bases: dict[str, list[str]] = {}
+    module_of: dict[str, str] = {}
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = _base_names(node)
+                module_of[node.name] = module
+
+    def ancestors(name: str) -> set[str]:
+        found, todo = set(), list(bases[name])
+        while todo:
+            base = todo.pop()
+            if base not in found:
+                found.add(base)
+                todo.extend(bases.get(base, ()))
+        return found
+
+    def is_builtin_exception(name: str) -> bool:
+        value = getattr(builtins, name, None)
+        return isinstance(value, type) and issubclass(value, BaseException)
+
+    return [
+        f"{module_of[name]}.{name}"
+        for name in bases
+        if name != "InputError"
+        and any(is_builtin_exception(base) for base in ancestors(name))
+        and "InputError" not in ancestors(name)
+    ]
+
+
+def test_every_exception_class_is_an_input_error():
+    """``cli.main`` maps InputError and OSError to exit 2 and lets every
+    other exception through; an error type of its own that input can raise
+    must therefore derive from InputError."""
+    from vcgen.errors import InputError
+
+    assert issubclass(InputError, ValueError)
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert exceptions_outside_input_error(sources) == []
+
+
+def test_exception_outside_input_error_is_found():
+    sources = {
+        "a": (
+            "class InputError(ValueError):\n    pass\n"
+            "class Good(InputError):\n    pass\n"
+        ),
+        "b": (
+            "from . import a\n"
+            "class Deeper(a.Good):\n    pass\n"
+            "class Bad(KeyError):\n    pass\n"
+            "class Worse(Bad):\n    pass\n"
+            "def f():\n"
+            "    class Nested(Exception):\n        pass\n"
+            "class Plain:\n    pass\n"
+            "class Kind(str):\n    pass\n"
+        ),
+    }
+    assert exceptions_outside_input_error(sources) == ["b.Bad", "b.Worse", "b.Nested"]
