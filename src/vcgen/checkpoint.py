@@ -64,6 +64,7 @@ def save_checkpoint(
         {"run_config": run_config, "global_step": int(global_step)},
         sort_keys=True,
         separators=(",", ":"),
+        allow_nan=False,
     ).encode("utf-8")
     entries: list[tuple[str, np.ndarray]] = []
     for name, value in params.items():
@@ -133,6 +134,14 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         header = json.loads(str(reader.take(header_len), "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise CheckpointError(f"{path}: unreadable config block: {exc}") from None
+    config = header.get("run_config") if isinstance(header, dict) else None
+    if not isinstance(config, dict) or not isinstance(config.get("model"), dict):
+        raise CheckpointError(f"{path}: config block lacks a run_config with a model section")
+    try:  # the sizes are bounded before any array is read
+        model_config = ModelConfig(**config["model"])
+        model_config.validate()
+    except (TypeError, ValueError) as exc:  # TypeError: an unknown field
+        raise CheckpointError(f"{path}: model section: {exc}") from None
 
     n_tensors = reader.u32()
     params: dict[str, np.ndarray] = {}
@@ -158,14 +167,9 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     if reader.pos != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - reader.pos} trailing bytes after tensor data")
 
-    config = header.get("run_config") if isinstance(header, dict) else None
-    if not isinstance(config, dict) or not isinstance(config.get("model"), dict):
-        raise CheckpointError(f"{path}: config block lacks a run_config with a model section")
     try:
-        model_config = ModelConfig(**config["model"])
-        model_config.validate()
         check_param_shapes(model_config, {name: data.shape for name, data in params.items()})
-    except (TypeError, ValueError) as exc:  # TypeError: an unknown field
+    except ValueError as exc:
         raise CheckpointError(f"{path}: model section: {exc}") from None
     global_step = header.get("global_step", 0)
     if not isinstance(global_step, int):

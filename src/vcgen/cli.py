@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -125,7 +126,7 @@ def cmd_pretrain(args) -> int:
 
     cfg = _build_config(args)
     result = pretrain(cfg)
-    print(json.dumps(result))
+    print(json.dumps(result, allow_nan=False))
     return EXIT_OK
 
 
@@ -134,7 +135,7 @@ def cmd_finetune(args) -> int:
 
     cfg = _build_config(args)
     result = finetune(cfg, init_checkpoint=args.init_checkpoint)
-    print(json.dumps(result))
+    print(json.dumps(result, allow_nan=False))
     return EXIT_OK
 
 
@@ -164,14 +165,21 @@ def cmd_filter(args) -> int:
         score_dataset,
     )
 
+    if not math.isfinite(args.threshold):
+        raise InputError(f"--threshold must be a finite number, got {args.threshold}")
     model, vocab = _load_inference_model(args.checkpoint, args.vocab)
     use_event = args.use_event != "false"
 
     candidates = load_candidates_jsonl(args.candidates)
-    examples = [example for _, example in candidates]
+    examples = [example for _, _, example in candidates]
     check_dataset_dims(examples, model.config, args.candidates)
     scored = score_dataset(model, vocab, examples, use_event=use_event)
-    for (relation, _), s in zip(candidates, scored):
+    for (line_no, relation, example), s in zip(candidates, scored):
+        if not math.isfinite(s.avg_ce):
+            raise InputError(
+                f"{args.candidates}: line {line_no}: candidate {example.source_id!r} "
+                f"scores avg_ce {s.avg_ce}, not a finite number"
+            )
         s.relation = relation
     kept, dropped = filter_dataset(scored, threshold=args.threshold)
 
@@ -186,7 +194,7 @@ def cmd_filter(args) -> int:
     write(args.out_dropped, dropped)
     report = filter_report(kept, dropped)
     report["threshold"] = args.threshold
-    Path(args.report).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    Path(args.report).write_text(json.dumps(report, indent=2, allow_nan=False) + "\n", encoding="utf-8")
     print(f"kept {len(kept)}/{len(scored)} candidates (threshold {args.threshold})")
     return EXIT_OK
 
@@ -214,14 +222,14 @@ def cmd_generate(args) -> int:
             "num_samples": gen_cfg.num_samples,
             "max_len": decode_length(model, gen_cfg),
         }
-        fh.write(json.dumps(header) + "\n")
+        fh.write(json.dumps(header, allow_nan=False) + "\n")
         for example, sequences in zip(examples, generations):
             record = {
                 "source_id": example.source_id,
                 "task": example.task.value,
                 "generations": [vocab.decode(seq) for seq in sequences],
             }
-            fh.write(json.dumps(record) + "\n")
+            fh.write(json.dumps(record, allow_nan=False) + "\n")
     print(f"wrote generations for {len(examples)} examples to {args.out}")
     return EXIT_OK
 
@@ -291,7 +299,7 @@ def cmd_evaluate(args) -> int:
         totals["n_examples"] = sum(per_task[t]["n_examples"] for t in tasks)
         per_task["total"] = totals
         report["per_task"] = per_task
-    payload = json.dumps(report, indent=2)
+    payload = json.dumps(report, indent=2, allow_nan=False)
     if args.out:
         Path(args.out).write_text(payload + "\n", encoding="utf-8")
     print(payload)
@@ -308,7 +316,7 @@ def cmd_inspect_checkpoint(args) -> int:
     print(f"parameters: {len(ckpt.params)} tensors, {total} values")
     if ckpt.opt_state:
         print(f"optimizer state: {len(ckpt.opt_state)} tensors")
-    print("model config: " + json.dumps(ckpt.config.get("model", {}), sort_keys=True))
+    print("model config: " + json.dumps(ckpt.config.get("model", {}), sort_keys=True, allow_nan=False))
     for name, data in ckpt.params.items():
         print(f"  {name}  {list(data.shape)}")
     return EXIT_OK

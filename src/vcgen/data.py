@@ -235,17 +235,18 @@ def save_jsonl(path: str | Path, examples: Sequence[MultimodalExample], extras: 
             obj = example_to_dict(example)
             if extras is not None:
                 obj.update(extras[i])
-            fh.write(json.dumps(obj) + "\n")
+            fh.write(json.dumps(obj, allow_nan=False) + "\n")
 
 
-def load_candidates_jsonl(path: str | Path) -> list[tuple[str, MultimodalExample]]:
-    """Load filter candidates whose rows carry a 'relation' instead of a task."""
-    out: list[tuple[str, MultimodalExample]] = []
+def load_candidates_jsonl(path: str | Path) -> list[tuple[int, str, MultimodalExample]]:
+    """Load filter candidates whose rows carry a 'relation' instead of a
+    task, as (line number, relation, example)."""
+    out: list[tuple[int, str, MultimodalExample]] = []
     for line_no, obj in iter_jsonl(path):
         relation = obj.get("relation") if isinstance(obj, dict) else None
         _check(isinstance(relation, str), line_no, "candidate rows need a string 'relation' field")
         task = map_comet_relation(relation, line_no)
-        out.append((relation, example_from_dict(obj, line_no, task_override=task)))
+        out.append((line_no, relation, example_from_dict(obj, line_no, task_override=task)))
     return out
 
 

@@ -10,8 +10,9 @@ embeddings plus three two-layer MLP classifiers.
 
 Blocks are pre-norm for stability at random initialization.
 
-Parameter count is a pure function of the config (``param_shapes``; the
-closed form below is the oracle ``count_params`` in ``tests/oracles.py``):
+Parameter count is a pure function of the config: ``param_shapes`` lists
+every tensor, and ``ModelConfig.param_count`` is the closed form below
+(``count_params`` in ``tests/oracles.py`` is its oracle):
 
     V*d + P*d + V                               embeddings + token-head bias
     + d_visual*d + d                            visual projection
@@ -52,6 +53,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 ASSEMBLY_MODES = ("kcg", "ap", "rp", "mlm", "mrm", "gen")
 
+# The most float32 values (8 GiB) a model may hold.
+MAX_PARAMS = 2**31
+
 
 @dataclass
 class ModelConfig:
@@ -90,8 +94,26 @@ class ModelConfig:
                 raise InputError(f"{name} must be at least {minimum}, got {value}")
         if self.d_model % self.n_heads != 0:
             raise InputError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
+        count = self.param_count()
+        if count > MAX_PARAMS:
+            raise InputError(f"the model would hold {count} parameters, more than the limit of {MAX_PARAMS}")
         if type(self.dropout_rate) not in (int, float) or not 0.0 <= self.dropout_rate < 1.0:
             raise InputError(f"dropout_rate must be a number in [0, 1), got {self.dropout_rate!r}")
+
+    def param_count(self) -> int:
+        """The closed form of the module docstring, line for line; it builds
+        no shape map, so any sizes cost the same."""
+        d, f = self.d_model, self.d_ffn
+        ffn = 2 * d * f + f + d
+        return (
+            self.vocab_size * d + self.max_positions * d + self.vocab_size
+            + self.d_visual * d + d
+            + self.n_enc_layers * (4 * (d * d + d) + 2 * 2 * d + ffn) + 2 * d
+            + self.n_dec_layers * (8 * (d * d + d) + 3 * 2 * d + ffn) + 2 * d
+            + (d * d + d + d * self.n_attr + self.n_attr)
+            + (2 * d * d + d + d * self.n_rel + self.n_rel)
+            + (d * d + d + d * self.n_classes + self.n_classes)
+        )
 
 
 @dataclass

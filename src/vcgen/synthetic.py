@@ -231,7 +231,7 @@ def main(argv=None) -> int:
         import json
 
         for row in candidates:
-            fh.write(json.dumps(row) + "\n")
+            fh.write(json.dumps(row, allow_nan=False) + "\n")
     (out / "corpus.txt").write_text("\n".join(full_corpus_lines()) + "\n", encoding="utf-8")
     print(f"wrote synthetic datasets to {out}")
     return 0

@@ -110,9 +110,12 @@ class Tape:
     requires_grad tensors that no op recorded here produced. A tensor gets
     a key the first time it is recorded, and gradients are routed by key.
 
-    Only leaves get ``grad``. Inside :meth:`backward`, an op's output
-    gradient is dropped as soon as that op's rule has consumed it, so a
-    gradient lives only while some op still has to read it.
+    Only leaves get ``grad``. :meth:`backward` walks the tape once, from
+    the last op: it clears each op's slot as its rule runs, so the arrays
+    that rule held are freed while the walk goes on, and it drops an op's
+    output gradient as soon as that rule has consumed it, so a gradient
+    lives only while some op still has to read it. A walked tape holds no
+    rule and cannot be walked again; ``len`` still counts its ops.
 
     Gradients flow without copies: a backward rule may return its incoming
     gradient, or a view of it, for one or more inputs, and the same buffer
@@ -122,7 +125,7 @@ class Tape:
     """
 
     def __init__(self):
-        self._ops: list[_Node] = []
+        self._ops: list[_Node | None] = []  # backward clears each slot as it walks
         self._produced: set[int] = set()
         self._leaves: dict[int, Tensor] = {}
 
@@ -154,16 +157,20 @@ class Tape:
     def backward(self, loss: Tensor) -> None:
         """Add d loss / d leaf into ``grad`` of every leaf reachable from loss.
 
-        Repeated calls without a grad reset accumulate. Gradient flow uses a
-        per-call scratch map, so retained grads from earlier calls are never
-        re-propagated. No two leaves are handed grads that share a buffer.
+        A tape is walked once; a second call raises. Gradients from several
+        tapes still add into ``grad``: gradient flow uses a per-call scratch
+        map, so grads already held are never re-propagated. No two leaves
+        are handed grads that share a buffer.
         """
         if loss.size != 1:
             raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
         if loss._key not in self._produced:
             raise ValueError("loss is not an output recorded on this tape")
+        if self._ops[-1] is None:
+            raise ValueError("this tape was walked by an earlier backward and holds no rules; record a new one")
         flows: dict[int, np.ndarray] = {loss._key: np.ones_like(loss.data)}
-        for op in reversed(self._ops):
+        for i in reversed(range(len(self._ops))):
+            op, self._ops[i] = self._ops[i], None
             out_grad = flows.pop(op.out, None)
             if out_grad is None:
                 continue

@@ -66,7 +66,8 @@ def write_manifest(out_dir: Path, command: str, cfg: RunConfig, inputs: Sequence
         "config": to_dict(cfg),
         "inputs": {str(p): sha256_file(p) for p in inputs},
     }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False)
+    (out_dir / "manifest.json").write_text(text + "\n", encoding="utf-8")
 
 
 def _checkpoint_config(cfg: RunConfig) -> dict:
@@ -140,13 +141,12 @@ def _train_step(
             return None
         total, logged = combine_losses(terms, weights)
     tape.backward(total)
-    del tape  # its rules pin the step's activations, which AdamW never reads
     optimizer.step()
     return logged
 
 
 def _log_line(fh, record: dict) -> None:
-    fh.write(json.dumps(record) + "\n")
+    fh.write(json.dumps(record, allow_nan=False) + "\n")
     fh.flush()
 
 

@@ -1,14 +1,17 @@
 """Canonical fixed-seed training runs backing the reproducibility fixtures.
 
 The acceptance suite rebuilds these runs from scratch and compares the loss
-logs byte-for-byte against the committed fixtures. Regenerate (only when the
-training math intentionally changes) with:
+logs byte-for-byte against the committed fixtures. The bits hold only under
+the OpenBLAS core (kernel set) the fixtures were made with, which
+``repro_blas_core.txt`` names. Regenerate (only when the training math
+intentionally changes) with:
 
     python3 tests/repro_case.py
 """
 
 from __future__ import annotations
 
+import ctypes
 import shutil
 import sys
 from pathlib import Path
@@ -27,6 +30,25 @@ from vcgen.vocab import build_vocab
 FIXTURES = Path(__file__).parent / "fixtures"
 PRETRAIN_FIXTURE = FIXTURES / "repro_pretrain_log.jsonl"
 FINETUNE_FIXTURE = FIXTURES / "repro_finetune_log.jsonl"
+BLAS_CORE_FIXTURE = FIXTURES / "repro_blas_core.txt"
+
+
+def blas_core() -> str:
+    """The core that the OpenBLAS numpy loaded runs on ("SkylakeX",
+    "Haswell", ...), or "unknown". ``OPENBLAS_CORETYPE`` can force one."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower() and "/" in line})
+    except OSError:
+        return "unknown"
+    for lib in libs:
+        handle = ctypes.CDLL(lib)
+        for name in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
+            get = getattr(handle, name, None)
+            if get is not None:
+                get.restype = ctypes.c_char_p
+                return get().decode()
+    return "unknown"
 
 
 def build_workspace(root: Path) -> None:
@@ -89,7 +111,8 @@ def main() -> int:
         FIXTURES.mkdir(exist_ok=True)
         shutil.copyfile(pre_log, PRETRAIN_FIXTURE)
         shutil.copyfile(ft_log, FINETUNE_FIXTURE)
-        print(f"wrote {PRETRAIN_FIXTURE} and {FINETUNE_FIXTURE}")
+        BLAS_CORE_FIXTURE.write_text(blas_core() + "\n", encoding="utf-8")
+        print(f"wrote {PRETRAIN_FIXTURE}, {FINETUNE_FIXTURE} and {BLAS_CORE_FIXTURE}")
     return 0
 
 

@@ -350,10 +350,25 @@ def test_acceptance_loss_combination(repro_runs):
     _report("loss-combination")
 
 
+def _first_difference(log: Path, fixture: Path) -> str:
+    """Where a log first differs from its fixture, and the OpenBLAS core
+    that ran against the one the fixtures were made under."""
+    ours, theirs = log.read_bytes().splitlines(), fixture.read_bytes().splitlines()
+    line = next((i for i, pair in enumerate(zip(ours, theirs)) if pair[0] != pair[1]), min(len(ours), len(theirs)))
+    got = ours[line] if line < len(ours) else b"(end of log)"
+    want = theirs[line] if line < len(theirs) else b"(end of fixture)"
+    recorded = repro_case.BLAS_CORE_FIXTURE.read_text(encoding="utf-8").strip()
+    return (
+        f"{fixture.name} line {line + 1}: got {got!r}, fixture has {want!r}; "
+        f"OpenBLAS core {repro_case.blas_core()!r} ran, the fixtures were made under {recorded!r}"
+    )
+
+
 def test_acceptance_reproducibility(repro_runs, tmp_path):
     root, pre_log, ft_log = repro_runs
-    assert pre_log.read_bytes() == repro_case.PRETRAIN_FIXTURE.read_bytes()
-    assert ft_log.read_bytes() == repro_case.FINETUNE_FIXTURE.read_bytes()
+    pre_fixture, ft_fixture = repro_case.PRETRAIN_FIXTURE, repro_case.FINETUNE_FIXTURE
+    assert pre_log.read_bytes() == pre_fixture.read_bytes(), _first_difference(pre_log, pre_fixture)
+    assert ft_log.read_bytes() == ft_fixture.read_bytes(), _first_difference(ft_log, ft_fixture)
 
     # checkpoints round-trip byte-identically
     ckpt_path = root / "pretrain_run" / "final.kmbt"

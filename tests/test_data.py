@@ -215,7 +215,8 @@ def test_candidate_loading_maps_relations(tmp_path):
     del row["task"]
     row["relation"] = "xNeed"
     write_lines(path, [row])
-    [(relation, example)] = load_candidates_jsonl(path)
+    [(line_no, relation, example)] = load_candidates_jsonl(path)
+    assert line_no == 1
     assert relation == "xNeed"
     assert example.task == TaskType.BEFORE
 

@@ -13,7 +13,9 @@ import json
 import os
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,9 +24,9 @@ from hypothesis import strategies as st
 
 from vcgen.checkpoint import save_checkpoint
 from vcgen.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from vcgen.config import RunConfig, leaf_fields, to_dict
+from vcgen.config import PRESET_MODELS, RunConfig, leaf_fields, to_dict
 from vcgen.data import save_jsonl
-from vcgen.model import Model, ModelConfig
+from vcgen.model import MAX_PARAMS, Model, ModelConfig
 from vcgen.synthetic import full_corpus_lines, make_candidate_rows, make_vcg_dataset
 from vcgen.vocab import EOS_ID, build_vocab
 
@@ -35,7 +37,7 @@ MODEL = {
 
 # One value of each JSON type, non-finite numbers, a NUL and a lone surrogate
 # among them. The integers are small: a config may ask for any number of
-# epochs or any model width.
+# epochs. Huge model sizes get a fuzz test of their own.
 JSON_VALUES = [None, True, False, 0, 1, 2, -1, 0.5, float("nan"), float("inf"), float("-inf"),
                "", "x", "a\x00b", "\ud800", [], [1], {}, {"a": 1}]
 # Fields of a data row hold no sizes, so they also get huge integers.
@@ -84,17 +86,51 @@ def write_rows(path: Path, rows) -> None:
     path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
 
 
+def _not_json(constant: str):
+    raise AssertionError(f"vcgen wrote {constant}, which is not JSON")
+
+
+def assert_strict_json(path: Path) -> None:
+    """A JSON or JSONL file, or a checkpoint's config block, parses with
+    NaN and Infinity rejected."""
+    blob = path.read_bytes()
+    if path.suffix == ".kmbt":
+        (header_len,) = struct.unpack_from("<Q", blob, 8)
+        documents = [blob[16 : 16 + header_len]]
+    elif path.suffix == ".jsonl":
+        documents = blob.splitlines()
+    elif path.suffix == ".json":
+        documents = [blob]
+    else:
+        return
+    for document in documents:
+        json.loads(document, parse_constant=_not_json)
+
+
 def run(argv: list[str]) -> tuple[int, str]:
     """What ``main`` returns, or the code of the SystemExit(1) it raises, and
     what it writes to stderr; any other exception propagates and fails the
-    test."""
+    test. Every JSON file, JSONL file and checkpoint that ``main`` opens for
+    writing must hold strict JSON."""
     err = io.StringIO()
+    written: list[Path] = []
+    path_open = Path.open
+
+    def recording_open(self, mode="r", *args, **kwargs):
+        if "w" in mode:
+            written.append(self)
+        return path_open(self, mode, *args, **kwargs)
+
     try:
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+                mock.patch.object(Path, "open", recording_open):
             code = main(argv)
     except SystemExit as exc:
         assert exc.code == EXIT_USAGE, argv
         code = exc.code
+    for path in written:
+        if path.is_file():
+            assert_strict_json(path)
     return code, err.getvalue()
 
 
@@ -234,6 +270,83 @@ def test_non_finite_parameter_exits_2_naming_the_tensor(ws, tmp_path, command):
     assert list(out.iterdir()) == []
 
 
+def _huge_weight_checkpoint(ws: Path, path: Path) -> Path:
+    """The checkpoint of ``ws`` with one finite but huge cross-attention weight."""
+    from vcgen.checkpoint import load_checkpoint
+
+    ckpt = load_checkpoint(ws / "model.kmbt")
+    ckpt.params["dec.0.cross_attn.v.weight"][0, 0] = 3e38
+    save_checkpoint(path, ckpt.config, ckpt.params)
+    return path
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("case", ["feature", "weight"])
+def test_non_finite_score_exits_2_naming_the_candidate(ws, tmp_path, case):
+    """A candidate that scores a non-finite avg_ce: a region feature of
+    1e300 (finite in float64, inf in the model's float32), or a checkpoint
+    with one 3e38 weight. filter names the line and source_id, and opens
+    no output file."""
+    candidates, checkpoint, line_no = ws / "candidates.jsonl", ws / "model.kmbt", 1
+    if case == "feature":
+        rows = [json.loads(text) for text in candidates.read_text(encoding="utf-8").splitlines()]
+        rows[1]["rois"][0]["feat"][0] = 1e300
+        candidates, line_no = tmp_path / "huge.jsonl", 2
+        write_rows(candidates, rows)
+    else:
+        checkpoint = _huge_weight_checkpoint(ws, tmp_path / "huge.kmbt")
+    source_id = json.loads(candidates.read_text(encoding="utf-8").splitlines()[line_no - 1])["source_id"]
+    out = tmp_path / "out"
+    out.mkdir()
+    code, err = run(filter_argv(ws, out, candidates=candidates, checkpoint=checkpoint))
+    assert code == EXIT_DATA
+    line = error_line(err)
+    assert line.startswith(f"error: {candidates}: line {line_no}: candidate {source_id!r} scores avg_ce ")
+    assert line.endswith("not a finite number")
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("threshold", ["inf", "-inf", "nan"])
+def test_non_finite_threshold_exits_2_before_any_output(ws, tmp_path, threshold):
+    code, err = run([*filter_argv(ws, tmp_path), f"--threshold={threshold}"])
+    assert code == EXIT_DATA
+    assert error_line(err) == f"error: --threshold must be a finite number, got {float(threshold)}"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_config_that_asks_for_too_many_parameters_exits_2(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"model": {"d_model": 4611686018427387904}}), encoding="utf-8")
+    code, err = run(["pretrain", "--config", str(path)])
+    assert code == EXIT_DATA
+    count = ModelConfig(**{**PRESET_MODELS["desk"], "d_model": 4611686018427387904}).param_count()
+    assert error_line(err).endswith(f"would hold {count} parameters, more than the limit of {MAX_PARAMS}")
+
+
+def _claiming(ws: Path, path: Path, **sizes) -> Path:
+    """The checkpoint of ``ws`` whose config block claims other model sizes."""
+    blob = (ws / "model.kmbt").read_bytes()
+    (old_len,) = struct.unpack_from("<Q", blob, 8)
+    header = json.loads(blob[16 : 16 + old_len])
+    header["run_config"]["model"].update(sizes)
+    block = json.dumps(header).encode()
+    path.write_bytes(blob[:8] + struct.pack("<Q", len(block)) + block + blob[16 + old_len :])
+    return path
+
+
+@pytest.mark.parametrize("field", ["d_model", "n_enc_layers", "vocab_size"])
+def test_checkpoint_that_claims_too_many_parameters_exits_2_before_reading_arrays(ws, tmp_path, field):
+    claimed = _claiming(ws, tmp_path / "huge.kmbt", **{field: 4611686018427387904})
+    with mock.patch("vcgen.checkpoint.check_param_shapes", side_effect=AssertionError("shape map built")), \
+            mock.patch.object(np, "frombuffer", side_effect=AssertionError("array built")):
+        code, err = run(["inspect-checkpoint", str(claimed)])
+    assert code == EXIT_DATA
+    line = error_line(err)
+    assert line.startswith(f"error: {claimed}: model section: the model would hold ")
+    assert line.endswith(f"parameters, more than the limit of {MAX_PARAMS}")
+
+
 @pytest.mark.parametrize("max_len, decoded", [(500, 47), (47, 47), (8, 8)])
 def test_generate_header_records_the_length_decoded(ws, tmp_path, max_len, decoded):
     """A 48-position model decodes at most 47 tokens after <s>; the header
@@ -302,6 +415,38 @@ def test_fuzzed_config_documents_exit_0_or_2(ws, mutation):
         path = Path(tmp) / "c.json"
         path.write_text(json.dumps(doc), encoding="utf-8")  # NaN and Infinity as Python writes them
         assert run(["pretrain", "--config", str(path)])[0] in (EXIT_OK, EXIT_DATA)
+
+
+MODEL_SIZES = [dotted for dotted, kind in leaf_fields() if dotted.startswith("model.") and kind is int]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sizes=st.dictionaries(st.sampled_from(MODEL_SIZES), st.integers(2**28, 2**62), min_size=1),
+    command=st.sampled_from(["pretrain", "inspect-checkpoint"]),
+)
+def test_model_sizes_up_to_2_62_exit_2_in_a_few_mb(ws, sizes, command):
+    """Every model size in a config or a checkpoint header is bounded
+    before anything grows with it: sizes of 2**28 and more ask for over
+    2**31 parameters on the 16-wide model, and exit 2 within 4 MB."""
+    with tempfile.TemporaryDirectory() as tmp, cwd(tmp):
+        if command == "pretrain":
+            base = json.loads((ws / "config.json").read_text(encoding="utf-8"))
+            base["model"].update({dotted.split(".")[1]: value for dotted, value in sizes.items()})
+            path = Path(tmp) / "c.json"
+            path.write_text(json.dumps(base), encoding="utf-8")
+            argv = ["pretrain", "--config", str(path)]
+        else:
+            path = _claiming(ws, Path(tmp) / "c.kmbt", **{dotted.split(".")[1]: v for dotted, v in sizes.items()})
+            argv = ["inspect-checkpoint", str(path)]
+        tracemalloc.start()
+        try:
+            code, _ = run(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == EXIT_DATA
+    assert peak < 4 << 20, peak
 
 
 TYPED_LEAVES = {dotted: kind for dotted, kind in leaf_fields() if kind is not str and dotted != "use_event"}

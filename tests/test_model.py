@@ -4,12 +4,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erf
 
 import dataclasses
 
+from vcgen.config import preset
 from vcgen.data import MultimodalExample, pad_batch
+from vcgen.errors import InputError
 from vcgen.model import (
+    MAX_PARAMS,
     Model,
     ModelConfig,
     RoIFeature,
@@ -359,6 +364,34 @@ def test_param_count_desk_preset():
     config = ModelConfig(vocab_size=500)
     actual = sum(int(np.prod(s)) for s in param_shapes(config).values())
     assert count_params(config) == actual
+
+
+@settings(max_examples=200, deadline=None)
+@given(sizes=st.fixed_dictionaries({
+    name: st.integers(0 if name == "vocab_size" else 1, 2**62)
+    for name in ("d_model", "n_enc_layers", "n_dec_layers", "d_ffn", "vocab_size", "d_visual",
+                 "n_classes", "n_attr", "n_rel", "max_positions")
+}))
+def test_param_count_is_the_oracle_closed_form_at_any_size(sizes):
+    config = ModelConfig(n_heads=1, **sizes)
+    assert config.param_count() == count_params(config)
+
+
+def test_param_count_of_the_paper_preset_at_bart_vocabulary():
+    config = preset("paper").model
+    config.vocab_size = 50265
+    assert config.param_count() == 141_135_761
+
+
+def test_validate_bounds_the_parameter_count():
+    """With d_model 1 each vocabulary entry costs 2 parameters: the largest
+    vocabulary under the bound validates, one more entry does not."""
+    config = ModelConfig(d_model=1, n_heads=1, d_ffn=1, vocab_size=0)
+    config.vocab_size = (MAX_PARAMS - config.param_count()) // 2
+    config.validate()
+    config.vocab_size += 1
+    with pytest.raises(InputError, match=f"would hold {config.param_count()} parameters"):
+        config.validate()
 
 
 def test_model_rejects_bad_shapes(setup):

@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 
 import vcgen
-from vcgen import synthetic
+from vcgen import synthetic, train
 from vcgen.config import preset
 from vcgen.data import pad_batch
 from vcgen.losses import combine_losses, compute_losses
 from vcgen.model import Model, assemble_input
+from vcgen.optim import AdamW
 from vcgen.tensor import (
     Tape,
     Tensor,
@@ -375,14 +376,41 @@ def test_backward_loss_must_be_on_tape():
         tape.backward(stray)
 
 
-def test_backward_accumulates_without_reset():
+def test_second_backward_on_a_walked_tape_raises():
     x = t64([1.0, 2.0], requires_grad=True)
     with Tape() as tape:
         loss = sum_all(mul(x, x))
     tape.backward(loss)
     first = x.grad.copy()
-    tape.backward(loss)
-    assert np.allclose(x.grad, 2.0 * first)
+    with pytest.raises(ValueError, match="walked by an earlier backward"):
+        tape.backward(loss)
+    assert np.array_equal(x.grad, first)
+    assert len(tape) == 2
+
+
+def test_backward_over_two_tapes_adds_both_grads_into_a_shared_leaf():
+    """x feeds two losses recorded on two tapes: walking both adds into
+    x.grad, bit for bit the sum of what each tape gives alone."""
+    rng = np.random.default_rng(4)
+    x = t64(rng.normal(size=(3, 4)), requires_grad=True)
+    w = t64(rng.normal(size=(4, 4)), requires_grad=True)
+
+    def walk(*losses):
+        x.grad = None
+        for build in losses:
+            with Tape() as tape:
+                loss = build()
+            tape.backward(loss)
+        return x.grad
+
+    def first():
+        return sum_all(gelu(matmul(x, w)))
+
+    def second():
+        return sum_all(mul(x, x))
+
+    g1, g2 = walk(first), walk(second)
+    assert np.array_equal(walk(first, second), g1 + g2)
 
 
 def test_backward_deterministic_after_reset():
@@ -408,18 +436,18 @@ def test_backward_deterministic_after_reset():
 # what a tape keeps
 
 
-def _desk_step():
-    """A desk-preset model and one training batch per dataset stream, with
-    the terms each stream carries in pretraining."""
+def _desk_step(n: int = 4):
+    """A desk-preset model and one training batch of n examples per dataset
+    stream, with the terms each stream carries in pretraining."""
     vocab = build_vocab(synthetic.full_corpus_lines(), min_freq=1)
     config = preset("desk").model
     config.vocab_size = len(vocab)
     config.d_visual, config.n_classes, config.n_attr, config.n_rel = 16, 10, 8, 6
     model = Model.init_random(config, 3)
     streams = (
-        (synthetic.make_vcg_dataset(4, seed=[3, 0], prefix="kcg"), "kcg", {"kcg"}),
-        (synthetic.make_region_dataset(4, seed=[3, 1]), "ap", {"ap", "rp"}),
-        (synthetic.make_caption_dataset(4, seed=[3, 2]), "mlm", {"mlm", "mrm"}),
+        (synthetic.make_vcg_dataset(n, seed=[3, 0], prefix="kcg"), "kcg", {"kcg"}),
+        (synthetic.make_region_dataset(n, seed=[3, 1]), "ap", {"ap", "rp"}),
+        (synthetic.make_caption_dataset(n, seed=[3, 2]), "mlm", {"mlm", "mrm"}),
     )
     batches = []
     for examples, task, wanted in streams:
@@ -454,10 +482,12 @@ def test_backward_gives_grad_to_leaves_only_with_the_reference_bits():
     assert sum(g is not None for g in grads[WatchTape].values()) > len(model.params) // 2
 
 
-def _backward_excess(n_blocks: int, rows: int = 4096, d: int = 64) -> tuple[int, int]:
-    """Traced bytes that ``backward`` of n residual ``x + linear(x)`` blocks
-    over a [rows, d] float32 activation allocates above what the forward
-    left held, less the leaves' grads; and the bytes of one activation."""
+def _residual_backward(n_blocks: int, rows: int = 4096, d: int = 64) -> tuple[int, int, int, Tape]:
+    """Backward of n residual ``x + linear(x)`` blocks over a [rows, d]
+    float32 activation. Returns the traced bytes it allocates at its peak
+    above what the forward left held, and the traced bytes still held when
+    it returns above what was held before recording, both less the leaves'
+    grads; the bytes of one activation; and the walked tape."""
     rng = np.random.default_rng(n_blocks)
     x = Tensor(rng.normal(size=(rows, d)).astype(np.float32))
     params = [
@@ -467,6 +497,7 @@ def _backward_excess(n_blocks: int, rows: int = 4096, d: int = 64) -> tuple[int,
     ]
     tracemalloc.start()
     try:
+        before = tracemalloc.get_traced_memory()[0]
         with Tape() as tape:
             h = x
             for w, b in params:
@@ -475,11 +506,11 @@ def _backward_excess(n_blocks: int, rows: int = 4096, d: int = 64) -> tuple[int,
         held = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         tape.backward(loss)
-        peak = tracemalloc.get_traced_memory()[1]
+        after, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     leaf_grads = sum(w.grad.nbytes + b.grad.nbytes for w, b in params)
-    return peak - held - leaf_grads, x.data.nbytes
+    return peak - held - leaf_grads, after - before - leaf_grads, x.data.nbytes, tape
 
 
 def test_backward_peak_is_a_few_buffers_whatever_the_depth():
@@ -487,8 +518,52 @@ def test_backward_peak_is_a_few_buffers_whatever_the_depth():
     stack needs a few activation-sized buffers above the forward's, not
     one or two per block."""
     for n_blocks in (2, 16):
-        excess, activation = _backward_excess(n_blocks)
+        excess, _, activation, _ = _residual_backward(n_blocks)
         assert excess <= 4 * activation, (n_blocks, excess / activation)
+
+
+class _MeteredTape(Tape):
+    """A tape that notes the traced bytes held as recording starts and as
+    its backward returns, and keeps itself in ``made``."""
+
+    made: list["_MeteredTape"] = []
+
+    def __enter__(self):
+        self.before = tracemalloc.get_traced_memory()[0]
+        _MeteredTape.made.append(self)
+        return super().__enter__()
+
+    def backward(self, loss):
+        super().backward(loss)
+        self.after = tracemalloc.get_traced_memory()[0]
+
+
+def test_walked_tape_holds_no_rule_and_frees_the_activations(monkeypatch):
+    """Backward clears each op's rule as it runs, so once it returns the
+    tape pins no activation: above what was held before recording, only
+    the leaves' grads and at most two activation buffers are still held.
+    Both a 16-block residual stack and a desk training step."""
+    _, retained, activation, tape = _residual_backward(16)
+    assert len(tape) == 33 and not any(tape._ops)
+    assert retained <= 2 * activation, retained / activation
+
+    model, batches = _desk_step(16)
+    cfg = preset("desk")
+    optimizer = AdamW(model.params)
+    monkeypatch.setattr(_MeteredTape, "made", [])
+    monkeypatch.setattr(train, "Tape", _MeteredTape)
+    tracemalloc.start()
+    try:
+        assert train._train_step(model, optimizer, batches, cfg.loss_weights, cfg, 0, 0) is not None
+    finally:
+        tracemalloc.stop()
+    [tape] = _MeteredTape.made
+    assert len(tape) > 100 and not any(tape._ops)
+    leaf_grads = sum(p.grad.nbytes for p in model.params.values() if p.grad is not None)
+    # the step's widest activation: one stream's float32 [batch, positions, d_model] state
+    activation = 4 * cfg.model.d_model * max(max(b.enc_ids.size, b.dec_ids.size) for b, _ in batches)
+    retained = tape.after - tape.before - leaf_grads
+    assert retained <= 2 * activation, retained / activation
 
 
 # ---------------------------------------------------------------------------
