@@ -180,7 +180,7 @@ def _decode_rows(
 ) -> list[list[int]]:
     """Decode (item index, sample) rows through one KV cache; returns each
     row's tokens. The rows' distinct items are encoded over
-    ``exact_batches``."""
+    ``exact_batches``. A non-finite logit raises InputError naming its example."""
     distinct, row_example = np.unique([i for i, _ in rows], return_inverse=True)
     encodings: list[np.ndarray] = [None] * len(distinct)
     for members, batch in exact_batches([items[i] for i in distinct]):
@@ -194,8 +194,12 @@ def _decode_rows(
     tokens: list[list[int]] = [[] for _ in rows]
     live = np.arange(len(rows))  # the row behind each cache row
     ids = np.full(len(rows), BOS_ID, dtype=np.int64)
-    for _ in range(max_len):
+    for step in range(1, max_len + 1):
         logits = model.lm_head(model.decode_step(ids, cache), ARRAYS)[:, 0]
+        finite = np.isfinite(logits).all(axis=-1)
+        if not finite.all():
+            example = items[rows[live[np.argmin(finite)]][0]][1]
+            raise InputError(f"example {example.source_id!r} gets a non-finite logit at decoding step {step}")
         nxt = sample_next_token(logits, config, rngs)
         kept = np.flatnonzero(nxt != EOS_ID)
         if len(kept) == 0:

@@ -362,38 +362,33 @@ class DecoderCache:
     """Incremental decoding state of a set of rows, each decoding over one
     unpadded encoding.
 
-    Rows are grouped by encoder length: ``groups[g]`` holds the cache rows
-    of group g in ascending order, and ``cross[layer][g]`` that layer's cross-attention keys
-    and values for them, [rows_g, H, T_g, dk]. ``self_k``/``self_v`` hold
-    each layer's self-attention keys and values, [rows, H, max_len, dk],
-    filled for the first ``length`` positions.
+    Every buffer is row-aligned: ``cross_k``/``cross_v`` hold each layer's
+    cross-attention keys and values, [rows, H, T_max, dk], row j's in its
+    first ``lengths[j]`` (encoder length) positions; ``self_k``/``self_v``
+    its self-attention ones, [rows, H, max_len, dk], filled for the first
+    ``length`` positions. ``runs`` are the maximal runs of consecutive rows
+    of one encoder length, as (rows, length).
     """
 
-    groups: list[np.ndarray]
-    cross: list[list[tuple[np.ndarray, np.ndarray]]]
+    cross_k: list[np.ndarray]
+    cross_v: list[np.ndarray]
     self_k: list[np.ndarray]
     self_v: list[np.ndarray]
+    lengths: np.ndarray
+    runs: list[tuple[slice, int]]
     length: int = 0
 
     def keep(self, rows: Sequence[int]) -> None:
-        """Retain only the given distinct rows, in the given order; groups
-        left empty are dropped. Rows move to the front of the buffers in
-        place, and only the filled positions of the self-attention caches
-        move: a step writes its position before it reads it."""
+        """Retain only the given distinct rows, in the given order, at the
+        front of every buffer, in place. The self-attention caches move only
+        their filled positions: a step writes its position before it reads it."""
         idx = np.asarray(rows, dtype=np.int64)
-        group_of = np.empty(len(self.self_k[0]), dtype=np.int64)
-        for g, members in enumerate(self.groups):
-            group_of[members] = g
-        kept_group = group_of[idx]
-        kept = []
-        for g, members in enumerate(self.groups):
-            new_rows = np.flatnonzero(kept_group == g)
-            if len(new_rows):
-                kept.append((g, new_rows, np.searchsorted(members, idx[new_rows])))
-        self.groups = [new_rows for _, new_rows, _ in kept]
-        self.cross = [[tuple(_keep_rows(kv, slots, None) for kv in layer[g]) for g, _, slots in kept] for layer in self.cross]
+        self.cross_k = [_keep_rows(k, idx, None) for k in self.cross_k]
+        self.cross_v = [_keep_rows(v, idx, None) for v in self.cross_v]
         self.self_k = [_keep_rows(k, idx, self.length) for k in self.self_k]
         self.self_v = [_keep_rows(v, idx, self.length) for v in self.self_v]
+        self.lengths = self.lengths[idx]
+        self.runs = _runs(self.lengths)
 
 
 def _keep_rows(buffer: np.ndarray, idx: np.ndarray, positions: int | None) -> np.ndarray:
@@ -407,11 +402,11 @@ def _keep_rows(buffer: np.ndarray, idx: np.ndarray, positions: int | None) -> np
     return buffer[: len(idx)]
 
 
-def _row_selector(rows: np.ndarray) -> slice | np.ndarray:
-    """``rows`` (ascending, distinct) as a basic slice when they are
-    contiguous, so that selecting them takes a view, not a copy."""
-    start, stop = int(rows[0]), int(rows[-1]) + 1
-    return slice(start, stop) if stop - start == len(rows) else rows
+def _runs(lengths: np.ndarray) -> list[tuple[slice, int]]:
+    """The maximal runs of consecutive equal ``lengths`` (all positive), as
+    (basic slice, length): selecting a run takes a view, not a copy."""
+    starts = np.flatnonzero(np.diff(lengths, prepend=0)).tolist()
+    return [(slice(a, b), int(lengths[a])) for a, b in zip(starts, starts[1:] + [len(lengths)])]
 
 
 class Model:
@@ -556,33 +551,26 @@ class Model:
     ) -> DecoderCache:
         """Incremental decoding state for one row per entry of
         ``row_example``; row j decodes over ``encodings[row_example[j]]``,
-        unpadded encoder states [T_e, d].
-
-        Rows are grouped by encoder length. Each decoder layer's
-        cross-attention keys and values are projected once per encoding, as
-        a group's stacked [E_g, T_g, d] encodings, and gathered once per
-        row; the self-attention caches hold ``max_len`` positions.
+        unpadded encoder states [T_e, d]. Each layer's cross-attention keys
+        and values are projected once per encoding, stacked with the others
+        of its length, and copied into the first T_e positions of its rows.
         """
         row_example = np.asarray(row_example, dtype=np.int64)
-        row_length = np.asarray([len(encoding) for encoding in encodings], dtype=np.int64)[row_example]
-        layers = range(self.config.n_dec_layers)
-        groups, cross = [], [[] for _ in layers]
-        for length in np.unique(row_length):
-            rows = np.flatnonzero(row_length == length)
+        lengths = np.asarray([len(encoding) for encoding in encodings], dtype=np.int64)[row_example]
+        layers, heads = range(self.config.n_dec_layers), self.config.n_heads
+        dk = self.config.d_model // heads
+        cross_k, cross_v, self_k, self_v = (
+            [np.zeros((len(row_example), heads, positions, dk), dtype=self.dtype) for _ in layers]
+            for positions in (lengths.max(), lengths.max(), max_len, max_len)
+        )
+        for length in np.unique(lengths):
+            rows = np.flatnonzero(lengths == length)
             members, row_member = np.unique(row_example[rows], return_inverse=True)
             stacked = np.stack([encodings[e] for e in members])
-            groups.append(rows)
             for i in layers:
-                parts = (self._heads(stacked, f"dec.{i}.cross_attn", part, ARRAYS)[row_member] for part in ("k", "v"))
-                cross[i].append(tuple(parts))
-        heads = self.config.n_heads
-        shape = (len(row_example), heads, max_len, self.config.d_model // heads)
-        return DecoderCache(
-            groups=groups,
-            cross=cross,
-            self_k=[np.zeros(shape, dtype=self.dtype) for _ in layers],
-            self_v=[np.zeros(shape, dtype=self.dtype) for _ in layers],
-        )
+                cross_k[i][rows, :, :length] = self._heads(stacked, f"dec.{i}.cross_attn", "k", ARRAYS)[row_member]
+                cross_v[i][rows, :, :length] = self._heads(stacked, f"dec.{i}.cross_attn", "v", ARRAYS)[row_member]
+        return DecoderCache(cross_k, cross_v, self_k, self_v, lengths, _runs(lengths))
 
     def decode_step(self, ids: np.ndarray, cache: DecoderCache) -> np.ndarray:
         """Run the decoder at position ``cache.length`` for every cached row,
@@ -593,10 +581,10 @@ class Model:
         per slice and a row's states do not depend on the other rows. The
         layer body is ``decode``'s, except that self-attention reads its keys
         and values from the cache, and the cross-attention context runs once
-        per encoder-length group of the cache over the group's unpadded keys
-        (a contiguous group reads a view of the queries). Writes the
-        position's self-attention keys and values into the cache and returns
-        the final decoder states [rows, 1, d], with the uncached decoder's bits.
+        per run of the cache, over views of its rows' keys and values cut at
+        its encoder length, so no key is padded. Writes the position's
+        self-attention keys and values into the cache and returns the final
+        decoder states [rows, 1, d], with the uncached decoder's bits.
         """
         t = cache.length
         if t >= cache.self_k[0].shape[2]:
@@ -604,7 +592,6 @@ class Model:
         p, ops = self.params, ARRAYS
         x = p["tok_emb.weight"].data[np.asarray(ids, dtype=np.int64)[:, None]]
         x += p["pos_emb.weight"].data[t : t + 1]
-        selectors = [_row_selector(rows) for rows in cache.groups]
         for i in range(self.config.n_dec_layers):
             prefix = f"dec.{i}.self_attn"
             normed = self._norm(x, f"dec.{i}.ln1", ops)
@@ -616,9 +603,10 @@ class Model:
 
             prefix = f"dec.{i}.cross_attn"
             q = self._heads(self._norm(x, f"dec.{i}.ln2", ops), prefix, "q", ops)
+            keys, values = cache.cross_k[i], cache.cross_v[i]
             context = np.empty(x.shape, dtype=x.dtype)
-            for rows, (keys, values) in zip(selectors, cache.cross[i]):
-                context[rows] = ops.attention(q[rows], keys, values, None)
+            for rows, length in cache.runs:
+                context[rows] = ops.attention(q[rows], keys[rows, :, :length], values[rows, :, :length], None)
             x += self._linear(context, f"{prefix}.o", ops)
             x += self.mlp(self._norm(x, f"dec.{i}.ln3", ops), f"dec.{i}.ffn", ops)
         cache.length += 1

@@ -74,7 +74,6 @@ class Vocabulary:
     def __init__(self, regular_tokens: Sequence[str]):
         self.id_to_token: list[str] = list(RESERVED_TOKENS) + list(regular_tokens)
         self.token_to_id: dict[str, int] = {t: i for i, t in enumerate(self.id_to_token)}
-        self.n_regular = len(regular_tokens)
 
     def __len__(self) -> int:
         return len(self.id_to_token)

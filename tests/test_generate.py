@@ -161,60 +161,75 @@ def test_generate_rejects_non_generation_task(gen_setup, monkeypatch):
         generate_dataset(model, vocab, [kcg, kcg, region], GenerationConfig())
 
 
+# Each decoding contract holds with one decoder layer and with two: every
+# layer writes its self-attention keys and values at the cache position.
+DEC_LAYERS = (1, 2)
+
+
+def _decoder_config(vocab, n_dec_layers, wide=False):
+    """``tiny_config`` with ``n_dec_layers`` decoder layers, at d=128 when
+    ``wide``."""
+    config = tiny_config(len(vocab))
+    config.n_dec_layers = n_dec_layers
+    if wide:
+        config.d_model, config.n_heads, config.d_ffn = 128, 4, 256
+    return config
+
+
 @pytest.mark.parametrize("use_event", [True, False])
 def test_cached_decoding_matches_full_prefix_recompute(use_event):
     """In float64, every cached step agrees with re-running the decoder over
     the whole prefix and the row's own encoding, also for rows over two
     encodings of different length and after rows have left the cache."""
     vocab = tiny_vocab()
-    config = tiny_config(len(vocab))
-    model = Model.init_random(config, 0, dtype=np.float64)
     kcg, _, _ = tiny_examples()
     short = dataclasses.replace(kcg, rois=kcg.rois[:1], event_text="w1 w2", source_id="short")
-    encodings = []
-    for example in (kcg, short):
-        batch = pad_batch([(assemble_input(example, vocab, "gen", use_event=use_event), example)])
-        encodings.append((model.encoder_states(batch), batch.enc_mask))
-    assert encodings[0][0].shape != encodings[1][0].shape
-    max_len = 8
-    row_example = [0, 1, 1]
-    cache = model.start_decoding([enc_out.data[0] for enc_out, _ in encodings], row_example, max_len)
-    prefixes = [[BOS_ID] for _ in row_example]
-    rng = np.random.default_rng(11)
-    for step in range(max_len):
-        ids = np.asarray([prefix[-1] for prefix in prefixes])
-        logits = model.lm_head(model.decode_step(ids, cache), ARRAYS)[:, 0]
-        assert logits.shape == (len(prefixes), len(vocab))
-        for row, prefix, e in zip(logits, prefixes, row_example):
-            oracle = model.lm_head(model.decode_ids(np.asarray([prefix]), *encodings[e])).data[0, -1]
-            assert np.max(np.abs(row - oracle)) < 1e-9
-        if step == 3:
-            cache.keep([2, 0])
-            prefixes = [prefixes[2], prefixes[0]]
-            row_example = [row_example[2], row_example[0]]
-        for prefix in prefixes:
-            prefix.append(int(rng.integers(N_RESERVED, len(vocab))))
-    assert cache.length == max_len
-    with pytest.raises(ValueError, match="full"):
-        model.decode_step(ids[:2], cache)
+    for n_dec_layers in DEC_LAYERS:
+        model = Model.init_random(_decoder_config(vocab, n_dec_layers), 0, dtype=np.float64)
+        encodings = []
+        for example in (kcg, short):
+            batch = pad_batch([(assemble_input(example, vocab, "gen", use_event=use_event), example)])
+            encodings.append((model.encoder_states(batch), batch.enc_mask))
+        assert encodings[0][0].shape != encodings[1][0].shape
+        max_len = 8
+        row_example = [0, 1, 1]
+        cache = model.start_decoding([enc_out.data[0] for enc_out, _ in encodings], row_example, max_len)
+        prefixes = [[BOS_ID] for _ in row_example]
+        rng = np.random.default_rng(11)
+        for step in range(max_len):
+            ids = np.asarray([prefix[-1] for prefix in prefixes])
+            logits = model.lm_head(model.decode_step(ids, cache), ARRAYS)[:, 0]
+            assert logits.shape == (len(prefixes), len(vocab))
+            for row, prefix, e in zip(logits, prefixes, row_example):
+                oracle = model.lm_head(model.decode_ids(np.asarray([prefix]), *encodings[e])).data[0, -1]
+                assert np.max(np.abs(row - oracle)) < 1e-9, f"{n_dec_layers} decoder layers, step {step}"
+            if step == 3:
+                cache.keep([2, 0])
+                prefixes = [prefixes[2], prefixes[0]]
+                row_example = [row_example[2], row_example[0]]
+            for prefix in prefixes:
+                prefix.append(int(rng.integers(N_RESERVED, len(vocab))))
+        assert cache.length == max_len
+        with pytest.raises(ValueError, match="full"):
+            model.decode_step(ids[:2], cache)
 
 
 def test_decode_step_rows_are_bitwise_independent():
     """In float32 at d=128, stepping rows together gives each row exactly
     the states it gets when stepped alone."""
     vocab = tiny_vocab()
-    config = tiny_config(len(vocab))
-    config.d_model, config.n_heads, config.d_ffn = 128, 4, 256
-    model = Model.init_random(config, 0)
     kcg, _, _ = tiny_examples()
-    enc_out = model.encoder_states(pad_batch([(assemble_input(kcg, vocab, "gen"), kcg)]))
     tokens = np.random.default_rng(5).integers(N_RESERVED, len(vocab), size=(6, 3))
-    together = model.start_decoding(enc_out.data, [0, 0, 0], 6)
-    alone = [model.start_decoding(enc_out.data, [0], 6) for _ in range(3)]
-    for step_ids in tokens:
-        states = model.decode_step(step_ids, together)
-        for row, cache in enumerate(alone):
-            assert np.array_equal(states[row], model.decode_step(step_ids[row : row + 1], cache)[0])
+    for n_dec_layers in DEC_LAYERS:
+        model = Model.init_random(_decoder_config(vocab, n_dec_layers, wide=True), 0)
+        enc_out = model.encoder_states(pad_batch([(assemble_input(kcg, vocab, "gen"), kcg)]))
+        together = model.start_decoding(enc_out.data, [0, 0, 0], 6)
+        alone = [model.start_decoding(enc_out.data, [0], 6) for _ in range(3)]
+        for step_ids in tokens:
+            states = model.decode_step(step_ids, together)
+            for row, cache in enumerate(alone):
+                one = model.decode_step(step_ids[row : row + 1], cache)[0]
+                assert np.array_equal(states[row], one), f"{n_dec_layers} decoder layers"
 
 
 def test_decode_step_rows_over_several_encodings_match_uncached_decoder_bitwise():
@@ -222,84 +237,90 @@ def test_decode_step_rows_over_several_encodings_match_uncached_decoder_bitwise(
     batch get at the first position exactly the states of the uncached
     decoder run over their own encoding alone."""
     vocab = tiny_vocab()
-    config = tiny_config(len(vocab))
-    config.d_model, config.n_heads, config.d_ffn = 128, 4, 256
-    model = Model.init_random(config, 0)
     kcg, _, _ = tiny_examples()
-    items = [(assemble_input(example, vocab, "gen"), example) for example in _variants(kcg, 3, config)]
-    batch = pad_batch(items)
-    enc_out = model.encoder_states(batch)
     row_example = [2, 0, 0, 1, 2]
-    cache = model.start_decoding(enc_out.data, row_example, 4)
-    states = model.decode_step(np.full(len(row_example), BOS_ID), cache)
-    for row, e in enumerate(row_example):
-        alone = model.decode_ids(np.asarray([[BOS_ID]]), Tensor(enc_out.data[e : e + 1]), batch.enc_mask[e : e + 1])
-        assert np.array_equal(states[row], alone.data[0])
+    for n_dec_layers in DEC_LAYERS:
+        config = _decoder_config(vocab, n_dec_layers, wide=True)
+        model = Model.init_random(config, 0)
+        items = [(assemble_input(example, vocab, "gen"), example) for example in _variants(kcg, 3, config)]
+        batch = pad_batch(items)
+        enc_out = model.encoder_states(batch)
+        cache = model.start_decoding(enc_out.data, row_example, 4)
+        states = model.decode_step(np.full(len(row_example), BOS_ID), cache)
+        for row, e in enumerate(row_example):
+            enc_e = Tensor(enc_out.data[e : e + 1])
+            alone = model.decode_ids(np.asarray([[BOS_ID]]), enc_e, batch.enc_mask[e : e + 1])
+            assert np.array_equal(states[row], alone.data[0]), f"{n_dec_layers} decoder layers"
 
 
 def test_decode_step_rows_over_encodings_of_three_lengths_match_one_encoding_decoding_bitwise():
     """In float32 at d=128, interleaved rows over encodings of three
     different lengths get at the first position exactly the states of the
     uncached decoder run over their own encoding alone, and at every step
-    those of a one-row cache, also after a reordering ``keep`` has emptied
-    a group. After the ``keep`` the cache positions not yet written hold
-    NaN: a step must write its position before it reads it."""
+    those of a one-row cache, also after a reordering ``keep`` has dropped
+    every row over one encoding. The cache's runs are its maximal runs of
+    rows of one encoder length. After the ``keep`` the cache positions not
+    yet written hold NaN: a step must write its position before it reads
+    it."""
     vocab = tiny_vocab()
-    config = tiny_config(len(vocab))
-    config.d_model, config.n_heads, config.d_ffn = 128, 4, 256
-    model = Model.init_random(config, 0)
     kcg, _, _ = tiny_examples()
-    # encoding 3 has encoding 2's length, so one group holds two encodings
+    # encoding 3 has encoding 2's length
     no_event = dataclasses.replace(kcg, event_text=None)
-    examples = [kcg, dataclasses.replace(kcg, event_text="w1 w2"), *_variants(no_event, 2, config)]
-    batches = [pad_batch([(assemble_input(example, vocab, "gen"), example)]) for example in examples]
-    enc_outs = [model.encoder_states(batch) for batch in batches]
-    assert len({enc_out.shape[1] for enc_out in enc_outs}) == 3
-    encodings = [enc_out.data[0] for enc_out in enc_outs]
     row_example = [2, 0, 3, 0, 1, 2]
     max_len = 6
-    cache = model.start_decoding(encodings, row_example, max_len)
-    alone = [model.start_decoding([encodings[e]], [0], max_len) for e in row_example]
-    assert len(cache.groups) == 3
     tokens = np.random.default_rng(5).integers(N_RESERVED, len(vocab), size=(max_len, len(row_example)))
-    ids = np.full(len(row_example), BOS_ID)
-    for step in range(max_len):
-        states = model.decode_step(ids, cache)
-        for row, one in enumerate(alone):
-            assert np.array_equal(states[row], model.decode_step(ids[row : row + 1], one)[0])
-        if step == 0:
-            for row, e in enumerate(row_example):
-                uncached = model.decode_ids(np.asarray([[BOS_ID]]), enc_outs[e], batches[e].enc_mask)
-                assert np.array_equal(states[row], uncached.data[0])
-        if step == 2:
-            kept = [2, 4, 5, 0]  # drops both rows over encoding 0
-            cache.keep(kept)
-            for buffer in cache.self_k + cache.self_v:
-                buffer[:, :, cache.length :] = np.nan
-            alone = [alone[j] for j in kept]
-            assert len(cache.groups) == 2
-        ids = tokens[step, : len(alone)]
-    assert cache.length == max_len
+    for n_dec_layers in DEC_LAYERS:
+        config = _decoder_config(vocab, n_dec_layers, wide=True)
+        model = Model.init_random(config, 0)
+        examples = [kcg, dataclasses.replace(kcg, event_text="w1 w2"), *_variants(no_event, 2, config)]
+        batches = [pad_batch([(assemble_input(example, vocab, "gen"), example)]) for example in examples]
+        enc_outs = [model.encoder_states(batch) for batch in batches]
+        assert len({enc_out.shape[1] for enc_out in enc_outs}) == 3
+        encodings = [enc_out.data[0] for enc_out in enc_outs]
+        cache = model.start_decoding(encodings, row_example, max_len)
+        alone = [model.start_decoding([encodings[e]], [0], max_len) for e in row_example]
+        assert len(cache.runs) == 6
+        ids = np.full(len(row_example), BOS_ID)
+        for step in range(max_len):
+            states = model.decode_step(ids, cache)
+            for row, one in enumerate(alone):
+                one_state = model.decode_step(ids[row : row + 1], one)[0]
+                assert np.array_equal(states[row], one_state), f"{n_dec_layers} decoder layers"
+            if step == 0:
+                for row, e in enumerate(row_example):
+                    uncached = model.decode_ids(np.asarray([[BOS_ID]]), enc_outs[e], batches[e].enc_mask)
+                    assert np.array_equal(states[row], uncached.data[0]), f"{n_dec_layers} decoder layers"
+            if step == 2:
+                kept = [2, 4, 5, 0]  # drops both rows over encoding 0
+                cache.keep(kept)
+                for buffer in cache.self_k + cache.self_v:
+                    buffer[:, :, cache.length :] = np.nan
+                alone = [alone[j] for j in kept]
+                assert len(cache.runs) == 3
+            ids = tokens[step, : len(alone)]
+        assert cache.length == max_len
 
 
 def test_decode_step_records_nothing_on_an_active_tape():
     """Inside an active tape, with parameters that take gradients, decoding
     records no op and gives the states of frozen parameters bit for bit."""
     vocab = tiny_vocab()
-    config = tiny_config(len(vocab))
-    model = Model.init_random(config, 0)
-    frozen = Model(config, {name: Tensor(param.data) for name, param in model.params.items()})
     kcg, _, _ = tiny_examples()
-    enc_out = frozen.encoder_states(pad_batch([(assemble_input(kcg, vocab, "gen"), kcg)]))
     tokens = np.random.default_rng(3).integers(N_RESERVED, len(vocab), size=(4, 2))
-    frozen_cache = frozen.start_decoding(enc_out.data, [0, 0], 4)
-    with Tape() as tape:
-        cache = model.start_decoding(enc_out.data, [0, 0], 4)
-        for ids in tokens:
-            states = model.decode_step(ids, cache)
-            assert len(tape) == 0
-            assert type(states) is np.ndarray
-            assert np.array_equal(states, frozen.decode_step(ids, frozen_cache))
+    for n_dec_layers in DEC_LAYERS:
+        config = _decoder_config(vocab, n_dec_layers)
+        model = Model.init_random(config, 0)
+        frozen = Model(config, {name: Tensor(param.data) for name, param in model.params.items()})
+        enc_out = frozen.encoder_states(pad_batch([(assemble_input(kcg, vocab, "gen"), kcg)]))
+        frozen_cache = frozen.start_decoding(enc_out.data, [0, 0], 4)
+        with Tape() as tape:
+            cache = model.start_decoding(enc_out.data, [0, 0], 4)
+            for ids in tokens:
+                states = model.decode_step(ids, cache)
+                assert len(tape) == 0
+                assert type(states) is np.ndarray
+                frozen_states = frozen.decode_step(ids, frozen_cache)
+                assert np.array_equal(states, frozen_states), f"{n_dec_layers} decoder layers"
 
 
 def test_nucleus_rows_do_not_depend_on_other_rows(gen_setup):

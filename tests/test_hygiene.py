@@ -1,7 +1,8 @@
 """Source hygiene of the package: every imported name is read somewhere,
 nothing is imported from outside the standard library, numpy and vcgen, the
-inference modules import nothing of the tape, every function, class and
-method is read by package code, and every exception class is an InputError."""
+inference modules import nothing of the tape, every function, class, method
+and stored attribute is read by package code, and every exception class is
+an InputError."""
 
 from __future__ import annotations
 
@@ -231,6 +232,74 @@ def test_unread_definition_is_found_and_any_module_may_read_it():
         "b": "def helper():\n    return 1\n",
     }
     assert unread_definitions(sources) == ["a.Box.hidden", "a.orphan"]
+
+
+def _stored_attributes(tree: ast.Module):
+    """(``Class.x``, ``x``) of each field of a dataclass and each ``self.x``
+    that a method of a class assigns."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = {d.func if isinstance(d, ast.Call) else d for d in node.decorator_list}
+        if any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+            for sub in node.body:
+                if isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name):
+                    yield f"{node.name}.{sub.target.id}", sub.target.id
+        for sub in ast.walk(node):
+            if (
+                isinstance(sub, ast.Attribute)
+                and isinstance(sub.ctx, ast.Store)
+                and isinstance(sub.value, ast.Name)
+                and sub.value.id == "self"
+            ):
+                yield f"{node.name}.{sub.attr}", sub.attr
+
+
+def unread_attributes(sources: dict[str, str]) -> list[str]:
+    """``module.Class.x`` of each stored attribute (see ``_stored_attributes``)
+    that no module of ``sources`` reads, as ``.x`` or as the string ``"x"``
+    (config sections are read through ``getattr``)."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    return sorted(
+        {f"{module}.{dotted}" for module, tree in trees.items() for dotted, name in _stored_attributes(tree)
+         if name not in read}
+    )
+
+
+def test_package_reads_every_attribute_it_stores():
+    """A dataclass field or ``self.x`` that only tests read is dead state."""
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert unread_attributes(sources) == []
+
+
+def test_unread_attribute_is_found_and_a_string_reads_it():
+    sources = {
+        "a": (
+            "from dataclasses import dataclass, field\n"
+            "@dataclass(frozen=True)\n"
+            "class Section:\n"
+            "    shown: int = 0\n"
+            "    named: int = 0\n"
+            "    hidden: int = field(default=0)\n"
+            "class Box:\n"
+            "    size = 3\n"
+            "    def __init__(self, other):\n"
+            "        self.v, self.w = 1, 2\n"
+            "        self.count = 0\n"
+            "        self.count += 1\n"
+            "        other.x = 1\n"
+            "    def total(self, section):\n"
+            "        return self.v + section.shown + getattr(section, 'named')\n"
+        ),
+    }
+    assert unread_attributes(sources) == ["a.Box.count", "a.Box.w", "a.Section.hidden"]
 
 
 def _base_names(node: ast.ClassDef) -> list[str]:

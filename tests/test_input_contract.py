@@ -307,6 +307,52 @@ def test_non_finite_score_exits_2_naming_the_candidate(ws, tmp_path, case):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("mode", ["greedy", "nucleus"])
+@pytest.mark.parametrize("case", ["feature", "weight"])
+def test_non_finite_logit_exits_2_naming_the_example(ws, tmp_path, case, mode):
+    """A decoding step whose logits are not all finite: a region feature of
+    1e300 in the second example, or a checkpoint with one 3e38 weight (every
+    example). generate names the example and opens no output file."""
+    dataset, checkpoint = ws / "decode.jsonl", ws / "model.kmbt"
+    rows = [json.loads(text) for text in dataset.read_text(encoding="utf-8").splitlines()]
+    if case == "feature":
+        rows[1]["rois"][0]["feat"][0] = 1e300
+        dataset = tmp_path / "huge.jsonl"
+        write_rows(dataset, rows)
+        named = [rows[1]["source_id"]]
+    else:
+        checkpoint = _huge_weight_checkpoint(ws, tmp_path / "huge.kmbt")
+        named = [row["source_id"] for row in rows]
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = generate_argv(ws, out / "gen.jsonl", dataset=dataset, checkpoint=checkpoint, extra=("--mode", mode))
+    code, err = run(argv)
+    assert code == EXIT_DATA
+    line = error_line(err)
+    assert line in [f"error: example {source_id!r} gets a non-finite logit at decoding step 1" for source_id in named]
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_diverging_training_exits_2_naming_the_step_and_the_learning_rate(ws, tmp_path):
+    """At optimizer.lr 1e30 the first step is finite and the second step's
+    gradient is not: pretrain names the epoch, the step, the parameter and
+    the learning rate, and keeps the log line it wrote."""
+    argv = ["pretrain", "--config", str(ws / "config.json"), "--optimizer.lr", "1e30", "--schedule.batch_size", "2"]
+    with cwd(tmp_path):
+        code, err = run(argv)
+    assert code == EXIT_DATA
+    assert error_line(err) == (
+        "error: epoch 0, step 2: non-finite gradient for parameter 'tok_emb.weight'; "
+        "training diverged at optimizer.lr 1e+30"
+    )
+    log = (tmp_path / "run" / "train_log.jsonl").read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["step"] for line in log] == [1]
+
+
 @pytest.mark.parametrize("threshold", ["inf", "-inf", "nan"])
 def test_non_finite_threshold_exits_2_before_any_output(ws, tmp_path, threshold):
     code, err = run([*filter_argv(ws, tmp_path), f"--threshold={threshold}"])

@@ -65,9 +65,10 @@ MASKED_KEYS = (
     "attention over keys padded with masked positions must differ in bits from "
     "attention over the unpadded keys: the masked keys add exact zeros, but the "
     "longer softmax sum and probs @ v product pair their terms differently. "
-    "Model.decode_step's per-length-group cross-attention and data.exact_batches "
-    "rely on it: they group rows and examples by exact encoder length so that no "
-    "key is ever padded"
+    "Model.decode_step and data.exact_batches rely on it: decode_step runs "
+    "cross-attention once per run of rows of one encoder length, over keys cut "
+    "at that length, and exact_batches batches only examples of one encoder "
+    "length, so that no key is ever padded"
 )
 
 

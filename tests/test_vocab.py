@@ -35,7 +35,7 @@ def test_build_vocab_tie_break_by_count_then_lexicographic():
 def test_build_vocab_min_freq_threshold():
     vocab = build_vocab(["a b"], min_freq=2)
     assert len(vocab) == 18
-    assert vocab.n_regular == 0
+    assert vocab.id_to_token == list(RESERVED_TOKENS)
 
 
 def test_build_vocab_rejects_min_freq_below_one():
