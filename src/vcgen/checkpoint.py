@@ -28,6 +28,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import InputError
+from .files import json_text, output_file
 from .model import ModelConfig, check_param_shapes
 from .tensor import Tensor
 
@@ -60,11 +61,8 @@ def save_checkpoint(
 ) -> None:
     """Write parameters (and optional optimizer moments) in file order of
     the given mappings."""
-    header = json.dumps(
-        {"run_config": run_config, "global_step": int(global_step)},
-        sort_keys=True,
-        separators=(",", ":"),
-        allow_nan=False,
+    header = json_text(
+        {"run_config": run_config, "global_step": int(global_step)}, sort_keys=True, separators=(",", ":")
     ).encode("utf-8")
     entries: list[tuple[str, np.ndarray]] = []
     for name, value in params.items():
@@ -78,7 +76,7 @@ def save_checkpoint(
                 raise CheckpointError(f"optimizer entry {name!r} must use the {OPT_PREFIX!r} prefix")
             entries.append((name, np.asarray(data, dtype=np.float32)))
 
-    with Path(path).open("wb") as fh:
+    with output_file(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
         fh.write(struct.pack("<Q", len(header)))

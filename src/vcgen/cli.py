@@ -10,13 +10,13 @@ BLAS thread pools before numpy loads.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
 from pathlib import Path
 
 from .errors import InputError
+from .files import json_text, output_file, write_jsonl
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -126,7 +126,7 @@ def cmd_pretrain(args) -> int:
 
     cfg = _build_config(args)
     result = pretrain(cfg)
-    print(json.dumps(result, allow_nan=False))
+    print(json_text(result))
     return EXIT_OK
 
 
@@ -135,7 +135,7 @@ def cmd_finetune(args) -> int:
 
     cfg = _build_config(args)
     result = finetune(cfg, init_checkpoint=args.init_checkpoint)
-    print(json.dumps(result, allow_nan=False))
+    print(json_text(result))
     return EXIT_OK
 
 
@@ -158,10 +158,10 @@ def _load_inference_model(checkpoint: str, vocab_path: str):
 def cmd_filter(args) -> int:
     from .data import (
         check_dataset_dims,
+        example_to_dict,
         filter_dataset,
         filter_report,
         load_candidates_jsonl,
-        save_jsonl,
         score_dataset,
     )
 
@@ -182,19 +182,12 @@ def cmd_filter(args) -> int:
             )
         s.relation = relation
     kept, dropped = filter_dataset(scored, threshold=args.threshold)
-
-    def write(path: str, subset) -> None:
-        save_jsonl(
-            path,
-            [s.example for s in subset],
-            extras=[{"relation": s.relation, "avg_ce": s.avg_ce} for s in subset],
-        )
-
-    write(args.out_kept, kept)
-    write(args.out_dropped, dropped)
+    for path, subset in ((args.out_kept, kept), (args.out_dropped, dropped)):
+        write_jsonl(path, ({**example_to_dict(s.example), "relation": s.relation, "avg_ce": s.avg_ce} for s in subset))
     report = filter_report(kept, dropped)
     report["threshold"] = args.threshold
-    Path(args.report).write_text(json.dumps(report, indent=2, allow_nan=False) + "\n", encoding="utf-8")
+    with output_file(args.report) as fh:
+        fh.write(json_text(report, indent=2) + "\n")
     print(f"kept {len(kept)}/{len(scored)} candidates (threshold {args.threshold})")
     return EXIT_OK
 
@@ -214,22 +207,11 @@ def cmd_generate(args) -> int:
     examples = load_jsonl(args.dataset)
     check_dataset_dims(examples, model.config, args.dataset)
     generations = generate_dataset(model, vocab, examples, gen_cfg, use_event=args.use_event != "false")
-    with Path(args.out).open("w", encoding="utf-8", newline="\n") as fh:
-        header = {
-            "seed": gen_cfg.seed,
-            "mode": gen_cfg.mode,
-            "top_p": gen_cfg.top_p,
-            "num_samples": gen_cfg.num_samples,
-            "max_len": decode_length(model, gen_cfg),
-        }
-        fh.write(json.dumps(header, allow_nan=False) + "\n")
-        for example, sequences in zip(examples, generations):
-            record = {
-                "source_id": example.source_id,
-                "task": example.task.value,
-                "generations": [vocab.decode(seq) for seq in sequences],
-            }
-            fh.write(json.dumps(record, allow_nan=False) + "\n")
+    header = {"seed": gen_cfg.seed, "mode": gen_cfg.mode, "top_p": gen_cfg.top_p,
+              "num_samples": gen_cfg.num_samples, "max_len": decode_length(model, gen_cfg)}
+    rows = [{"source_id": ex.source_id, "task": ex.task.value, "generations": [vocab.decode(s) for s in sequences]}
+            for ex, sequences in zip(examples, generations)]
+    write_jsonl(args.out, [header, *rows])
     print(f"wrote generations for {len(examples)} examples to {args.out}")
     return EXIT_OK
 
@@ -299,9 +281,10 @@ def cmd_evaluate(args) -> int:
         totals["n_examples"] = sum(per_task[t]["n_examples"] for t in tasks)
         per_task["total"] = totals
         report["per_task"] = per_task
-    payload = json.dumps(report, indent=2, allow_nan=False)
+    payload = json_text(report, indent=2)
     if args.out:
-        Path(args.out).write_text(payload + "\n", encoding="utf-8")
+        with output_file(args.out) as fh:
+            fh.write(payload + "\n")
     print(payload)
     return EXIT_OK
 
@@ -316,7 +299,7 @@ def cmd_inspect_checkpoint(args) -> int:
     print(f"parameters: {len(ckpt.params)} tensors, {total} values")
     if ckpt.opt_state:
         print(f"optimizer state: {len(ckpt.opt_state)} tensors")
-    print("model config: " + json.dumps(ckpt.config.get("model", {}), sort_keys=True, allow_nan=False))
+    print("model config: " + json_text(ckpt.config.get("model", {}), sort_keys=True))
     for name, data in ckpt.params.items():
         print(f"  {name}  {list(data.shape)}")
     return EXIT_OK

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import InputError
+from .files import json_text
 from .losses import LOSS_ORDER, LossWeights
 from .model import ModelConfig
 
@@ -167,7 +168,7 @@ def load_config(path: str | Path, base: RunConfig | None = None) -> RunConfig:
 
 
 def config_hash(cfg: RunConfig) -> str:
-    canonical = json.dumps(to_dict(cfg), sort_keys=True, separators=(",", ":"))
+    canonical = json_text(to_dict(cfg), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -175,12 +176,16 @@ def config_hash(cfg: RunConfig) -> str:
 # dotted command-line overrides
 
 
+# Leaf annotations are strings here (``from __future__ import annotations``).
+_LEAF_TYPES = {"bool": bool, "int": int, "float": float, "str": str}
+
+
 def leaf_fields() -> list[tuple[str, type]]:
     """(dotted name, type) for every scalar leaf, e.g. ("model.d_model", int)."""
     out: list[tuple[str, type]] = []
     for section_name, section_cls in _SECTIONS.items():
         for f in dataclasses.fields(section_cls):
-            out.append((f"{section_name}.{f.name}", f.type if isinstance(f.type, type) else _resolve(f.type)))
+            out.append((f"{section_name}.{f.name}", _LEAF_TYPES[f.type]))
     out.append(("use_event", bool))
     out.append(("interleave", str))
     return out
@@ -207,11 +212,6 @@ def _is_file_name(path: str) -> bool:
     except UnicodeEncodeError:
         return False
     return "\x00" not in path
-
-
-def _resolve(annotation) -> type:
-    mapping = {"int": int, "float": float, "str": str, "bool": bool}
-    return mapping.get(str(annotation), str)
 
 
 _BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}

@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 import numpy as np
 
 from .errors import InputError
+from .files import write_jsonl
 from .model import AssembledInput, RoIFeature, assemble_input
 from .tensor import ARRAYS, log_softmax_kernel
 from .vocab import GENERATION_TASKS, PAD_ID, TaskType, Vocabulary
@@ -228,14 +229,9 @@ def load_jsonl(path: str | Path, n_attr: int | None = None, n_rel: int | None = 
     return [example_from_dict(obj, line_no, n_attr, n_rel) for line_no, obj in iter_jsonl(path)]
 
 
-def save_jsonl(path: str | Path, examples: Sequence[MultimodalExample], extras: Sequence[dict] | None = None) -> None:
-    """Write examples one JSON object per line; ``extras`` merge extra fields."""
-    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        for i, example in enumerate(examples):
-            obj = example_to_dict(example)
-            if extras is not None:
-                obj.update(extras[i])
-            fh.write(json.dumps(obj, allow_nan=False) + "\n")
+def save_jsonl(path: str | Path, examples: Sequence[MultimodalExample]) -> None:
+    """Write examples one JSON object per line."""
+    write_jsonl(path, map(example_to_dict, examples))
 
 
 def load_candidates_jsonl(path: str | Path) -> list[tuple[int, str, MultimodalExample]]:

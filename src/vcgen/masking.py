@@ -33,12 +33,6 @@ class MaskPlan:
     region_indices: list[int] = field(default_factory=list)
 
 
-def _as_rng(rng_or_seed) -> np.random.Generator:
-    if isinstance(rng_or_seed, np.random.Generator):
-        return rng_or_seed
-    return np.random.default_rng(rng_or_seed)
-
-
 def plan_mlm_mask(positions, vocab: Vocabulary, rng_or_seed) -> MaskPlan:
     """Mask each eligible position independently with p=0.15.
 
@@ -46,7 +40,7 @@ def plan_mlm_mask(positions, vocab: Vocabulary, rng_or_seed) -> MaskPlan:
     uniformly random regular token, 0.1 keep the original token. Callers pass
     only non-special positions. Deterministic given the seed.
     """
-    rng = _as_rng(rng_or_seed)
+    rng = np.random.default_rng(rng_or_seed)  # a Generator comes back as itself
     positions = list(positions)
     plan = MaskPlan()
     if not positions:
@@ -74,7 +68,7 @@ def plan_mrm_mask(n_regions: int, rng_or_seed) -> MaskPlan:
     """Mask each region independently with p=0.15 (feature zero-filled later)."""
     if n_regions < 0:
         raise ValueError(f"n_regions must be >= 0, got {n_regions}")
-    rng = _as_rng(rng_or_seed)
+    rng = np.random.default_rng(rng_or_seed)
     plan = MaskPlan()
     if n_regions == 0:
         return plan

@@ -10,19 +10,15 @@ embeddings plus three two-layer MLP classifiers.
 
 Blocks are pre-norm for stability at random initialization.
 
-Parameter count is a pure function of the config: ``param_shapes`` lists
-every tensor, and ``ModelConfig.param_count`` is the closed form below
-(``count_params`` in ``tests/oracles.py`` is its oracle):
-
-    V*d + P*d + V                               embeddings + token-head bias
-    + d_visual*d + d                            visual projection
-    + n_enc*(4(d^2+d) + 2*2d + ffn) + 2d        encoder (ffn = 2*d*f + f + d)
-    + n_dec*(8(d^2+d) + 3*2d + ffn) + 2d        decoder
-    + (d^2+d + d*A+A) + (2d*d+d + d*R+R) + (d^2+d + d*C+C)   heads
+The parameter layout is written once, as the tables of ``_param_tables``:
+``param_shapes`` lists every tensor from them, and ``ModelConfig.param_count``
+sums them at any layer count (README "Parameter count" gives the closed
+form, and ``count_params`` in ``tests/oracles.py`` is its oracle).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -101,19 +97,12 @@ class ModelConfig:
             raise InputError(f"dropout_rate must be a number in [0, 1), got {self.dropout_rate!r}")
 
     def param_count(self) -> int:
-        """The closed form of the module docstring, line for line; it builds
-        no shape map, so any sizes cost the same."""
-        d, f = self.d_model, self.d_ffn
-        ffn = 2 * d * f + f + d
-        return (
-            self.vocab_size * d + self.max_positions * d + self.vocab_size
-            + self.d_visual * d + d
-            + self.n_enc_layers * (4 * (d * d + d) + 2 * 2 * d + ffn) + 2 * d
-            + self.n_dec_layers * (8 * (d * d + d) + 3 * 2 * d + ffn) + 2 * d
-            + (d * d + d + d * self.n_attr + self.n_attr)
-            + (2 * d * d + d + d * self.n_rel + self.n_rel)
-            + (d * d + d + d * self.n_classes + self.n_classes)
+        """The summed sizes of the parameter tables, a layer's once per
+        layer: no shape map is built, so any sizes cost the same."""
+        before, enc_layer, dec_layer, stack_end, heads = (
+            sum(math.prod(shape) for shape in table.values()) for table in _param_tables(self)
         )
+        return before + self.n_enc_layers * enc_layer + self.n_dec_layers * dec_layer + 2 * stack_end + heads
 
 
 @dataclass
@@ -253,57 +242,48 @@ def assemble_input(
 # parameters
 
 
-def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """Complete parameter name -> shape map, in canonical order."""
-    d, f = config.d_model, config.d_ffn
-    shapes: dict[str, tuple[int, ...]] = {
+def _param_tables(config: ModelConfig) -> tuple[dict[str, tuple[int, ...]], ...]:
+    """The parameter layout as five name -> shape tables: the tensors before
+    the encoder, one encoder layer's and one decoder layer's (names below
+    ``enc.<i>.``/``dec.<i>.``), the norm that ends each stack (below
+    ``enc.``/``dec.``), and the heads."""
+    d = config.d_model
+
+    def norm(prefix: str) -> dict:
+        return {f"{prefix}.gain": (d,), f"{prefix}.bias": (d,)}
+
+    def attn(prefix: str) -> dict:
+        return {f"{prefix}.{part}.{kind}": shape
+                for part in "qkvo" for kind, shape in (("weight", (d, d)), ("bias", (d,)))}
+
+    def mlp(prefix: str, n_in: int, hidden: int, n_out: int) -> dict:
+        return {f"{prefix}.fc1.weight": (n_in, hidden), f"{prefix}.fc1.bias": (hidden,),
+                f"{prefix}.fc2.weight": (hidden, n_out), f"{prefix}.fc2.bias": (n_out,)}
+
+    before = {
         "tok_emb.weight": (config.vocab_size, d),
         "pos_emb.weight": (config.max_positions, d),
         "lm_head.bias": (config.vocab_size,),
         "vis_proj.weight": (config.d_visual, d),
         "vis_proj.bias": (d,),
     }
+    ffn = mlp("ffn", d, config.d_ffn, d)
+    enc_layer = {**norm("ln1"), **attn("attn"), **norm("ln2"), **ffn}
+    dec_layer = {**norm("ln1"), **attn("self_attn"), **norm("ln2"), **attn("cross_attn"), **norm("ln3"), **ffn}
+    heads = {**mlp("ap_head", d, d, config.n_attr), **mlp("rp_head", 2 * d, d, config.n_rel),
+             **mlp("mrm_head", d, d, config.n_classes)}
+    return before, enc_layer, dec_layer, norm("ln"), heads
 
-    def attn(prefix: str) -> None:
-        for part in ("q", "k", "v", "o"):
-            shapes[f"{prefix}.{part}.weight"] = (d, d)
-            shapes[f"{prefix}.{part}.bias"] = (d,)
 
-    def norm(prefix: str) -> None:
-        shapes[f"{prefix}.gain"] = (d,)
-        shapes[f"{prefix}.bias"] = (d,)
-
-    def ffn(prefix: str) -> None:
-        shapes[f"{prefix}.fc1.weight"] = (d, f)
-        shapes[f"{prefix}.fc1.bias"] = (f,)
-        shapes[f"{prefix}.fc2.weight"] = (f, d)
-        shapes[f"{prefix}.fc2.bias"] = (d,)
-
-    for i in range(config.n_enc_layers):
-        norm(f"enc.{i}.ln1")
-        attn(f"enc.{i}.attn")
-        norm(f"enc.{i}.ln2")
-        ffn(f"enc.{i}.ffn")
-    norm("enc.ln")
-    for i in range(config.n_dec_layers):
-        norm(f"dec.{i}.ln1")
-        attn(f"dec.{i}.self_attn")
-        norm(f"dec.{i}.ln2")
-        attn(f"dec.{i}.cross_attn")
-        norm(f"dec.{i}.ln3")
-        ffn(f"dec.{i}.ffn")
-    norm("dec.ln")
-
-    for name, width, labels in (
-        ("ap_head", d, config.n_attr),
-        ("rp_head", 2 * d, config.n_rel),
-        ("mrm_head", d, config.n_classes),
-    ):
-        shapes[f"{name}.fc1.weight"] = (width, d)
-        shapes[f"{name}.fc1.bias"] = (d,)
-        shapes[f"{name}.fc2.weight"] = (d, labels)
-        shapes[f"{name}.fc2.bias"] = (labels,)
-    return shapes
+def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Complete parameter name -> shape map, in canonical order."""
+    before, enc_layer, dec_layer, stack_end, heads = _param_tables(config)
+    shapes = dict(before)
+    for stack, n_layers, layer in (("enc", config.n_enc_layers, enc_layer), ("dec", config.n_dec_layers, dec_layer)):
+        for i in range(n_layers):
+            shapes.update({f"{stack}.{i}.{name}": shape for name, shape in layer.items()})
+        shapes.update({f"{stack}.{name}": shape for name, shape in stack_end.items()})
+    return shapes | heads
 
 
 def check_param_shapes(config: ModelConfig, shapes: Mapping[str, tuple[int, ...]]) -> None:
@@ -314,8 +294,8 @@ def check_param_shapes(config: ModelConfig, shapes: Mapping[str, tuple[int, ...]
     expected name map is built, so the work stays bounded by what was
     given; a message names at most 8 missing and 8 extra parameters.
     """
-    # param_shapes gives each encoder layer 16 tensors, each decoder layer 26
-    layer_tensors = 16 * config.n_enc_layers + 26 * config.n_dec_layers
+    _, enc_layer, dec_layer, _, _ = _param_tables(config)
+    layer_tensors = len(enc_layer) * config.n_enc_layers + len(dec_layer) * config.n_dec_layers
     if layer_tensors > len(shapes):
         raise ValueError(
             f"{config.n_enc_layers} encoder and {config.n_dec_layers} decoder layers need "
@@ -340,7 +320,7 @@ INIT_STD = 0.02
 def init_params(config: ModelConfig, seed_or_rng, dtype=np.float32) -> dict[str, Tensor]:
     """Random initialization: N(0, 0.02) matrices, unit norm gains, zero biases."""
     config.validate()
-    rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) else np.random.default_rng(seed_or_rng)
+    rng = np.random.default_rng(seed_or_rng)
     params: dict[str, Tensor] = {}
     for name, shape in param_shapes(config).items():
         if name.endswith(".gain"):

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import COMET_RELATION_TASKS, MultimodalExample, example_to_dict, save_jsonl
+from .files import output_file, write_jsonl
 from .model import RoIFeature
 from .vocab import TaskType
 
@@ -227,12 +228,9 @@ def main(argv=None) -> int:
     save_jsonl(out / "kcg_pretrain.jsonl", kcg)
     save_jsonl(out / "captions.jsonl", captions)
     save_jsonl(out / "regions.jsonl", regions)
-    with (out / "candidates.jsonl").open("w", encoding="utf-8") as fh:
-        import json
-
-        for row in candidates:
-            fh.write(json.dumps(row, allow_nan=False) + "\n")
-    (out / "corpus.txt").write_text("\n".join(full_corpus_lines()) + "\n", encoding="utf-8")
+    write_jsonl(out / "candidates.jsonl", candidates)
+    with output_file(out / "corpus.txt") as fh:
+        fh.write("\n".join(full_corpus_lines()) + "\n")
     print(f"wrote synthetic datasets to {out}")
     return 0
 

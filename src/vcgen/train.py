@@ -12,7 +12,6 @@ term.
 from __future__ import annotations
 
 import hashlib
-import json
 from pathlib import Path
 from typing import Sequence
 
@@ -28,6 +27,7 @@ from .config import RunConfig, config_hash, to_dict
 from .data import MultimodalExample, PaddedBatch, check_dataset_dims, load_jsonl, make_batches, score_dataset
 from .data import score_description  # noqa: F401  (unused here; the benchmark traces this name)
 from .errors import InputError
+from .files import json_text, output_file
 from .losses import LOSS_ORDER, LossWeights, combine_losses, compute_losses
 from .model import Model, assemble_input
 from .optim import AdamW
@@ -66,8 +66,8 @@ def write_manifest(out_dir: Path, command: str, cfg: RunConfig, inputs: Sequence
         "config": to_dict(cfg),
         "inputs": {str(p): sha256_file(p) for p in inputs},
     }
-    text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False)
-    (out_dir / "manifest.json").write_text(text + "\n", encoding="utf-8")
+    with output_file(out_dir / "manifest.json") as fh:
+        fh.write(json_text(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _checkpoint_config(cfg: RunConfig) -> dict:
@@ -153,7 +153,7 @@ def _train_step(
 
 
 def _log_line(fh, record: dict) -> None:
-    fh.write(json.dumps(record, allow_nan=False) + "\n")
+    fh.write(json_text(record) + "\n")
     fh.flush()
 
 

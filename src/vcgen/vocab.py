@@ -8,6 +8,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import InputError
+from .files import output_file
 
 # Reserved tokens always occupy ids 0..17, in this exact order, regardless
 # of the corpus the vocabulary was built from.
@@ -102,7 +103,8 @@ class Vocabulary:
 
     def save(self, path: str | Path) -> None:
         """One token per line; line number == id; UTF-8 with LF endings."""
-        Path(path).write_bytes(("\n".join(self.id_to_token) + "\n").encode("utf-8"))
+        with output_file(path) as fh:
+            fh.write("\n".join(self.id_to_token) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":

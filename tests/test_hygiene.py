@@ -1,8 +1,8 @@
 """Source hygiene of the package: every imported name is read somewhere,
 nothing is imported from outside the standard library, numpy and vcgen, the
 inference modules import nothing of the tape, every function, class, method
-and stored attribute is read by package code, and every exception class is
-an InputError."""
+and stored attribute is read by package code, every exception class is an
+InputError, and only ``vcgen.files`` writes JSON or opens a file to write."""
 
 from __future__ import annotations
 
@@ -373,3 +373,109 @@ def test_exception_outside_input_error_is_found():
         ),
     }
     assert exceptions_outside_input_error(sources) == ["b.Bad", "b.Worse", "b.Nested"]
+
+
+def _open_mode(call: ast.Call) -> ast.expr | None:
+    """The mode argument of ``open(path, mode)`` or ``something.open(mode)``."""
+    for keyword in call.keywords:
+        if keyword.arg == "mode":
+            return keyword.value
+    at = 1 if isinstance(call.func, ast.Name) else 0
+    return call.args[at] if len(call.args) > at else None
+
+
+def _file_write(call: ast.Call) -> str | None:
+    """What ``call`` does if it writes JSON text or opens a path to write:
+    ``json.dump``/``json.dumps``, ``open``/``.open`` with a mode holding w,
+    a, x or + (or a mode that is not a literal), ``.write_text`` or
+    ``.write_bytes``."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+    if name in ("dump", "dumps") and (isinstance(func, ast.Name) or isinstance(func.value, ast.Name)
+                                      and func.value.id == "json"):
+        return f"json.{name}"
+    if name in ("write_text", "write_bytes") and isinstance(func, ast.Attribute):
+        return name
+    if name == "open":
+        mode = _open_mode(call)
+        if mode is None or isinstance(mode, ast.Constant) and isinstance(mode.value, str) \
+                and not set(mode.value) & set("wax+"):
+            return None
+        return f"open({ast.unparse(mode)})"
+    return None
+
+
+def file_writes(source: str) -> list[tuple[str, str]]:
+    """(innermost enclosing function, what) of each call in ``source`` that
+    ``_file_write`` names; ``<module>`` outside any function."""
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and _file_write(child):
+                found.append((scope, _file_write(child)))
+            is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_function else scope)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+# The module that owns writing: strict JSON, UTF-8 with LF, replace on success.
+WRITER_MODULE = "files.py"
+# (module, function, what) that write outside it, with the reason.
+WRITES_ALLOWED = {
+    ("train.py", "_train", 'open(\'w\')'): "the train log streams in place, so a run that fails mid-way "
+                                          "keeps the lines it logged",
+}
+
+
+def test_only_the_writer_module_writes_files():
+    """Every other module writes through ``vcgen.files``, so each output is
+    strict JSON, UTF-8 with LF, and replaced whole only on success."""
+    found = {
+        (p.name, scope, what)
+        for p in sorted(PACKAGE.glob("*.py"))
+        if p.name != WRITER_MODULE
+        for scope, what in file_writes(p.read_text(encoding="utf-8"))
+    }
+    assert sorted(found - set(WRITES_ALLOWED)) == []
+    assert sorted(set(WRITES_ALLOWED) - found) == [], "gone now: drop it from WRITES_ALLOWED"
+
+
+def test_file_write_is_found_in_every_form():
+    source = (
+        "import json\n"
+        "from json import dumps\n"
+        "text = json.dumps({})\n"
+        "def save(path, mode):\n"
+        "    json.dump({}, fh)\n"
+        "    dumps([])\n"
+        "    open(path).read()\n"
+        "    open(path, 'rb').read()\n"
+        "    path.open(encoding='utf-8')\n"
+        "    json.loads('1')\n"
+        "    fh.write('x')\n"
+        "    def inner():\n"
+        "        path.open('a')\n"
+        "        open(path, mode=\"r+\")\n"
+        "    open(path, mode)\n"
+        "    path.open('xb')\n"
+        "class Saver:\n"
+        "    def save(self, path):\n"
+        "        path.write_text('x')\n"
+        "        path.write_bytes(b'x')\n"
+        "        open(path, 'w', encoding='utf-8')\n"
+    )
+    assert file_writes(source) == [
+        ("<module>", "json.dumps"),
+        ("save", "json.dump"),
+        ("save", "json.dumps"),
+        ("inner", "open('a')"),
+        ("inner", "open('r+')"),
+        ("save", "open(mode)"),
+        ("save", "open('xb')"),
+        ("save", "write_text"),
+        ("save", "write_bytes"),
+        ("save", "open('w')"),
+    ]

@@ -110,24 +110,32 @@ def assert_strict_json(path: Path) -> None:
 def run(argv: list[str]) -> tuple[int, str]:
     """What ``main`` returns, or the code of the SystemExit(1) it raises, and
     what it writes to stderr; any other exception propagates and fails the
-    test. Every JSON file, JSONL file and checkpoint that ``main`` opens for
-    writing must hold strict JSON."""
+    test. Every JSON file, JSONL file and checkpoint that ``main`` writes
+    must hold strict JSON: the outputs ``vcgen.files`` moves into place and
+    the train log, which streams in place. A command that exits 0 has
+    written at least one of them, except ``inspect-checkpoint``."""
     err = io.StringIO()
     written: list[Path] = []
-    path_open = Path.open
+    path_open, replace = Path.open, os.replace
 
     def recording_open(self, mode="r", *args, **kwargs):
         if "w" in mode:
             written.append(self)
         return path_open(self, mode, *args, **kwargs)
 
+    def recording_replace(src, dst):
+        replace(src, dst)
+        written.append(Path(dst))
+
     try:
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
-                mock.patch.object(Path, "open", recording_open):
+                mock.patch.object(Path, "open", recording_open), mock.patch.object(os, "replace", recording_replace):
             code = main(argv)
     except SystemExit as exc:
         assert exc.code == EXIT_USAGE, argv
         code = exc.code
+    if code == EXIT_OK and argv[0] != "inspect-checkpoint":
+        assert written, f"{argv[0]} exited 0 and wrote no file"
     for path in written:
         if path.is_file():
             assert_strict_json(path)
