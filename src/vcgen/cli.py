@@ -46,6 +46,15 @@ def _apply_thread_limit(argv: list[str]) -> None:
         return
 
 
+def _add_threads_flag(parser: argparse.ArgumentParser) -> None:
+    def count(value: str) -> int:
+        if not value.isdigit() or int(value) < 1:
+            raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {value!r}")
+        return int(value)
+
+    parser.add_argument("--threads", type=count, help="BLAS/OpenMP thread cap, >= 1")
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors exit 1, not argparse's default 2
         self.print_usage(sys.stderr)
@@ -56,7 +65,7 @@ class _Parser(argparse.ArgumentParser):
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file merged over the preset")
     parser.add_argument("--seed", type=int, help="override schedule.seed")
-    parser.add_argument("--threads", type=int, help="BLAS/OpenMP thread cap")
+    _add_threads_flag(parser)
     parser.add_argument("--preset", choices=("desk", "paper"), default="desk")
     parser.add_argument("--tasks", help="comma list from kcg,ap,rp,mlm,mrm")
     parser.add_argument("--use-event", choices=("true", "false"))
@@ -216,32 +225,11 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _load_generations(path: str) -> list[dict]:
-    """The rows of a generations file, after its optional header line (an
-    object with no source_id); each row is checked, naming its line."""
-    from .data import DatasetError, iter_jsonl
-
-    records = []
-    for line_no, obj in iter_jsonl(path):
-        if line_no == 1 and isinstance(obj, dict) and "source_id" not in obj:
-            continue
-        if not isinstance(obj, dict):
-            raise DatasetError(f"line {line_no}: generation rows must be JSON objects")
-        for name in ("source_id", "task"):
-            if not isinstance(obj.get(name), str):
-                raise DatasetError(f"line {line_no}: generation rows need a string {name!r}")
-        generations = obj.get("generations")
-        if not isinstance(generations, list) or not all(isinstance(g, str) for g in generations):
-            raise DatasetError(f"line {line_no}: generation rows need a list of strings under 'generations'")
-        records.append(obj)
-    return records
-
-
 def cmd_evaluate(args) -> int:
-    from .data import load_jsonl
+    from .data import load_generations_jsonl, load_jsonl
     from .metrics import EvalCorpus, EvalEntry, metric_report
 
-    records = _load_generations(args.generations)
+    records = load_generations_jsonl(args.generations)
     references = load_jsonl(args.references)
     refs_by_key: dict[tuple[str, str], list[str]] = {}
     for example in references:
@@ -335,7 +323,7 @@ def _filter_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out-dropped", required=True)
     p.add_argument("--report", required=True)
     p.add_argument("--use-event", choices=("true", "false"), default="true")
-    p.add_argument("--threads", type=int)
+    _add_threads_flag(p)
     p.set_defaults(func=cmd_filter)
 
 
@@ -350,7 +338,7 @@ def _generate_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-len", type=int, default=32)
     p.add_argument("--seed", type=int)
     p.add_argument("--use-event", choices=("true", "false"), default="true")
-    p.add_argument("--threads", type=int)
+    _add_threads_flag(p)
     p.set_defaults(func=cmd_generate)
 
 

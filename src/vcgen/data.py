@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -36,7 +36,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class DatasetError(InputError):
-    """Schema violation; message carries the offending line number."""
+    """Schema violation; the message names the line, and the file it was read from."""
 
 
 COMET_RELATION_TASKS = {
@@ -79,15 +79,30 @@ def _check(condition: bool, line_no: int | None, message: str) -> None:
         raise DatasetError(where + message)
 
 
-def _list_field(obj: dict, name: str, line_no: int | None) -> list:
-    """Field ``name`` of a record: a list, or [] where absent or null."""
-    value = obj.get(name)
-    _check(value is None or isinstance(value, list), line_no, f"field {name!r} must be a list")
-    return value or []
-
-
 def _all_ints(values) -> bool:
     return all(isinstance(v, int) and not isinstance(v, bool) for v in values)
+
+
+def _annotations(obj: dict, name: str, fields: tuple, n_rois: int, n_labels: int | None, line_no: int | None) -> list:
+    """Field ``name`` ('attributes' or 'relations'), a list or absent or
+    null: integer entries of ``fields``, region indices then a label. The
+    indices are in range and distinct; the label is >= 0 and, when
+    ``n_labels`` is given, below it."""
+    kind, listed = name[:-1], obj.get(name)
+    _check(listed is None or isinstance(listed, list), line_no, f"field {name!r} must be a list")
+    entries = []
+    for entry in listed or []:
+        _check(isinstance(entry, (list, tuple)) and len(entry) == len(fields) and _all_ints(entry), line_no,
+               f"field {name!r} entries must be [{', '.join(fields)}] integers")
+        *regions, label = entry
+        where = f"roi index {regions[0]}" if len(regions) == 1 else f"indices {tuple(regions)}"
+        _check(all(0 <= i < n_rois for i in regions), line_no, f"{kind} {where} out of range for {n_rois} rois")
+        _check(len(set(regions)) == len(regions), line_no, f"{kind} pair {tuple(regions)} must name two distinct rois")
+        _check(label >= 0, line_no, f"{kind} label {label} must be >= 0")
+        if n_labels is not None:
+            _check(label < n_labels, line_no, f"{kind} label {label} exceeds configured count {n_labels}")
+        entries.append(tuple(entry))
+    return entries
 
 
 def example_from_dict(
@@ -147,34 +162,8 @@ def example_from_dict(
     _check(event is None or isinstance(event, str), line_no, "field 'event' must be a string or null")
 
     n_rois = len(rois)
-    attributes: list[tuple[int, int]] = []
-    for a in _list_field(obj, "attributes", line_no):
-        _check(
-            isinstance(a, (list, tuple)) and len(a) == 2 and _all_ints(a),
-            line_no,
-            "field 'attributes' entries must be [roi_idx, attr_label] integers",
-        )
-        idx, label = a
-        _check(0 <= idx < n_rois, line_no, f"attribute roi index {idx} out of range for {n_rois} rois")
-        _check(label >= 0, line_no, f"attribute label {label} must be >= 0")
-        if n_attr is not None:
-            _check(label < n_attr, line_no, f"attribute label {label} exceeds configured count {n_attr}")
-        attributes.append((idx, label))
-
-    relations: list[tuple[int, int, int]] = []
-    for r in _list_field(obj, "relations", line_no):
-        _check(
-            isinstance(r, (list, tuple)) and len(r) == 3 and _all_ints(r),
-            line_no,
-            "field 'relations' entries must be [subj_idx, obj_idx, rel_label] integers",
-        )
-        subj, obj_idx, label = r
-        _check(0 <= subj < n_rois and 0 <= obj_idx < n_rois, line_no, f"relation indices ({subj}, {obj_idx}) out of range for {n_rois} rois")
-        _check(subj != obj_idx, line_no, f"relation pair ({subj}, {obj_idx}) must name two distinct rois")
-        _check(label >= 0, line_no, f"relation label {label} must be >= 0")
-        if n_rel is not None:
-            _check(label < n_rel, line_no, f"relation label {label} exceeds configured count {n_rel}")
-        relations.append((subj, obj_idx, label))
+    attributes = _annotations(obj, "attributes", ("roi_idx", "attr_label"), n_rois, n_attr, line_no)
+    relations = _annotations(obj, "relations", ("subj_idx", "obj_idx", "rel_label"), n_rois, n_rel, line_no)
 
     source_id = obj.get("source_id", "")
     _check(isinstance(source_id, str), line_no, "field 'source_id' must be a string")
@@ -205,28 +194,33 @@ def example_to_dict(example: MultimodalExample) -> dict:
     }
 
 
-def iter_jsonl(path: str | Path):
-    """(line number, parsed object) for each non-blank line of a UTF-8 JSONL
-    file; lines end at LF."""
-    with Path(path).open("rb") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode("utf-8")
-                if not line.strip():
-                    continue
-                obj = json.loads(line)
-            except UnicodeDecodeError as exc:
-                raise DatasetError(f"line {line_no}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"line {line_no}: malformed JSON ({exc.msg})") from None
-            except RecursionError:
-                raise DatasetError(f"line {line_no}: JSON nested too deeply") from None
-            yield line_no, obj
+def _read_jsonl(path: str | Path, parse: Callable[[object, int], object]) -> list:
+    """``parse(obj, line_no)`` of each non-blank line of a UTF-8 JSONL file
+    (lines end at LF), in order; every DatasetError names the file."""
+    records = []
+    try:
+        with Path(path).open("rb") as fh:
+            for line_no, raw in enumerate(fh, start=1):
+                try:
+                    line = raw.decode("utf-8")
+                    if not line.strip():
+                        continue
+                    obj = json.loads(line)
+                except UnicodeDecodeError as exc:
+                    raise DatasetError(f"line {line_no}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
+                except json.JSONDecodeError as exc:
+                    raise DatasetError(f"line {line_no}: malformed JSON ({exc.msg})") from None
+                except RecursionError:
+                    raise DatasetError(f"line {line_no}: JSON nested too deeply") from None
+                records.append(parse(obj, line_no))
+    except DatasetError as exc:
+        raise DatasetError(f"{path}: {exc}") from None
+    return records
 
 
 def load_jsonl(path: str | Path, n_attr: int | None = None, n_rel: int | None = None) -> list[MultimodalExample]:
-    """Parse and validate a dataset file; fails fast with the line number."""
-    return [example_from_dict(obj, line_no, n_attr, n_rel) for line_no, obj in iter_jsonl(path)]
+    """Parse and validate a dataset file; fails fast naming the file and line."""
+    return _read_jsonl(path, lambda obj, line_no: example_from_dict(obj, line_no, n_attr, n_rel))
 
 
 def save_jsonl(path: str | Path, examples: Sequence[MultimodalExample]) -> None:
@@ -234,16 +228,35 @@ def save_jsonl(path: str | Path, examples: Sequence[MultimodalExample]) -> None:
     write_jsonl(path, map(example_to_dict, examples))
 
 
+def _candidate(obj, line_no: int) -> tuple[int, str, MultimodalExample]:
+    relation = obj.get("relation") if isinstance(obj, dict) else None
+    _check(isinstance(relation, str), line_no, "candidate rows need a string 'relation' field")
+    task = map_comet_relation(relation, line_no)
+    return line_no, relation, example_from_dict(obj, line_no, task_override=task)
+
+
 def load_candidates_jsonl(path: str | Path) -> list[tuple[int, str, MultimodalExample]]:
     """Load filter candidates whose rows carry a 'relation' instead of a
     task, as (line number, relation, example)."""
-    out: list[tuple[int, str, MultimodalExample]] = []
-    for line_no, obj in iter_jsonl(path):
-        relation = obj.get("relation") if isinstance(obj, dict) else None
-        _check(isinstance(relation, str), line_no, "candidate rows need a string 'relation' field")
-        task = map_comet_relation(relation, line_no)
-        out.append((line_no, relation, example_from_dict(obj, line_no, task_override=task)))
-    return out
+    return _read_jsonl(path, _candidate)
+
+
+def _generation_row(obj, line_no: int) -> dict | None:
+    if line_no == 1 and isinstance(obj, dict) and "source_id" not in obj:
+        return None  # the header
+    _check(isinstance(obj, dict), line_no, "generation rows must be JSON objects")
+    for name in ("source_id", "task"):
+        _check(isinstance(obj.get(name), str), line_no, f"generation rows need a string {name!r}")
+    generations = obj.get("generations")
+    _check(isinstance(generations, list) and all(isinstance(g, str) for g in generations), line_no,
+           "generation rows need a list of strings under 'generations'")
+    return obj
+
+
+def load_generations_jsonl(path: str | Path) -> list[dict]:
+    """The rows of a generations file, after its optional header line (an
+    object with no source_id)."""
+    return [row for row in _read_jsonl(path, _generation_row) if row is not None]
 
 
 def check_dataset_dims(examples: Sequence[MultimodalExample], config: "ModelConfig", path: str) -> None:

@@ -426,18 +426,13 @@ class Model:
         the stacked features, then moved to their visual slots, where they
         replace the <img_feat> token embedding.
         """
-        ids = batch.enc_ids
-        rows, length = ids.shape
-        tok = ops.gather_rows(ops.param(self.params["tok_emb.weight"]), ids)
-        pos = self._positions(length, ops)
-        if len(batch.slot_index) == 0:
-            return ops.add(tok, pos)
-        keep = np.ones((rows * length, 1), dtype=self.dtype)
-        keep[batch.slot_index] = 0.0
-        projected = self._linear(ops.param(Tensor(batch.roi_feats.astype(self.dtype))), "vis_proj", ops)
-        regions = ops.gather_rows(ops.reshape(projected, (-1, self.config.d_model)), batch.roi_index)
-        visual = ops.reshape(ops.scatter_rows(regions, batch.slot_index, rows * length), tok.shape)
-        return ops.add(ops.add(ops.mul(tok, ops.param(Tensor(keep.reshape(rows, length, 1)))), visual), pos)
+        tok = ops.gather_rows(ops.param(self.params["tok_emb.weight"]), batch.enc_ids)
+        pos = self._positions(batch.enc_ids.shape[1], ops)
+        if len(batch.slot_index):
+            projected = self._linear(ops.param(Tensor(batch.roi_feats.astype(self.dtype))), "vis_proj", ops)
+            regions = ops.gather_rows(ops.reshape(projected, (-1, self.config.d_model)), batch.roi_index)
+            tok = ops.scatter_rows(tok, regions, batch.slot_index)
+        return ops.add(tok, pos)
 
     def embed_decoder(self, dec_ids: np.ndarray, ops: Ops = TAPE) -> Operand:
         """Decoder-side embedding [B, T, d] of [B, T] token ids."""

@@ -235,21 +235,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), bw)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product with numpy broadcasting."""
-    data = a.data * b.data
-    a_shape, b_shape = a.shape, b.shape
-    a_data = a.data if b.requires_grad else None
-    b_data = b.data if a.requires_grad else None
-
-    def bw(g):
-        ga = _unbroadcast(g * b_data, a_shape) if b_data is not None else None
-        gb = _unbroadcast(g * a_data, b_shape) if a_data is not None else None
-        return ga, gb
-
-    return _make(data, (a, b), bw)
-
-
 def scale(x: Tensor, factor: float) -> Tensor:
     """Multiply by a python scalar (kept out of the graph)."""
     factor = x.data.dtype.type(factor)
@@ -356,23 +341,28 @@ def gather_rows(x: Tensor, indices) -> Tensor:
     return _make(data, (x,), bw)
 
 
-def scatter_rows_kernel(rows: np.ndarray, idx: np.ndarray, length: int) -> np.ndarray:
-    """``rows`` placed at the given (distinct) positions of a zero [length,
-    ...] array: the forward of :func:`scatter_rows`."""
-    data = np.zeros((length,) + rows.shape[1:], dtype=rows.dtype)
-    data[idx] = rows
+def scatter_rows_kernel(base: np.ndarray, rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """A copy of ``base`` [..., d] with ``rows`` [n, d] written over its
+    (distinct) flat rows ``idx``: the forward of :func:`scatter_rows`."""
+    data = base.copy()
+    data.reshape(-1, data.shape[-1])[idx] = rows
     return data
 
 
-def scatter_rows(rows: Tensor, indices, length: int) -> Tensor:
-    """Place rows at the given (distinct) positions of a zero [length, d] tensor."""
+def scatter_rows(base: Tensor, rows: Tensor, indices) -> Tensor:
+    """``base`` [..., d] with ``rows`` [n, d] written over its (distinct)
+    flat rows ``indices``. Backward zeroes those rows of the base's
+    gradient and gives the rows the gradient's rows there."""
     idx = np.asarray(indices, dtype=np.int64)
-    data = scatter_rows_kernel(rows.data, idx, length)
+    data = scatter_rows_kernel(base.data, rows.data, idx)
+    want_base, want_rows = base.requires_grad, rows.requires_grad
 
     def bw(g):
-        return (g[idx],)
+        gbase = scatter_rows_kernel(g, 0, idx) if want_base else None
+        grows = g.reshape(-1, g.shape[-1])[idx] if want_rows else None
+        return gbase, grows
 
-    return _make(data, (rows,), bw)
+    return _make(data, (base, rows), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -712,7 +702,7 @@ def kl_divergence(p: Tensor, log_q: Tensor) -> Tensor:
 # constant wrapped in one). Each other field of ``ARRAYS`` is the forward of
 # the ``TAPE`` op of its name, so both tables give the same bits.
 Operand = Tensor | np.ndarray
-Ops = namedtuple("Ops", "param add mul reshape transpose gather_rows scatter_rows linear split_heads layer_norm "
+Ops = namedtuple("Ops", "param add reshape transpose gather_rows scatter_rows linear split_heads layer_norm "
                         "gelu attention dropout")
 
 
@@ -723,13 +713,13 @@ def _no_dropout(x: np.ndarray, rate: float, rng) -> np.ndarray:
 
 
 # Tape ops on parameter tensors: training, and anything that takes gradients.
-TAPE = Ops(lambda p: p, add, mul, reshape, transpose, gather_rows, scatter_rows, linear, split_heads, layer_norm,
+TAPE = Ops(lambda p: p, add, reshape, transpose, gather_rows, scatter_rows, linear, split_heads, layer_norm,
            gelu, attention, dropout)
 
 # Kernels on the parameters' arrays: inference, which records nothing, even
 # inside an active tape.
 ARRAYS = Ops(
-    param=operator.attrgetter("data"), add=np.add, mul=np.multiply, reshape=np.reshape,
+    param=operator.attrgetter("data"), add=np.add, reshape=np.reshape,
     transpose=lambda x: x.swapaxes(-1, -2), gather_rows=operator.getitem, scatter_rows=scatter_rows_kernel,
     linear=linear_kernel, split_heads=split_heads_kernel,
     layer_norm=lambda x, gain, bias: layer_norm_kernel(x, gain, bias)[0],

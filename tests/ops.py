@@ -1,7 +1,8 @@
 """Tape ops that only the tests use: building losses for gradient checks,
-the per-example oracle's concatenation, and the unfused matmul, permute and
-softmax whose chains the fused ``linear``, ``split_heads`` and ``attention``
-nodes of ``vcgen.tensor`` are checked against."""
+the per-example oracle's concatenation and region mask (``mul``), and the
+unfused matmul, permute and softmax whose chains the fused ``linear``,
+``split_heads`` and ``attention`` nodes of ``vcgen.tensor`` are checked
+against."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from vcgen.tensor import Tensor, _make, add, reshape, scale, transpose
+from vcgen.tensor import Tensor, _make, _unbroadcast, add, reshape, scale, transpose
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -26,6 +27,21 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         return tuple(np.split(g, offsets, axis=axis))
 
     return _make(data, tensors, bw)
+
+
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise product with numpy broadcasting."""
+    data = a.data * b.data
+    a_shape, b_shape = a.shape, b.shape
+    a_data = a.data if b.requires_grad else None
+    b_data = b.data if a.requires_grad else None
+
+    def bw(g):
+        ga = _unbroadcast(g * b_data, a_shape) if b_data is not None else None
+        gb = _unbroadcast(g * a_data, b_shape) if a_data is not None else None
+        return ga, gb
+
+    return _make(data, (a, b), bw)
 
 
 def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:

@@ -29,12 +29,11 @@ from vcgen.tensor import (
     kl_divergence,
     layer_norm,
     log_softmax,
-    mul,
     scatter_rows,
 )
 from vcgen.vocab import BOS_ID, EOS_ID, N_RESERVED
 
-from ops import concat, unfused_attention, unfused_linear, unfused_split_heads
+from ops import concat, mul, unfused_attention, unfused_linear, unfused_split_heads
 
 
 def central_difference_grads(eval_fn, params, step=1e-3):
@@ -142,7 +141,8 @@ def per_example_forward(model, assembled, rois):
         feats[assembled.mrm_roi_indices] = 0.0
         keep = np.ones((enc_len, 1), dtype=model.dtype)
         keep[slots] = 0.0
-        visual = scatter_rows(linear(Tensor(feats), "vis_proj"), slots, enc_len)
+        zeros = Tensor(np.zeros((enc_len, cfg.d_model), dtype=model.dtype))
+        visual = scatter_rows(zeros, linear(Tensor(feats), "vis_proj"), slots)
         x = add(add(mul(tok, Tensor(keep)), visual), pos)
     for i in range(cfg.n_enc_layers):
         h = norm(x, f"enc.{i}.ln1")

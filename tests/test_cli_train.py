@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -102,6 +103,28 @@ def test_usage_error_exit_code_is_1(capsys):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 1, argv
+
+
+@pytest.mark.parametrize("command", [
+    ["pretrain"],
+    ["finetune"],
+    ["filter", "--checkpoint", "c", "--vocab", "v", "--candidates", "x", "--out-kept", "k", "--out-dropped", "d",
+     "--report", "r"],
+    ["generate", "--checkpoint", "c", "--vocab", "v", "--dataset", "x", "--out", "o"],
+])
+@pytest.mark.parametrize("threads", ["--threads=0", "--threads=-2", "--threads=two"])
+def test_threads_must_be_a_count_of_at_least_one(monkeypatch, capsys, command, threads):
+    """Every parser that takes ``--threads`` refuses a count below 1 before
+    any work, leaving the BLAS pools unpinned."""
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    with pytest.raises(SystemExit) as err:
+        main([*command, threads])
+    assert err.value.code == 1
+    value = threads.split("=")[1]
+    assert capsys.readouterr().err.splitlines()[-1].endswith(
+        f"error: argument --threads: must be an integer >= 1, got {value!r}"
+    )
+    assert "OPENBLAS_NUM_THREADS" not in os.environ
 
 
 def test_subcommand_help_matches_the_full_parser(capsys):
@@ -353,7 +376,7 @@ def test_finetune_checks_label_ranges_like_pretrain(workspace, tmp_path, capsys,
     args[args.index(data_flag) + 1] = str(bad)
     assert main(args) == 2
     assert capsys.readouterr().err.splitlines() == [
-        "error: line 3: attribute label 8 exceeds configured count 8"
+        f"error: {bad}: line 3: attribute label 8 exceeds configured count 8"
     ]
     assert not out.exists()
 
@@ -565,7 +588,7 @@ def test_filter_non_finite_feature_exits_2_and_writes_nothing(workspace, tmp_pat
     args = filter_args(workspace, ckpt, vocab_path, out, 3.5)
     args[args.index("--candidates") + 1] = str(bad)
     assert main(args) == 2
-    assert capsys.readouterr().err.splitlines() == ["error: line 2: roi 0 field 'feat' must hold finite numbers"]
+    assert capsys.readouterr().err.splitlines() == [f"error: {bad}: line 2: roi 0 field 'feat' must hold finite numbers"]
     assert list(out.iterdir()) == []
 
 
@@ -737,7 +760,17 @@ def test_evaluate_malformed_generation_row_exits_2_naming_its_line(tmp_path, cap
     gens.write_text("\n".join(lines) + "\n")
     assert main(["evaluate", "--generations", str(gens), "--references", str(refs)]) == 2
     [err] = capsys.readouterr().err.splitlines()
-    assert err.startswith("error: line 4: ") and message in err
+    assert err.startswith(f"error: {gens}: line 4: ") and message in err
+
+
+@pytest.mark.parametrize("flag", ["--generations", "--references", "--training-corpus"])
+def test_evaluate_names_the_file_holding_a_bad_row(tmp_path, capsys, flag):
+    refs, gens = write_eval_pair(tmp_path)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("not json\n", encoding="utf-8")
+    paths = {"--generations": gens, "--references": refs, "--training-corpus": refs, flag: bad}
+    assert main(["evaluate", *(str(part) for item in paths.items() for part in item)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {bad}: line 1: malformed JSON (Expecting value)"]
 
 
 def test_evaluate_novel_against_training_corpus(workspace, tmp_path):

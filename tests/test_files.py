@@ -156,3 +156,37 @@ def test_a_fifo_is_written_in_place(tmp_path):
     assert received == [b'{"a": 1}\n{"b": [2, 3]}\n']
     assert sorted(p.name for p in tmp_path.iterdir()) == ["pipe"]
     assert fifo.is_fifo()
+
+
+def test_a_missing_directory_is_reported_by_the_path_given(tmp_path, monkeypatch, capsys):
+    """The error names the output the caller asked for, not the temp."""
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("walk to the park\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["build-vocab", "--input", str(corpus), "--out", "nodir/vocab.txt"]) == cli.EXIT_DATA
+    assert capsys.readouterr().err.splitlines() == [
+        "error: [Errno 2] No such file or directory: 'nodir/vocab.txt'"
+    ]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.txt"]
+
+
+@pytest.mark.parametrize("mode", [0o600, 0o640, 0o755])
+def test_a_replaced_file_keeps_its_permission_bits(tmp_path, mode):
+    target = tmp_path / "report.json"
+    write_jsonl(target, [{"a": 1}])
+    target.chmod(mode)
+    write_jsonl(target, [{"a": 2}])
+    assert target.read_text(encoding="utf-8") == '{"a": 2}\n'
+    assert target.stat().st_mode & 0o7777 == mode
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+
+
+def test_a_hard_link_keeps_the_old_bytes(tmp_path):
+    """The target is replaced, not rewritten: another name for the old
+    file still reads the old bytes."""
+    target, other = tmp_path / "rows.jsonl", tmp_path / "other.jsonl"
+    write_jsonl(target, [{"a": 1}])
+    os.link(target, other)
+    write_jsonl(target, [{"a": 2}])
+    assert target.read_text(encoding="utf-8") == '{"a": 2}\n'
+    assert other.read_text(encoding="utf-8") == '{"a": 1}\n'

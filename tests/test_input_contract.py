@@ -211,7 +211,9 @@ def test_json_nested_too_deeply_exits_2(ws, tmp_path, where):
     code, err = run(argv)
     assert code == EXIT_DATA
     line = error_line(err)
-    assert "line 1: JSON nested too deeply" in line if where == "candidates" else str(path) in line
+    assert str(path) in line
+    if where == "candidates":
+        assert line == f"error: {path}: line 1: JSON nested too deeply"
 
 
 def test_out_dir_that_is_a_file_exits_2(ws, tmp_path):
@@ -579,7 +581,7 @@ def test_invalid_utf8_in_a_row_exits_2_naming_the_line(ws, data):
         assert list(Path(tmp).iterdir()) == [candidates]
     assert code == EXIT_DATA
     line_no = blob[:at].count(b"\n") + 1
-    assert error_line(err).startswith(f"error: line {line_no}: not UTF-8")
+    assert error_line(err).startswith(f"error: {candidates}: line {line_no}: not UTF-8")
 
 
 def _first_tensor_data_offset(blob: bytes) -> int:

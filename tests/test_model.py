@@ -21,7 +21,8 @@ from vcgen.model import (
     assemble_input,
     param_shapes,
 )
-from vcgen.tensor import ARRAYS, Tape, Tensor
+from vcgen.synthetic import make_rois
+from vcgen.tensor import ARRAYS, TAPE, Tape, Tensor
 from vcgen.vocab import (
     BOS_ID,
     CLS_ID,
@@ -38,7 +39,7 @@ from vcgen.vocab import (
 
 from helpers import tiny_config, tiny_examples, tiny_vocab, denoise_seed_with_both_masks, zero_model
 from oracles import count_params
-from ops import softmax
+from ops import mul, softmax, sum_all
 
 
 @pytest.fixture(scope="module")
@@ -191,6 +192,61 @@ def test_embed_slot_roi_count_mismatch(setup):
     a = assemble_input(kcg, vocab, "kcg")
     with pytest.raises(ValueError, match="slots"):
         pad_batch([(a, dataclasses.replace(kcg, rois=kcg.rois[:1]))])
+
+
+def _mask_multiply_embed(model, batch, ops):
+    """The encoder embedding built the long way: token rows times a 0/1
+    mask that is 0 at the visual slots, plus the projected regions
+    scattered over a zero buffer, plus the positions."""
+    rows, length = batch.enc_ids.shape
+    d = model.config.d_model
+    times = mul if ops is TAPE else np.multiply
+    tok = ops.gather_rows(ops.param(model.params["tok_emb.weight"]), batch.enc_ids)
+    pos = ops.gather_rows(ops.param(model.params["pos_emb.weight"]), np.arange(length))
+    keep = np.ones((rows * length, 1), dtype=model.dtype)
+    keep[batch.slot_index] = 0.0
+    w, b = (ops.param(model.params[f"vis_proj.{part}"]) for part in ("weight", "bias"))
+    projected = ops.linear(ops.param(Tensor(batch.roi_feats.astype(model.dtype))), w, b)
+    regions = ops.gather_rows(ops.reshape(projected, (-1, d)), batch.roi_index)
+    visual = ops.scatter_rows(ops.param(Tensor(np.zeros((rows, length, d), model.dtype))), regions, batch.slot_index)
+    return ops.add(ops.add(times(tok, ops.param(Tensor(keep.reshape(rows, length, 1)))), visual), pos)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_embed_has_the_bits_of_the_mask_multiply_chain(setup, dtype):
+    """Writing the region rows over the token rows with one scatter gives
+    the value and every parameter gradient of the mask-multiply chain, on
+    ``TAPE`` and on ``ARRAYS``, over rows with 0, 1 and 3 regions, some of
+    them masked for region modelling."""
+    vocab, config, _, kcg, _, caption = setup
+    model = Model.init_random(config, 5, dtype=dtype)
+    one = dataclasses.replace(kcg, rois=kcg.rois[:1])
+    none = dataclasses.replace(caption, rois=[])
+    three = dataclasses.replace(caption, rois=make_rois(np.random.default_rng(6), 3, config.d_visual, config.n_classes))
+    items = [
+        (assemble_input(one, vocab, "kcg"), one),
+        (assemble_input(none, vocab, "mlm", seed=0), none),
+        (assemble_input(three, vocab, "mlm", seed=denoise_seed_with_both_masks(three, vocab)), three),
+    ]
+    assert [len(a.visual_slots) for a, _ in items] == [1, 0, 3] and len(items[2][0].mrm_positions)
+    batch = pad_batch(items)
+    weights = Tensor(np.random.default_rng(7).normal(size=batch.enc_ids.shape + (config.d_model,)).astype(dtype))
+    values, grads = [], []
+    for embed in (model.embed, lambda batch: _mask_multiply_embed(model, batch, TAPE)):
+        model.zero_grad()
+        with Tape() as tape:
+            out = embed(batch)
+            loss = sum_all(mul(out, weights))
+        tape.backward(loss)
+        values.append(out.data)
+        grads.append({name: p.grad for name, p in model.params.items() if p.grad is not None})
+    assert values[0].dtype == dtype and np.array_equal(values[0], values[1])
+    assert set(grads[0]) == set(grads[1]) == {"tok_emb.weight", "pos_emb.weight", "vis_proj.weight", "vis_proj.bias"}
+    for name in grads[0]:
+        assert np.array_equal(grads[0][name], grads[1][name]), name
+    arrays = model.embed(batch, ARRAYS)
+    assert np.array_equal(arrays, _mask_multiply_embed(model, batch, ARRAYS))
+    assert np.array_equal(arrays, values[0])
 
 
 # ---------------------------------------------------------------------------
