@@ -140,6 +140,9 @@ def example_from_dict(
             except (TypeError, ValueError, OverflowError):
                 raise DatasetError(f"line {line_no}: roi {i} field {name!r} must be a list of numbers") from None
             _check(np.isfinite(array).all(), line_no, f"roi {i} field {name!r} must hold finite numbers")
+            with np.errstate(over="ignore"):
+                fits = np.isfinite(array.astype(np.float32)).all()
+            _check(fits, line_no, f"roi {i} field {name!r} must hold numbers finite in float32")
             arrays.append(array)
         try:
             rois.append(RoIFeature(*arrays))

@@ -38,6 +38,8 @@ class GenerationConfig:
             raise InputError(f"max_len must be positive, got {self.max_len}")
         if self.num_samples < 1:
             raise InputError(f"num_samples must be positive, got {self.num_samples}")
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
 
 
 def _top_p_prefix(probs: np.ndarray, top_p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -26,9 +26,12 @@ import numpy as np
 
 from .data import PaddedBatch, pad_batch
 from .tensor import (
+    TAPE,
+    Ops,
     Tensor,
     add,
     cross_entropy,
+    dropout,
     gather_rows,
     kl_divergence,
     log_softmax,
@@ -81,14 +84,21 @@ def combine_losses(
 # batch orchestration
 
 
+def training_ops(rate: float, rng: np.random.Generator) -> Ops:
+    """``TAPE`` whose ``dropout`` draws inverted-scaling masks at ``rate``
+    from ``rng``, one per call, in the forward's order."""
+    return TAPE._replace(dropout=lambda x: dropout(x, rate, rng))
+
+
 def compute_losses(
     model: "Model",
     batch: "PaddedBatch | Sequence",
     wanted: Iterable[str],
     rng: np.random.Generator | None = None,
 ) -> dict[str, Tensor]:
-    """Forward the batch once and build the wanted terms; ``rng``, when
-    given, draws the forward's dropout.
+    """Forward the batch once on the tape and build the wanted terms; with
+    ``rng`` the forward draws dropout at the model's ``dropout_rate``
+    (``training_ops``), without it it draws none.
 
     ``batch`` is a PaddedBatch or a plain sequence of (assembled, example)
     pairs. Each term gathers its units from every row of the batch with one
@@ -136,7 +146,7 @@ def compute_losses(
         kcg_rows = np.flatnonzero(labels != PAD_ID)
         kcg_labels = labels[kcg_rows]
 
-    hidden = model.forward(batch, rng)
+    hidden = model.forward(batch, TAPE if rng is None else training_ops(model.config.dropout_rate, rng))
     d = hidden.shape[-1]
     flat = reshape(hidden, (-1, d))
     terms: dict[str, Tensor] = {}

@@ -411,8 +411,9 @@ class Model:
             p.grad = None
 
     # -- embedding ----------------------------------------------------------
-    # Each layer is written once over an op table: training runs it on
-    # ``TAPE`` (tensors), inference on ``ARRAYS`` (arrays).
+    # Each layer is written once over an op table: training runs it on a
+    # ``TAPE`` (tensors) whose ``dropout`` draws masks, inference on
+    # ``ARRAYS`` (arrays).
 
     def _positions(self, length: int, ops: Ops) -> Operand:
         if length > self.config.max_positions:
@@ -473,34 +474,21 @@ class Model:
         ap/rp/mrm classifier heads."""
         return self._linear(ops.gelu(self._linear(x, f"{prefix}.fc1", ops)), f"{prefix}.fc2", ops)
 
-    def encode(
-        self,
-        embedded: Operand,
-        pad_mask: np.ndarray,
-        rng: np.random.Generator | None = None,
-        ops: Ops = TAPE,
-    ) -> Operand:
+    def encode(self, embedded: Operand, pad_mask: np.ndarray, ops: Ops = TAPE) -> Operand:
         """Bidirectional pre-norm encoder stack over [B, T, d]; pad positions
-        are hidden from keys. Dropout draws from ``rng`` when one is given."""
+        are hidden from keys. Each sublayer's output passes ``ops.dropout``
+        before its residual add."""
         key_bias = self._key_bias(pad_mask)
-        rate = self.config.dropout_rate
         x = embedded
         for i in range(self.config.n_enc_layers):
             normed = self._norm(x, f"enc.{i}.ln1", ops)
             a = self._attention(normed, normed, f"enc.{i}.attn", key_bias, ops)
-            x = ops.add(x, ops.dropout(a, rate, rng))
+            x = ops.add(x, ops.dropout(a))
             f = self.mlp(self._norm(x, f"enc.{i}.ln2", ops), f"enc.{i}.ffn", ops)
-            x = ops.add(x, ops.dropout(f, rate, rng))
+            x = ops.add(x, ops.dropout(f))
         return self._norm(x, "enc.ln", ops)
 
-    def decode(
-        self,
-        dec_embedded: Operand,
-        enc_out: Operand,
-        enc_pad_mask: np.ndarray,
-        rng: np.random.Generator | None = None,
-        ops: Ops = TAPE,
-    ) -> Operand:
+    def decode(self, dec_embedded: Operand, enc_out: Operand, enc_pad_mask: np.ndarray, ops: Ops = TAPE) -> Operand:
         """Causal self-attention plus cross-attention over encoder states.
 
         Padding sits after each row's real positions, which the causal mask
@@ -508,17 +496,16 @@ class Model:
         """
         causal = self._causal_bias(dec_embedded.shape[-2])
         key_bias = self._key_bias(enc_pad_mask)
-        rate = self.config.dropout_rate
         x = dec_embedded
         for i in range(self.config.n_dec_layers):
             normed = self._norm(x, f"dec.{i}.ln1", ops)
             a = self._attention(normed, normed, f"dec.{i}.self_attn", causal, ops)
-            x = ops.add(x, ops.dropout(a, rate, rng))
+            x = ops.add(x, ops.dropout(a))
             normed = self._norm(x, f"dec.{i}.ln2", ops)
             c = self._attention(normed, enc_out, f"dec.{i}.cross_attn", key_bias, ops)
-            x = ops.add(x, ops.dropout(c, rate, rng))
+            x = ops.add(x, ops.dropout(c))
             f = self.mlp(self._norm(x, f"dec.{i}.ln3", ops), f"dec.{i}.ffn", ops)
-            x = ops.add(x, ops.dropout(f, rate, rng))
+            x = ops.add(x, ops.dropout(f))
         return self._norm(x, "dec.ln", ops)
 
     def start_decoding(
@@ -596,26 +583,17 @@ class Model:
 
     # -- full passes ----------------------------------------------------------
 
-    def encoder_states(
-        self, batch: "PaddedBatch", rng: np.random.Generator | None = None, ops: Ops = TAPE
-    ) -> Operand:
+    def encoder_states(self, batch: "PaddedBatch", ops: Ops = TAPE) -> Operand:
         """Encoder states [B, T_enc, d]."""
-        return self.encode(self.embed(batch, ops), batch.enc_mask, rng, ops)
+        return self.encode(self.embed(batch, ops), batch.enc_mask, ops)
 
-    def decode_ids(
-        self,
-        dec_ids: np.ndarray,
-        enc_out: Operand,
-        enc_pad_mask: np.ndarray,
-        rng: np.random.Generator | None = None,
-        ops: Ops = TAPE,
-    ) -> Operand:
+    def decode_ids(self, dec_ids: np.ndarray, enc_out: Operand, enc_pad_mask: np.ndarray, ops: Ops = TAPE) -> Operand:
         """Decoder states [B, T_dec, d] for [B, T_dec] ids over ``enc_out``."""
-        return self.decode(self.embed_decoder(dec_ids, ops), enc_out, enc_pad_mask, rng, ops)
+        return self.decode(self.embed_decoder(dec_ids, ops), enc_out, enc_pad_mask, ops)
 
-    def forward(self, batch: "PaddedBatch", rng: np.random.Generator | None = None, ops: Ops = TAPE) -> Operand:
+    def forward(self, batch: "PaddedBatch", ops: Ops = TAPE) -> Operand:
         """Run encoder and decoder; returns decoder hidden states [B, T_dec, d].
-        Training passes the dropout generator ``rng``; without one the
-        forward is deterministic."""
-        enc_out = self.encoder_states(batch, rng, ops)
-        return self.decode_ids(batch.dec_ids, enc_out, batch.enc_mask, rng, ops)
+        ``ops`` is the only mode: ``TAPE`` and ``ARRAYS`` run without dropout,
+        with the same bits; training passes ``losses.training_ops``."""
+        enc_out = self.encoder_states(batch, ops)
+        return self.decode_ids(batch.dec_ids, enc_out, batch.enc_mask, ops)

@@ -554,16 +554,15 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _make(data, (x, gain, bias), bw)
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
-    """Inverted-scaling dropout; identity when ``rng`` is None (not
-    training) or rate == 0.
+def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
+    """Inverted-scaling dropout; identity when rate == 0.
 
     The keep mask comes from the supplied generator and is treated as a
     constant in backward.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if rng is None or rate == 0.0:
+    if rate == 0.0:
         return x
     keep = rng.random(x.shape) >= rate
     dtype = x.dtype
@@ -700,21 +699,17 @@ def kl_divergence(p: Tensor, log_q: Tensor) -> Tensor:
 # definition is written once; its operands are tensors on ``TAPE`` and arrays
 # on ``ARRAYS``. ``param`` makes an operand of a tensor (a parameter, or a
 # constant wrapped in one). Each other field of ``ARRAYS`` is the forward of
-# the ``TAPE`` op of its name, so both tables give the same bits.
+# the ``TAPE`` op of its name, so both tables give the same bits. ``dropout``
+# is the identity on both; the training objective runs a copy of ``TAPE``
+# whose ``dropout`` draws masks.
 Operand = Tensor | np.ndarray
 Ops = namedtuple("Ops", "param add reshape transpose gather_rows scatter_rows linear split_heads layer_norm "
                         "gelu attention dropout")
 
 
-def _no_dropout(x: np.ndarray, rate: float, rng) -> np.ndarray:
-    if rng is not None:
-        raise ValueError("the array ops serve inference only; train on the tape ops")
-    return x
-
-
-# Tape ops on parameter tensors: training, and anything that takes gradients.
+# Tape ops on parameter tensors: anything that takes gradients.
 TAPE = Ops(lambda p: p, add, reshape, transpose, gather_rows, scatter_rows, linear, split_heads, layer_norm,
-           gelu, attention, dropout)
+           gelu, attention, lambda x: x)
 
 # Kernels on the parameters' arrays: inference, which records nothing, even
 # inside an active tape.
@@ -725,5 +720,5 @@ ARRAYS = Ops(
     layer_norm=lambda x, gain, bias: layer_norm_kernel(x, gain, bias)[0],
     gelu=lambda x: gelu_kernel(x)[0],
     attention=lambda q, k, v, bias: attention_kernel(q, k, v, bias)[0],
-    dropout=_no_dropout,
+    dropout=lambda x: x,
 )

@@ -152,6 +152,26 @@ def test_non_finite_region_number_error_names_line_roi_and_field(tmp_path, field
         load_jsonl(path)
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_region_numbers_must_stay_finite_in_float32(tmp_path, sign):
+    """The model runs in float32: the largest double that rounds to a finite
+    float32 loads, and the next one, which rounds to infinity, is a schema
+    error naming the file, line, roi and field."""
+    path = tmp_path / "data.jsonl"
+    largest = valid_row()
+    largest["rois"][0]["feat"][0] = sign * 3.4028235677973362e38
+    write_lines(path, [largest])
+    [example] = load_jsonl(path)
+    assert np.isfinite(example.rois[0].feat.astype(np.float32)).all()
+    for field in ("feat", "class_probs"):
+        bad = valid_row()
+        bad["rois"][0][field][0] = sign * 3.4028235677973366e38
+        write_lines(path, [valid_row(source_id="ok"), bad])
+        with pytest.raises(DatasetError) as caught:
+            load_jsonl(path)
+        assert str(caught.value) == f"{path}: line 2: roi 0 field '{field}' must hold numbers finite in float32"
+
+
 @pytest.mark.parametrize("entry", [[0, None], [0, [1]], [0, 1.5], [True, 1]])
 def test_attribute_entries_must_be_integers(tmp_path, entry):
     path = tmp_path / "data.jsonl"

@@ -2,7 +2,8 @@
 nothing is imported from outside the standard library, numpy and vcgen, the
 inference modules import nothing of the tape, every function, class, method
 and stored attribute is read by package code, every exception class is an
-InputError, and only ``vcgen.files`` writes JSON or opens a file to write."""
+InputError, only ``vcgen.files`` writes JSON or opens a file to write, and
+only ``vcgen.losses`` draws dropout."""
 
 from __future__ import annotations
 
@@ -479,3 +480,57 @@ def test_file_write_is_found_in_every_form():
         ("save", "write_bytes"),
         ("save", "open('w')"),
     ]
+
+
+def dropout_references(source: str) -> list[int]:
+    """Lines that reach ``tensor.dropout``: an import of it from
+    ``vcgen.tensor``, or ``.dropout`` read off a name bound to that module
+    (``ops.dropout``, a field of an op table, is not one)."""
+    tree = ast.parse(source)
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            for alias in node.names:
+                if module in (".tensor", "vcgen.tensor") and alias.name == "dropout":
+                    found.append(node.lineno)
+                elif module in (".", "vcgen") and alias.name == "tensor":
+                    modules.add(alias.asname or "tensor")
+        elif isinstance(node, ast.Import):
+            modules |= {alias.asname or alias.name for alias in node.names if alias.name == "vcgen.tensor"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "dropout" and ast.unparse(node.value) in modules:
+            found.append(node.lineno)
+    return sorted(found)
+
+
+# The module whose training objective draws dropout masks; every other
+# forward runs the identity ``dropout`` of ``TAPE`` or ``ARRAYS``.
+DROPOUT_MODULE = "losses.py"
+
+
+def test_only_the_training_objective_draws_dropout():
+    """Scoring, decoding and validation stay deterministic because only the
+    training objective builds an op table whose ``dropout`` draws."""
+    found = {
+        p.name
+        for p in sorted(PACKAGE.glob("*.py"))
+        if p.name != "tensor.py" and dropout_references(p.read_text(encoding="utf-8"))
+    }
+    assert found == {DROPOUT_MODULE}
+
+
+def test_dropout_reference_is_found_in_every_form():
+    source = (
+        "from .tensor import TAPE, dropout\n"
+        "from . import tensor\n"
+        "import vcgen.tensor\n"
+        "import vcgen.tensor as t\n"
+        "def f(ops, x):\n"
+        "    ops.dropout(x)\n"
+        "    TAPE._replace(dropout=None)\n"
+        "    tensor.dropout(x, 0.1, None)\n"
+        "    from vcgen.tensor import dropout as drop\n"
+        "    return vcgen.tensor.dropout, t.dropout, tensor.linear\n"
+    )
+    assert dropout_references(source) == [1, 8, 9, 10, 10]

@@ -294,10 +294,11 @@ def _huge_weight_checkpoint(ws: Path, path: Path) -> Path:
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("case", ["feature", "weight"])
 def test_non_finite_score_exits_2_naming_the_candidate(ws, tmp_path, case):
-    """A candidate that scores a non-finite avg_ce: a region feature of
-    1e300 (finite in float64, inf in the model's float32), or a checkpoint
-    with one 3e38 weight. filter names the line and source_id, and opens
-    no output file."""
+    """A region feature of 1e300, finite in float64 but not in the model's
+    float32, is refused as the candidates are read, naming the file, line,
+    roi and field. A checkpoint with one 3e38 weight makes a candidate
+    score a non-finite avg_ce: filter names the line and source_id. Either
+    way filter opens no output file."""
     candidates, checkpoint, line_no = ws / "candidates.jsonl", ws / "model.kmbt", 1
     if case == "feature":
         rows = [json.loads(text) for text in candidates.read_text(encoding="utf-8").splitlines()]
@@ -312,8 +313,11 @@ def test_non_finite_score_exits_2_naming_the_candidate(ws, tmp_path, case):
     code, err = run(filter_argv(ws, out, candidates=candidates, checkpoint=checkpoint))
     assert code == EXIT_DATA
     line = error_line(err)
-    assert line.startswith(f"error: {candidates}: line {line_no}: candidate {source_id!r} scores avg_ce ")
-    assert line.endswith("not a finite number")
+    if case == "feature":
+        assert line == f"error: {candidates}: line 2: roi 0 field 'feat' must hold numbers finite in float32"
+    else:
+        assert line.startswith(f"error: {candidates}: line {line_no}: candidate {source_id!r} scores avg_ce ")
+        assert line.endswith("not a finite number")
     assert list(out.iterdir()) == []
 
 
@@ -322,9 +326,11 @@ def test_non_finite_score_exits_2_naming_the_candidate(ws, tmp_path, case):
 @pytest.mark.parametrize("mode", ["greedy", "nucleus"])
 @pytest.mark.parametrize("case", ["feature", "weight"])
 def test_non_finite_logit_exits_2_naming_the_example(ws, tmp_path, case, mode):
-    """A decoding step whose logits are not all finite: a region feature of
-    1e300 in the second example, or a checkpoint with one 3e38 weight (every
-    example). generate names the example and opens no output file."""
+    """A region feature of 1e300 in the second example is refused as the
+    dataset is read, naming the file, line, roi and field. A checkpoint with
+    one 3e38 weight gives every example a decoding step whose logits are not
+    all finite: generate names the example. Either way generate opens no
+    output file."""
     dataset, checkpoint = ws / "decode.jsonl", ws / "model.kmbt"
     rows = [json.loads(text) for text in dataset.read_text(encoding="utf-8").splitlines()]
     if case == "feature":
@@ -341,8 +347,37 @@ def test_non_finite_logit_exits_2_naming_the_example(ws, tmp_path, case, mode):
     code, err = run(argv)
     assert code == EXIT_DATA
     line = error_line(err)
-    assert line in [f"error: example {source_id!r} gets a non-finite logit at decoding step 1" for source_id in named]
+    if case == "feature":
+        assert line == f"error: {dataset}: line 2: roi 0 field 'feat' must hold numbers finite in float32"
+    else:
+        assert line in [f"error: example {source_id!r} gets a non-finite logit at decoding step 1"
+                        for source_id in named]
     assert list(out.iterdir()) == []
+
+
+def test_region_feature_beyond_float32_exits_2_before_training(ws, tmp_path):
+    """A training row with a region feature of 1e300 stops pretrain at read
+    time, naming the file, line, roi and field, not as a diverged run."""
+    rows = [json.loads(text) for text in (ws / "kcg.jsonl").read_text(encoding="utf-8").splitlines()]
+    rows[1]["rois"][0]["feat"][0] = 1e300
+    write_rows(tmp_path / "huge.jsonl", rows)
+    config = json.loads((ws / "config.json").read_text(encoding="utf-8"))
+    config["paths"]["kcg_data"] = str(tmp_path / "huge.jsonl")
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    with cwd(tmp_path):
+        code, err = run(["pretrain", "--config", str(tmp_path / "config.json")])
+    assert code == EXIT_DATA
+    assert error_line(err) == (
+        f"error: {tmp_path / 'huge.jsonl'}: line 2: roi 0 field 'feat' must hold numbers finite in float32"
+    )
+
+
+@pytest.mark.parametrize("mode", ["greedy", "nucleus"])
+def test_negative_seed_exits_2_naming_the_seed(ws, tmp_path, mode):
+    code, err = run(generate_argv(ws, tmp_path / "gen.jsonl", extra=("--mode", mode, "--seed", "-1")))
+    assert code == EXIT_DATA
+    assert error_line(err) == "error: seed must be >= 0, got -1"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

@@ -20,6 +20,8 @@ from vcgen.losses import combine_losses, compute_losses
 from vcgen.model import Model, assemble_input
 from vcgen.optim import AdamW
 from vcgen.tensor import (
+    ARRAYS,
+    TAPE,
     Tape,
     Tensor,
     _ERF_CHUNK,
@@ -322,7 +324,8 @@ def test_erf_float64_within_one_ulp_of_scipy():
 def test_dropout_rate_zero_is_identity():
     x = t64([1.0, 2.0, 3.0], requires_grad=True)
     assert dropout(x, 0.0, np.random.default_rng(0)) is x
-    assert dropout(x, 0.5, None) is x
+    assert TAPE.dropout(x) is x
+    assert ARRAYS.dropout(x.data) is x.data
 
 
 def test_dropout_inverted_scaling_and_constant_mask():
