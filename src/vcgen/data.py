@@ -188,8 +188,7 @@ def example_to_dict(example: MultimodalExample) -> dict:
         "event": example.event_text,
         "target": example.target_text,
         "rois": [
-            {"feat": [float(x) for x in r.feat], "class_probs": [float(x) for x in r.class_probs]}
-            for r in example.rois
+            {"feat": r.feat.tolist(), "class_probs": r.class_probs.tolist()} for r in example.rois
         ],
         "attributes": [list(a) for a in example.attributes],
         "relations": [list(r) for r in example.relations],

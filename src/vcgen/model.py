@@ -415,10 +415,10 @@ class Model:
     # ``TAPE`` (tensors) whose ``dropout`` draws masks, inference on
     # ``ARRAYS`` (arrays).
 
-    def _positions(self, length: int, ops: Ops) -> Operand:
-        if length > self.config.max_positions:
-            raise ValueError(f"sequence length {length} exceeds max_positions {self.config.max_positions}")
-        return ops.gather_rows(ops.param(self.params["pos_emb.weight"]), np.arange(length))
+    def _positions(self, length: int, ops: Ops, start: int = 0) -> Operand:
+        if start + length > self.config.max_positions:
+            raise ValueError(f"sequence length {start + length} exceeds max_positions {self.config.max_positions}")
+        return ops.gather_rows(ops.param(self.params["pos_emb.weight"]), np.arange(start, start + length))
 
     def embed(self, batch: "PaddedBatch", ops: Ops = TAPE) -> Operand:
         """Encoder-side embedding [B, T, d]: tokens + projected regions + positions.
@@ -435,10 +435,10 @@ class Model:
             tok = ops.scatter_rows(tok, regions, batch.slot_index)
         return ops.add(tok, pos)
 
-    def embed_decoder(self, dec_ids: np.ndarray, ops: Ops = TAPE) -> Operand:
-        """Decoder-side embedding [B, T, d] of [B, T] token ids."""
+    def embed_decoder(self, dec_ids: np.ndarray, ops: Ops = TAPE, start: int = 0) -> Operand:
+        """Decoder-side embedding [B, T, d] of [B, T] token ids from position ``start``."""
         tok = ops.gather_rows(ops.param(self.params["tok_emb.weight"]), dec_ids)
-        return ops.add(tok, self._positions(dec_ids.shape[-1], ops))
+        return ops.add(tok, self._positions(dec_ids.shape[-1], ops, start))
 
     # -- transformer stacks -------------------------------------------------
 
@@ -482,11 +482,21 @@ class Model:
         x = embedded
         for i in range(self.config.n_enc_layers):
             normed = self._norm(x, f"enc.{i}.ln1", ops)
-            a = self._attention(normed, normed, f"enc.{i}.attn", key_bias, ops)
-            x = ops.add(x, ops.dropout(a))
-            f = self.mlp(self._norm(x, f"enc.{i}.ln2", ops), f"enc.{i}.ffn", ops)
-            x = ops.add(x, ops.dropout(f))
+            x = ops.add(x, ops.dropout(self._attention(normed, normed, f"enc.{i}.attn", key_bias, ops)))
+            x = ops.add(x, ops.dropout(self.mlp(self._norm(x, f"enc.{i}.ln2", ops), f"enc.{i}.ffn", ops)))
         return self._norm(x, "enc.ln", ops)
+
+    def _decoder_layers(self, x: Operand, self_attend, cross_attend, ops: Ops) -> Operand:
+        """The decoder stack over embedded ``x``: per layer, pre-norm
+        self-attention, cross-attention and FFN sublayers, each output passed
+        through ``ops.dropout`` and added to ``x``; then the final norm.
+        ``self_attend`` and ``cross_attend`` map (normed ``x``, parameter
+        prefix, layer index) to a layer's attention output."""
+        for i in range(self.config.n_dec_layers):
+            x = ops.add(x, ops.dropout(self_attend(self._norm(x, f"dec.{i}.ln1", ops), f"dec.{i}.self_attn", i)))
+            x = ops.add(x, ops.dropout(cross_attend(self._norm(x, f"dec.{i}.ln2", ops), f"dec.{i}.cross_attn", i)))
+            x = ops.add(x, ops.dropout(self.mlp(self._norm(x, f"dec.{i}.ln3", ops), f"dec.{i}.ffn", ops)))
+        return self._norm(x, "dec.ln", ops)
 
     def decode(self, dec_embedded: Operand, enc_out: Operand, enc_pad_mask: np.ndarray, ops: Ops = TAPE) -> Operand:
         """Causal self-attention plus cross-attention over encoder states.
@@ -494,19 +504,13 @@ class Model:
         Padding sits after each row's real positions, which the causal mask
         already hides from them.
         """
-        causal = self._causal_bias(dec_embedded.shape[-2])
-        key_bias = self._key_bias(enc_pad_mask)
-        x = dec_embedded
-        for i in range(self.config.n_dec_layers):
-            normed = self._norm(x, f"dec.{i}.ln1", ops)
-            a = self._attention(normed, normed, f"dec.{i}.self_attn", causal, ops)
-            x = ops.add(x, ops.dropout(a))
-            normed = self._norm(x, f"dec.{i}.ln2", ops)
-            c = self._attention(normed, enc_out, f"dec.{i}.cross_attn", key_bias, ops)
-            x = ops.add(x, ops.dropout(c))
-            f = self.mlp(self._norm(x, f"dec.{i}.ln3", ops), f"dec.{i}.ffn", ops)
-            x = ops.add(x, ops.dropout(f))
-        return self._norm(x, "dec.ln", ops)
+        causal, key_bias = self._causal_bias(dec_embedded.shape[-2]), self._key_bias(enc_pad_mask)
+        return self._decoder_layers(
+            dec_embedded,
+            lambda normed, prefix, i: self._attention(normed, normed, prefix, causal, ops),
+            lambda normed, prefix, i: self._attention(normed, enc_out, prefix, key_bias, ops),
+            ops,
+        )
 
     def start_decoding(
         self, encodings: Sequence[np.ndarray], row_example: Sequence[int], max_len: int
@@ -535,44 +539,36 @@ class Model:
         return DecoderCache(cross_k, cross_v, self_k, self_v, lengths, _runs(lengths))
 
     def decode_step(self, ids: np.ndarray, cache: DecoderCache) -> np.ndarray:
-        """Run the decoder at position ``cache.length`` for every cached row,
-        on ``ARRAYS``: no dropout, and no tape even inside an active one.
-
-        ``ids`` holds each row's token at that position. Rows are stacked
-        [rows, 1, d] slices, never one [rows, d] matrix, so each product acts
-        per slice and a row's states do not depend on the other rows. The
-        layer body is ``decode``'s, except that self-attention reads its keys
-        and values from the cache, and the cross-attention context runs once
-        per run of the cache, over views of its rows' keys and values cut at
-        its encoder length, so no key is padded. Writes the position's
-        self-attention keys and values into the cache and returns the final
-        decoder states [rows, 1, d], with the uncached decoder's bits.
+        """``decode``'s layers at position ``cache.length`` on ``ARRAYS``, for
+        every cached row (``ids`` holds each one's token there): the final
+        states [rows, 1, d], with the uncached decoder's bits. Self-attention
+        writes the position's keys and values into the cache and reads the
+        row's positions so far; cross-attention runs once per run of rows,
+        over keys cut at their encoder length. Rows are [1, d] slices, never
+        one [rows, d] matrix, so a row's states do not depend on the others.
         """
         t = cache.length
         if t >= cache.self_k[0].shape[2]:
             raise ValueError(f"decoder cache holds {t} positions and is full")
-        p, ops = self.params, ARRAYS
-        x = p["tok_emb.weight"].data[np.asarray(ids, dtype=np.int64)[:, None]]
-        x += p["pos_emb.weight"].data[t : t + 1]
-        for i in range(self.config.n_dec_layers):
-            prefix = f"dec.{i}.self_attn"
-            normed = self._norm(x, f"dec.{i}.ln1", ops)
-            cache.self_k[i][:, :, t : t + 1] = self._heads(normed, prefix, "k", ops)
-            cache.self_v[i][:, :, t : t + 1] = self._heads(normed, prefix, "v", ops)
-            q = self._heads(normed, prefix, "q", ops)
-            context = ops.attention(q, cache.self_k[i][:, :, : t + 1], cache.self_v[i][:, :, : t + 1], None)
-            x += self._linear(context, f"{prefix}.o", ops)
+        ops = ARRAYS
 
-            prefix = f"dec.{i}.cross_attn"
-            q = self._heads(self._norm(x, f"dec.{i}.ln2", ops), prefix, "q", ops)
-            keys, values = cache.cross_k[i], cache.cross_v[i]
-            context = np.empty(x.shape, dtype=x.dtype)
+        def self_attend(normed, prefix, i):
+            keys, values = cache.self_k[i][:, :, : t + 1], cache.self_v[i][:, :, : t + 1]
+            keys[:, :, t:] = self._heads(normed, prefix, "k", ops)
+            values[:, :, t:] = self._heads(normed, prefix, "v", ops)
+            context = ops.attention(self._heads(normed, prefix, "q", ops), keys, values, None)
+            return self._linear(context, f"{prefix}.o", ops)
+
+        def cross_attend(normed, prefix, i):
+            q, keys, values = self._heads(normed, prefix, "q", ops), cache.cross_k[i], cache.cross_v[i]
+            context = np.empty(normed.shape, dtype=normed.dtype)
             for rows, length in cache.runs:
                 context[rows] = ops.attention(q[rows], keys[rows, :, :length], values[rows, :, :length], None)
-            x += self._linear(context, f"{prefix}.o", ops)
-            x += self.mlp(self._norm(x, f"dec.{i}.ln3", ops), f"dec.{i}.ffn", ops)
+            return self._linear(context, f"{prefix}.o", ops)
+
+        states = self._decoder_layers(self.embed_decoder(ids[:, None], ops, t), self_attend, cross_attend, ops)
         cache.length += 1
-        return self._norm(x, "dec.ln", ops)
+        return states
 
     # -- heads ---------------------------------------------------------------
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InputError
 from .tensor import Tensor
 
 
@@ -48,25 +49,26 @@ class AdamW:
             g = p.grad
             if g is None:
                 continue
-            if not np.all(np.isfinite(g)):
-                raise ValueError(f"non-finite gradient for parameter {name!r}")
-            m = self._m[name]
-            v = self._v[name]
-            # The expressions of the formulas above, in their order, through
-            # two fresh buffers, one of which becomes the new parameter. The
-            # bits are those of the whole-array expressions whenever a grad
-            # has its parameter's dtype, as every tape gradient does.
-            m *= self.beta1
-            scratch = np.multiply(g, 1.0 - self.beta1)
-            m += scratch
-            v *= self.beta2
-            np.multiply(g, 1.0 - self.beta2, out=scratch)
-            scratch *= g
-            v += scratch
-            denom = np.divide(v, bc2, out=scratch)
+            # The formulas above through two fresh buffers, one of which becomes
+            # the new parameter: the whole-array expressions' bits when g has
+            # the parameter's dtype. One check refuses a non-finite g and a
+            # bias-corrected second moment past float32 (it would stop its element).
+            m, v = self._m[name], self._v[name]
+            with np.errstate(over="ignore"):
+                scratch = np.multiply(g, 1.0 - self.beta2)
+                scratch *= g
+                v *= self.beta2
+                v += scratch
+                denom = np.divide(v, bc2, out=scratch)
+            if not np.isfinite(denom).all():
+                problem = "gradient whose square overflows" if np.isfinite(g).all() else "non-finite gradient"
+                raise InputError(f"{problem} for parameter {name!r}")
             np.sqrt(denom, out=denom)
             denom += self.eps
-            update = np.divide(m, bc1)
+            m *= self.beta1
+            update = np.multiply(g, 1.0 - self.beta1)
+            m += update
+            np.divide(m, bc1, out=update)
             update /= denom
             update *= self.lr
             if self.weight_decay != 0.0 and p.ndim > 1:

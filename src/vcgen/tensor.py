@@ -517,12 +517,17 @@ def layer_norm_kernel(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Layer norm of an array over its last axis, with the normalized
     ``xhat`` and the ``1 / std`` that backward reads: the forward of
-    :func:`layer_norm`."""
-    mu = _mean_last(x)
-    centered = x - mu
-    var = _mean_last(centered * centered)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv_std
+    :func:`layer_norm`. A float32 row whose sum or sum of squares overflows
+    is normalized again in float64; every other row keeps its bits."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = _mean_last(x)
+        centered = x - mu
+        var = _mean_last(centered * centered)
+        inv_std = 1.0 / np.sqrt(var + eps)
+        xhat = centered * inv_std
+    if x.dtype == np.float32 and not np.isfinite(var).all():
+        rows = ~np.isfinite(var[..., 0])
+        xhat[rows], inv_std[rows] = layer_norm_kernel(x[rows].astype(np.float64), 1.0, 0.0, eps)[1:]
     return xhat * gain + bias, xhat, inv_std
 
 

@@ -130,7 +130,7 @@ def _train_step(
 ):
     """One optimizer step; returns the logged loss figures, or None when the
     batch carried no loss units (e.g. a denoising batch where the 15%
-    masking selected nothing). A non-finite gradient raises InputError."""
+    masking selected nothing). A gradient AdamW refuses raises InputError."""
     rng = np.random.default_rng([cfg.schedule.seed, TAG_DROPOUT, epoch, global_step])
     model.zero_grad()  # the last step's grads are read by nothing from here on
     with Tape() as tape:
@@ -143,9 +143,7 @@ def _train_step(
     tape.backward(total)
     try:
         optimizer.step()
-    except ValueError as exc:  # AdamW names the first parameter whose gradient is not finite
-        if all(p.grad is None or np.isfinite(p.grad).all() for p in model.params.values()):
-            raise
+    except InputError as exc:  # AdamW names the first parameter whose gradient it refuses
         raise InputError(
             f"epoch {epoch}, step {global_step + 1}: {exc}; training diverged at optimizer.lr {cfg.optimizer.lr}"
         ) from None

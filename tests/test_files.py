@@ -11,6 +11,7 @@ import os
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from vcgen import cli
@@ -125,6 +126,20 @@ def test_text_is_utf8_with_lf_and_json_is_strict(tmp_path):
     for value in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValueError):
             json_text([value])
+
+
+def test_rows_built_with_tolist_have_the_per_element_float_text():
+    """``example_to_dict`` builds its float lists with ``ndarray.tolist()``,
+    which gives the Python floats of a per-element ``float()`` and so the
+    same JSON text: -0.0, subnormals, 17-digit values and float64's ends."""
+    values = np.array([-0.0, 0.0, 5e-324, -2.225073858507201e-308, 0.1, 1 / 3, 3.0000000000000004,
+                       123456789.12345679, 1.7976931348623157e308, -1e300])
+    values = np.concatenate([values, np.random.default_rng(0).normal(size=64) * 10.0 ** np.arange(-32, 32)])
+    per_element = json_text([float(x) for x in values])
+    assert json_text(values.tolist()) == per_element
+    example = make_vcg_dataset(1, seed=9)[0]
+    example.rois[0].feat = values
+    assert json_text(example_to_dict(example)["rois"][0]["feat"]) == per_element
 
 
 def test_a_symlinked_target_is_written_through_and_stays_a_link(tmp_path):

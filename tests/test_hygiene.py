@@ -534,3 +534,52 @@ def test_dropout_reference_is_found_in_every_form():
         "    return vcgen.tensor.dropout, t.dropout, tensor.linear\n"
     )
     assert dropout_references(source) == [1, 8, 9, 10, 10]
+
+
+# The parameter prefixes of the decoder layer body, each f-string's fields
+# written as ``{}``, and the functions of ``model.py`` that lay out the
+# parameter tables, where the names are built from parts instead.
+DECODER_PREFIXES = ("dec.{}.ln1", "dec.{}.ln2", "dec.{}.ln3", "dec.{}.ffn", "dec.ln")
+PARAMETER_TABLES = ("_param_tables", "param_shapes")
+
+
+def decoder_prefix_sites(source: str) -> dict[str, list[int]]:
+    """The lines of each string or f-string that spells a decoder prefix,
+    outside the parameter-table functions."""
+    tree = ast.parse(source)
+    tables = {id(sub) for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef) and node.name in PARAMETER_TABLES for sub in ast.walk(node)}
+    sites: dict[str, list[int]] = {prefix: [] for prefix in DECODER_PREFIXES}
+    for node in ast.walk(tree):
+        if id(node) in tables:
+            continue
+        if isinstance(node, ast.JoinedStr):
+            text = "".join(part.value if isinstance(part, ast.Constant) else "{}" for part in node.values)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            text = node.value
+        else:
+            continue
+        if text in sites:
+            sites[text].append(node.lineno)
+    return {prefix: sorted(lines) for prefix, lines in sites.items()}
+
+
+def test_model_formats_each_decoder_prefix_once():
+    """One decoder layer body: a second copy of it (a decoding path of its
+    own) formats the layer's norm and FFN prefixes again."""
+    sites = decoder_prefix_sites((PACKAGE / "model.py").read_text(encoding="utf-8"))
+    assert all(len(lines) == 1 for lines in sites.values()), sites
+
+
+def test_second_decoder_layer_body_is_found():
+    source = (
+        "def _param_tables(config):\n"
+        "    return {f'dec.{i}.ln1': 1, 'dec.ln': 2}\n"
+        "def decode(self, i):\n"
+        "    return f'dec.{i}.ln1', f'dec.{i + 1}.ffn', 'dec.ln', f'{i}.ln2'\n"
+        "def decode_step(self, j):\n"
+        "    return f'dec.{j}.ln1', \"dec.ln\"\n"
+    )
+    assert decoder_prefix_sites(source) == {
+        "dec.{}.ln1": [4, 6], "dec.{}.ln2": [], "dec.{}.ln3": [], "dec.{}.ffn": [4], "dec.ln": [4, 6],
+    }

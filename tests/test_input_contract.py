@@ -22,13 +22,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vcgen.checkpoint import save_checkpoint
+from vcgen.checkpoint import load_checkpoint, save_checkpoint
 from vcgen.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from vcgen.config import PRESET_MODELS, RunConfig, leaf_fields, to_dict
-from vcgen.data import save_jsonl
+from vcgen.data import load_candidates_jsonl, save_jsonl, score_dataset
 from vcgen.model import MAX_PARAMS, Model, ModelConfig
+from vcgen.optim import AdamW
 from vcgen.synthetic import full_corpus_lines, make_candidate_rows, make_vcg_dataset
-from vcgen.vocab import EOS_ID, build_vocab
+from vcgen.tensor import Tensor
+from vcgen.vocab import EOS_ID, Vocabulary, build_vocab
 
 MODEL = {
     "d_model": 16, "n_enc_layers": 1, "n_dec_layers": 1, "n_heads": 2, "d_ffn": 16, "max_positions": 48,
@@ -290,6 +292,7 @@ def _huge_weight_checkpoint(ws: Path, path: Path) -> Path:
     return path
 
 
+# The 3e38-weight case overflows the forward to inf on purpose; the warnings are its expected path.
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("case", ["feature", "weight"])
@@ -321,6 +324,27 @@ def test_non_finite_score_exits_2_naming_the_candidate(ws, tmp_path, case):
     assert list(out.iterdir()) == []
 
 
+def test_region_value_whose_square_overflows_float32_is_scored_from_its_content(ws, tmp_path):
+    """A region value of 1e21 is finite in float32, but its square is not.
+    filter scores every candidate within float32 rounding (about 1e-7) of
+    the same model in float64, where nothing overflows. A layer norm that
+    turns the region's row into its bias moves that score by 5e-5."""
+    rows = [json.loads(text) for text in (ws / "candidates.jsonl").read_text(encoding="utf-8").splitlines()]
+    rows[1]["rois"][0]["feat"][0] = 1e21
+    candidates = tmp_path / "huge.jsonl"
+    write_rows(candidates, rows)
+    code, _ = run(filter_argv(ws, tmp_path, candidates=candidates))
+    assert code == EXIT_OK
+    scores = {row["source_id"]: row["avg_ce"] for name in ("kept.jsonl", "dropped.jsonl")
+              for row in map(json.loads, (tmp_path / name).read_text(encoding="utf-8").splitlines())}
+    ckpt = load_checkpoint(ws / "model.kmbt")
+    wide = Model(ckpt.model_config(), {name: Tensor(data.astype(np.float64)) for name, data in ckpt.params.items()})
+    examples = [example for _, _, example in load_candidates_jsonl(candidates)]
+    oracle = score_dataset(wide, Vocabulary.load(ws / "vocab.txt"), examples)
+    assert [scores[s.example.source_id] for s in oracle] == pytest.approx([s.avg_ce for s in oracle], rel=2e-6)
+
+
+# The 3e38-weight case overflows the forward to inf on purpose; the warnings are its expected path.
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("mode", ["greedy", "nucleus"])
@@ -380,6 +404,7 @@ def test_negative_seed_exits_2_naming_the_seed(ws, tmp_path, mode):
     assert list(tmp_path.iterdir()) == []
 
 
+# lr 1e30 overflows the parameters and the next forward on purpose; the warnings are its expected path.
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_diverging_training_exits_2_naming_the_step_and_the_learning_rate(ws, tmp_path):
@@ -396,6 +421,29 @@ def test_diverging_training_exits_2_naming_the_step_and_the_learning_rate(ws, tm
     )
     log = (tmp_path / "run" / "train_log.jsonl").read_text(encoding="utf-8").splitlines()
     assert [json.loads(line)["step"] for line in log] == [1]
+
+
+def test_gradient_whose_square_overflows_exits_2_as_a_diverged_run(ws, tmp_path, monkeypatch):
+    """Every gradient entry 1e21: finite in float32, but not its square.
+    The training step maps AdamW's refusal to the diverged-run error, naming
+    the step and the learning rate, before any log line is written."""
+    step = AdamW.step
+
+    def huge_gradients(self):
+        for p in self.params.values():
+            if p.grad is not None:
+                p.grad = np.full_like(p.grad, 1e21)
+        step(self)
+
+    monkeypatch.setattr(AdamW, "step", huge_gradients)
+    with cwd(tmp_path):
+        code, err = run(["pretrain", "--config", str(ws / "config.json")])
+    assert code == EXIT_DATA
+    assert error_line(err) == (
+        "error: epoch 0, step 1: gradient whose square overflows for parameter 'tok_emb.weight'; "
+        f"training diverged at optimizer.lr {RunConfig().optimizer.lr}"
+    )
+    assert (tmp_path / "run" / "train_log.jsonl").read_text(encoding="utf-8") == ""
 
 
 @pytest.mark.parametrize("threshold", ["inf", "-inf", "nan"])

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from vcgen.errors import InputError
 from vcgen.optim import AdamW
 from vcgen.tensor import Tensor
 
@@ -92,6 +93,19 @@ def test_nonfinite_gradient_names_parameter():
     p.grad = np.array([np.nan])
     with pytest.raises(ValueError, match="enc.0.attn.q.weight"):
         opt.step()
+
+
+def test_gradient_whose_square_overflows_float32_is_refused_before_any_state_changes():
+    """A float32 gradient of 1e21 is finite, but its square is not: AdamW
+    names the parameter instead of setting the second moment to inf for
+    good, and leaves the parameter and its first moment as they were."""
+    p = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+    opt = AdamW({"dec.0.ffn.fc1.bias": p}, lr=0.1)
+    p.grad = np.array([0.5, 1e21, -0.5], dtype=np.float32)
+    with pytest.raises(InputError, match=r"^gradient whose square overflows for parameter 'dec.0.ffn.fc1.bias'$"):
+        opt.step()
+    assert np.array_equal(p.data, np.ones(3, dtype=np.float32))
+    assert not opt._m["dec.0.ffn.fc1.bias"].any()
 
 
 def test_state_round_trip():

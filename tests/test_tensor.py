@@ -216,6 +216,41 @@ def test_layer_norm_constant_vector_is_zero_before_affine():
     assert np.allclose(out.data, 0.0, atol=1e-6)
 
 
+@pytest.mark.parametrize("scale", [1e20, 1e25, 1e30, 1e35, 3e38])
+def test_layer_norm_of_float32_rows_past_the_square_range_matches_float64(scale):
+    """Rows whose float32 sum of squares, or sum, overflows: one huge value
+    among ordinary ones, all huge of one sign, huge of both signs. Forward
+    and backward agree with a float64 oracle, with no warning, and the
+    ordinary rows interleaved with them keep the bits they get alone."""
+    rng = np.random.default_rng(0)
+    d = 16
+    ordinary = rng.normal(size=(3, d))
+    one = rng.normal(size=d)
+    one[5] = scale
+    huge = [one, scale * rng.uniform(0.5, 1.0, d), scale * rng.uniform(-1.0, 1.0, d)]
+    x = np.stack([row for pair in zip(ordinary, huge) for row in pair]).reshape(3, 2, d).astype(np.float32)
+    gain, bias, upstream = (rng.normal(size=d).astype(np.float32) for _ in range(3))
+    xt = Tensor(x, requires_grad=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with Tape() as tape:
+            out = layer_norm(xt, Tensor(gain), Tensor(bias))
+            loss = sum_all(mul(out, Tensor(upstream)))
+        tape.backward(loss)
+
+    wide = x.astype(np.float64)
+    centered = wide - wide.mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + 1e-5)
+    xhat = centered * inv_std
+    dxhat = upstream * gain.astype(np.float64)
+    grad = inv_std * (dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+    assert np.all(np.abs(out.data - (xhat * gain + bias)) <= 1e-5)
+    assert np.all(np.abs(xt.grad - grad) <= 1e-4 * inv_std)
+
+    alone = layer_norm(Tensor(x[:, 0]), Tensor(gain), Tensor(bias)).data
+    assert np.array_equal(out.data[:, 0], alone)
+
+
 def test_gelu_zero():
     assert gelu(t64([0.0])).data[0] == 0.0
 
