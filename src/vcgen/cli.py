@@ -63,17 +63,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
+    from .config import INTERLEAVE_MODES, PRESET_MODELS, leaf_fields
+
     parser.add_argument("--config", help="JSON config file merged over the preset")
     parser.add_argument("--seed", type=int, help="override schedule.seed")
     _add_threads_flag(parser)
-    parser.add_argument("--preset", choices=("desk", "paper"), default="desk")
+    parser.add_argument("--preset", choices=tuple(PRESET_MODELS), default="desk")
     parser.add_argument("--tasks", help="comma list from kcg,ap,rp,mlm,mrm")
     parser.add_argument("--use-event", choices=("true", "false"))
-    parser.add_argument("--interleave", choices=("round-robin", "joint"))
+    parser.add_argument("--interleave", choices=INTERLEAVE_MODES)
     parser.add_argument("--out-dir", help="override paths.out_dir")
     # Dotted overrides for every scalar config leaf (e.g. --model.d_model 64).
-    from .config import leaf_fields
-
     for dotted, _ in leaf_fields():
         if dotted in ("use_event", "interleave"):
             continue
@@ -211,7 +211,7 @@ def cmd_generate(args) -> int:
         top_p=args.top_p,
         max_len=args.max_len,
         num_samples=1 if args.mode == "greedy" else args.num_samples,
-        seed=args.seed if args.seed is not None else 0,
+        seed=args.seed,
     )
     examples = load_jsonl(args.dataset)
     check_dataset_dims(examples, model.config, args.dataset)
@@ -328,15 +328,18 @@ def _filter_args(p: argparse.ArgumentParser) -> None:
 
 
 def _generate_args(p: argparse.ArgumentParser) -> None:
+    from .generate import MODES, GenerationConfig
+
+    defaults = GenerationConfig()
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--mode", choices=("greedy", "nucleus"), default="greedy")
-    p.add_argument("--top-p", type=float, default=0.9)
-    p.add_argument("--num-samples", type=int, default=1)
-    p.add_argument("--max-len", type=int, default=32)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--mode", choices=MODES, default=defaults.mode)
+    p.add_argument("--top-p", type=float, default=defaults.top_p)
+    p.add_argument("--num-samples", type=int, default=defaults.num_samples)
+    p.add_argument("--max-len", type=int, default=defaults.max_len)
+    p.add_argument("--seed", type=int, default=defaults.seed)
     p.add_argument("--use-event", choices=("true", "false"), default="true")
     _add_threads_flag(p)
     p.set_defaults(func=cmd_generate)

@@ -86,31 +86,16 @@ class RunConfig:
             raise InputError("optimizer needs beta1 and beta2 in [0, 1), eps > 0, lr >= 0 and weight_decay >= 0")
 
 
-# The model presets. "desk" is what the test suite exercises end to end;
-# "paper" mirrors a base-size 6+6 layer model and is configuration only.
+# The model presets, as changes to ``ModelConfig``'s defaults. "desk" is
+# those defaults, what the test suite exercises end to end; "paper" mirrors a
+# base-size 6+6 layer model and is configuration only.
 PRESET_MODELS = {
-    "desk": dict(
-        d_model=128,
-        n_enc_layers=2,
-        n_dec_layers=2,
-        n_heads=4,
-        d_ffn=256,
-        max_positions=128,
-        dropout_rate=0.1,
-    ),
-    "paper": dict(
-        d_model=768,
-        n_enc_layers=6,
-        n_dec_layers=6,
-        n_heads=12,
-        d_ffn=3072,
-        max_positions=1024,
-        dropout_rate=0.1,
-    ),
+    "desk": {},
+    "paper": dict(d_model=768, n_enc_layers=6, n_dec_layers=6, n_heads=12, d_ffn=3072, max_positions=1024),
 }
 
 
-def preset(name: str = "desk") -> RunConfig:
+def preset(name: str) -> RunConfig:
     if name not in PRESET_MODELS:
         raise InputError(f"unknown preset {name!r}; choose from {sorted(PRESET_MODELS)}")
     cfg = RunConfig()
@@ -167,8 +152,15 @@ def load_config(path: str | Path, base: RunConfig | None = None) -> RunConfig:
         raise InputError(f"config {path}: {exc}") from None
 
 
+def without_paths(cfg: RunConfig) -> dict:
+    """The run config but ``paths``: what a checkpoint embeds and
+    ``config_hash`` hashes, so the same run gives the same bytes and hash
+    from any directory. The manifest records the paths."""
+    return {key: value for key, value in to_dict(cfg).items() if key != "paths"}
+
+
 def config_hash(cfg: RunConfig) -> str:
-    canonical = json_text(to_dict(cfg), sort_keys=True, separators=(",", ":"))
+    canonical = json_text(without_paths(cfg), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import InputError
 from .files import write_jsonl
 from .model import AssembledInput, RoIFeature, assemble_input
-from .tensor import ARRAYS, log_softmax_kernel
+from .tensor import ARRAYS, mean_nll_kernel
 from .vocab import GENERATION_TASKS, PAD_ID, TaskType, Vocabulary
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -138,16 +138,21 @@ def example_from_dict(
             try:
                 array = np.asarray(r[name], dtype=np.float64)
             except (TypeError, ValueError, OverflowError):
-                raise DatasetError(f"line {line_no}: roi {i} field {name!r} must be a list of numbers") from None
-            _check(np.isfinite(array).all(), line_no, f"roi {i} field {name!r} must hold finite numbers")
+                array = None
+            _check(array is not None and array.ndim == 1, line_no,
+                   f"roi {i} field {name!r} must be a list of numbers")
             with np.errstate(over="ignore"):
                 fits = np.isfinite(array.astype(np.float32)).all()
-            _check(fits, line_no, f"roi {i} field {name!r} must hold numbers finite in float32")
+            if not fits:  # the model runs float32; a value not finite in float64 either is named as such
+                kind = "numbers finite in float32" if np.isfinite(array).all() else "finite numbers"
+                _check(False, line_no, f"roi {i} field {name!r} must hold {kind}")
             arrays.append(array)
-        try:
-            rois.append(RoIFeature(*arrays))
-        except ValueError as exc:
-            raise DatasetError(f"line {line_no}: roi {i} field invalid: {exc}") from None
+        feat, class_probs = arrays
+        _check((class_probs >= 0).all(), line_no, f"roi {i} field 'class_probs' must hold numbers >= 0")
+        total = float(class_probs.sum())
+        _check(abs(total - 1.0) <= 1e-4, line_no,
+               f"roi {i} field 'class_probs' must sum to 1 within 1e-4, got {total:.6f}")
+        rois.append(RoIFeature(feat, class_probs))
     if rois:
         _check(
             all(len(r.feat) == len(rois[0].feat) for r in rois)
@@ -280,11 +285,9 @@ def check_dataset_dims(examples: Sequence[MultimodalExample], config: "ModelConf
 # ---------------------------------------------------------------------------
 # scoring and filtering
 
-def score_description(
-    model: "Model", vocab: Vocabulary, example: MultimodalExample, use_event: bool = True
-) -> ScoredExample:
-    """Score one example alone; see ``score_dataset``."""
-    return score_dataset(model, vocab, [example], use_event)[0]
+def score_description(model: "Model", vocab: Vocabulary, example: MultimodalExample) -> ScoredExample:
+    """Score one example alone, with its event text; see ``score_dataset``."""
+    return score_dataset(model, vocab, [example])[0]
 
 
 def score_dataset(
@@ -306,29 +309,13 @@ def score_dataset(
     scored: list[ScoredExample | None] = [None] * len(items)
     for indices, batch in exact_batches(items):
         logits = model.lm_head(model.forward(batch, ops=ARRAYS), ARRAYS)
-        for i, avg_ce in zip(indices, _mean_token_nll(logits, batch.dec_labels)):
+        for i, avg_ce in zip(indices, mean_nll_kernel(logits, batch.dec_labels)[0].tolist()):
             scored[i] = ScoredExample(example=examples[i], avg_ce=avg_ce, n_tokens=len(items[i][0].dec_labels))
     return scored
 
 
-def _mean_token_nll(logits: np.ndarray, labels: np.ndarray) -> list[float]:
-    """Mean of -log softmax(logits)[label] along each row of [B, T, V] logits.
-
-    Takes the same numpy steps, in the same order, as ``cross_entropy`` on
-    one row's [T, V] slice, so each row's value is the one it gets alone.
-    """
-    logp = log_softmax_kernel(logits)
-    rows, positions = np.indices(labels.shape)
-    nll = -logp[rows, positions, labels]
-    n = labels.shape[1]
-    return [float(np.asarray(row.sum() / n, dtype=logits.dtype)) for row in nll]
-
-
-DEFAULT_FILTER_THRESHOLD = 3.5
-
-
 def filter_dataset(
-    scored: Sequence[ScoredExample], threshold: float = DEFAULT_FILTER_THRESHOLD
+    scored: Sequence[ScoredExample], threshold: float
 ) -> tuple[list[ScoredExample], list[ScoredExample]]:
     """Partition by strict avg_ce < threshold ("below"); order preserved."""
     if np.isnan(threshold):

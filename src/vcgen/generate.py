@@ -112,15 +112,12 @@ def decode_length(model: "Model", config: GenerationConfig) -> int:
 
 
 def generate(
-    model: "Model",
-    vocab: Vocabulary,
-    example: "MultimodalExample",
-    config: GenerationConfig,
-    use_event: bool = True,
+    model: "Model", vocab: Vocabulary, example: "MultimodalExample", config: GenerationConfig
 ) -> list[list[int]]:
-    """Decode one example as a file of its own; see ``generate_dataset``.
-    Its nucleus streams are those of a file's first example."""
-    return generate_dataset(model, vocab, [example], config, use_event)[0]
+    """Decode one example as a file of its own, with its event text; see
+    ``generate_dataset``. Its nucleus streams are those of a file's first
+    example."""
+    return generate_dataset(model, vocab, [example], config)[0]
 
 
 def generate_dataset(

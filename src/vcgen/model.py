@@ -107,20 +107,11 @@ class ModelConfig:
 
 @dataclass
 class RoIFeature:
-    """Precomputed region feature plus the detector's class distribution."""
+    """Precomputed region feature plus the detector's class distribution,
+    1-D float64 arrays; ``data.example_from_dict`` checks them at read."""
 
     feat: np.ndarray
     class_probs: np.ndarray
-
-    def __post_init__(self):
-        self.feat = np.asarray(self.feat, dtype=np.float64)
-        self.class_probs = np.asarray(self.class_probs, dtype=np.float64)
-        if self.class_probs.ndim != 1 or self.feat.ndim != 1:
-            raise ValueError("RoI feat and class_probs must be 1-D")
-        if np.any(self.class_probs < 0):
-            raise ValueError("class_probs entries must be >= 0")
-        if abs(float(self.class_probs.sum()) - 1.0) > 1e-4:
-            raise ValueError(f"class_probs must sum to 1 within 1e-4, got {self.class_probs.sum():.6f}")
 
 
 @dataclass

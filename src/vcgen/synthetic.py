@@ -76,7 +76,6 @@ def make_vcg_dataset(
     seed=0,
     d_visual: int = DEFAULT_D_VISUAL,
     n_classes: int = DEFAULT_N_CLASSES,
-    with_event: bool = True,
     prefix: str = "vcg",
 ) -> list[MultimodalExample]:
     """Generation-task examples cycling before/after/intent."""
@@ -89,7 +88,7 @@ def make_vcg_dataset(
             MultimodalExample(
                 task=task,
                 rois=make_rois(rng, int(rng.integers(1, 4)), d_visual, n_classes),
-                event_text=make_event(person, verb, obj, place) if with_event else None,
+                event_text=make_event(person, verb, obj, place),
                 target_text=make_target(task, person, verb, obj, place),
                 source_id=f"{prefix}-{i:05d}",
             )
@@ -97,13 +96,7 @@ def make_vcg_dataset(
     return out
 
 
-def make_caption_dataset(
-    n: int,
-    seed=0,
-    d_visual: int = DEFAULT_D_VISUAL,
-    n_classes: int = DEFAULT_N_CLASSES,
-    prefix: str = "cap",
-) -> list[MultimodalExample]:
+def make_caption_dataset(n: int, seed=0) -> list[MultimodalExample]:
     """Caption examples for the denoising objectives (no event text)."""
     rng = np.random.default_rng(seed)
     out = []
@@ -112,35 +105,27 @@ def make_caption_dataset(
         out.append(
             MultimodalExample(
                 task=TaskType.CAPTION,
-                rois=make_rois(rng, int(rng.integers(1, 4)), d_visual, n_classes),
+                rois=make_rois(rng, int(rng.integers(1, 4))),
                 event_text=None,
                 target_text=make_target(TaskType.CAPTION, person, verb, obj, place),
-                source_id=f"{prefix}-{i:05d}",
+                source_id=f"cap-{i:05d}",
             )
         )
     return out
 
 
-def make_region_dataset(
-    n: int,
-    seed=0,
-    d_visual: int = DEFAULT_D_VISUAL,
-    n_classes: int = DEFAULT_N_CLASSES,
-    n_attr: int = DEFAULT_N_ATTR,
-    n_rel: int = DEFAULT_N_REL,
-    prefix: str = "reg",
-) -> list[MultimodalExample]:
+def make_region_dataset(n: int, seed=0) -> list[MultimodalExample]:
     """Region-annotation examples for attribute/relation prediction."""
     rng = np.random.default_rng(seed)
     out = []
     for i in range(n):
         n_rois = int(rng.integers(2, 5))
-        rois = make_rois(rng, n_rois, d_visual, n_classes)
-        attributes = [(j, int(rng.integers(n_attr))) for j in range(n_rois) if rng.random() < 0.7]
+        rois = make_rois(rng, n_rois)
+        attributes = [(j, int(rng.integers(DEFAULT_N_ATTR))) for j in range(n_rois) if rng.random() < 0.7]
         relations = []
         for _ in range(int(rng.integers(1, 3))):
             subj, obj = rng.choice(n_rois, size=2, replace=False)
-            relations.append((int(subj), int(obj), int(rng.integers(n_rel))))
+            relations.append((int(subj), int(obj), int(rng.integers(DEFAULT_N_REL))))
         out.append(
             MultimodalExample(
                 task=TaskType.REGION_CAPTION,
@@ -149,21 +134,15 @@ def make_region_dataset(
                 target_text="",
                 attributes=attributes,
                 relations=relations,
-                source_id=f"{prefix}-{i:05d}",
+                source_id=f"reg-{i:05d}",
             )
         )
     return out
 
 
-def make_candidate_rows(
-    n: int,
-    seed=0,
-    d_visual: int = DEFAULT_D_VISUAL,
-    n_classes: int = DEFAULT_N_CLASSES,
-    nonsense_ratio: float = 0.5,
-    prefix: str = "cand",
-) -> list[dict]:
-    """Filter candidates: template targets mixed with shuffled-word nonsense."""
+def make_candidate_rows(n: int, seed=0, d_visual: int = DEFAULT_D_VISUAL) -> list[dict]:
+    """Filter candidates: template targets, each shuffled into word-order
+    nonsense with probability 1/2."""
     rng = np.random.default_rng(seed)
     relations = list(COMET_RELATION_TASKS)
     rows = []
@@ -172,16 +151,16 @@ def make_candidate_rows(
         relation = relations[i % len(relations)]
         task = COMET_RELATION_TASKS[relation]
         target = make_target(task, person, verb, obj, place)
-        if rng.random() < nonsense_ratio:
+        if rng.random() < 0.5:
             words = target.split()
             rng.shuffle(words)
             target = " ".join(words)
         example = MultimodalExample(
             task=task,
-            rois=make_rois(rng, int(rng.integers(1, 4)), d_visual, n_classes),
+            rois=make_rois(rng, int(rng.integers(1, 4)), d_visual),
             event_text=make_event(person, verb, obj, place),
             target_text=target,
-            source_id=f"{prefix}-{i:05d}",
+            source_id=f"cand-{i:05d}",
         )
         row = example_to_dict(example)
         del row["task"]

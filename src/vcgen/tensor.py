@@ -44,11 +44,9 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad", "_key")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
+    def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
-        if dtype is not None:
-            arr = arr.astype(dtype, copy=False)
-        elif arr.dtype not in (np.float32, np.float64):
+        if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(DEFAULT_DTYPE)
         self.data = arr
         self.requires_grad = requires_grad
@@ -506,15 +504,17 @@ def log_softmax(x: Tensor) -> Tensor:
     return _make(data, (x,), bw)
 
 
+# Added to the variance before the square root in every layer norm.
+LAYER_NORM_EPS = 1e-5
+
+
 def _mean_last(a: np.ndarray) -> np.ndarray:
     """``a.mean(axis=-1, keepdims=True)``, bit for bit, without the python
     wrapper numpy puts around ``mean``."""
     return np.add.reduce(a, axis=-1, keepdims=True) / a.dtype.type(a.shape[-1])
 
 
-def layer_norm_kernel(
-    x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def layer_norm_kernel(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Layer norm of an array over its last axis, with the normalized
     ``xhat`` and the ``1 / std`` that backward reads: the forward of
     :func:`layer_norm`. A float32 row whose sum or sum of squares overflows
@@ -523,21 +523,21 @@ def layer_norm_kernel(
         mu = _mean_last(x)
         centered = x - mu
         var = _mean_last(centered * centered)
-        inv_std = 1.0 / np.sqrt(var + eps)
+        inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
         xhat = centered * inv_std
     if x.dtype == np.float32 and not np.isfinite(var).all():
         rows = ~np.isfinite(var[..., 0])
-        xhat[rows], inv_std[rows] = layer_norm_kernel(x[rows].astype(np.float64), 1.0, 0.0, eps)[1:]
+        xhat[rows], inv_std[rows] = layer_norm_kernel(x[rows].astype(np.float64), 1.0, 0.0)[1:]
     return xhat * gain + bias, xhat, inv_std
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     if gain.shape != x.shape[-1:] or bias.shape != x.shape[-1:]:
         raise ValueError(
             f"layer_norm affine shape mismatch: x {x.shape}, gain {gain.shape}, bias {bias.shape}"
         )
-    data, xhat, inv_std = layer_norm_kernel(x.data, gain.data, bias.data, eps)
+    data, xhat, inv_std = layer_norm_kernel(x.data, gain.data, bias.data)
     gain_data = gain.data if x.requires_grad else None
     want_gain, want_bias = gain.requires_grad, bias.requires_grad
 
@@ -638,6 +638,19 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None) -> Tenso
 # losses
 
 
+def mean_nll_kernel(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean of -log softmax(logits)[label] over each [T, V] slice of
+    [..., T, V] logits, with [..., T] integer labels, and the log
+    probabilities: the forward of :func:`cross_entropy`. Each slice is
+    reduced alone, so its mean, in the logits' dtype, is the one it gets as
+    a batch of its own."""
+    logp = log_softmax_kernel(logits)
+    nll = -np.take_along_axis(logp, labels[..., None], axis=-1)[..., 0]
+    n = labels.shape[-1]
+    means = [row.sum() / n for row in nll.reshape(-1, n)]
+    return np.array(means, dtype=logits.dtype).reshape(labels.shape[:-1]), logp
+
+
 def cross_entropy(logits: Tensor, targets) -> Tensor:
     """Mean token cross-entropy in nats.
 
@@ -654,17 +667,15 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     if tgt.min() < 0 or tgt.max() >= logits.shape[1]:
         raise ValueError(f"target id out of range [0, {logits.shape[1]})")
 
-    logp = log_softmax_kernel(logits.data)
+    data, logp = mean_nll_kernel(logits.data, tgt)
     rows = np.arange(n)
-    nll = -logp[rows, tgt]
-    data = nll.sum() / n
 
     def bw(g):
         grad = np.exp(logp)
         grad[rows, tgt] -= 1.0
         return (grad * (g / n),)
 
-    return _make(np.asarray(data, dtype=logits.dtype), (logits,), bw)
+    return _make(data, (logits,), bw)
 
 
 def kl_divergence(p: Tensor, log_q: Tensor) -> Tensor:

@@ -23,7 +23,7 @@ from .checkpoint import (
     params_as_tensors,
     save_checkpoint,
 )
-from .config import RunConfig, config_hash, to_dict
+from .config import RunConfig, config_hash, to_dict, without_paths
 from .data import MultimodalExample, PaddedBatch, check_dataset_dims, load_jsonl, make_batches, score_dataset
 from .data import score_description  # noqa: F401  (unused here; the benchmark traces this name)
 from .errors import InputError
@@ -68,13 +68,6 @@ def write_manifest(out_dir: Path, command: str, cfg: RunConfig, inputs: Sequence
     }
     with output_file(out_dir / "manifest.json") as fh:
         fh.write(json_text(manifest, indent=2, sort_keys=True) + "\n")
-
-
-def _checkpoint_config(cfg: RunConfig) -> dict:
-    """The run config a checkpoint embeds: everything but ``paths``, so the
-    same run writes the same bytes from any directory. The manifest records
-    the inputs."""
-    return {key: value for key, value in to_dict(cfg).items() if key != "paths"}
 
 
 def load_run_vocab(cfg: RunConfig, command: str) -> Vocabulary:
@@ -228,7 +221,7 @@ def _run_epochs(
             _log_line(log_fh, {"kind": "val", "epoch": epoch, "val_kcg": val})
         save_checkpoint(
             out_dir / f"epoch_{epoch + 1:03d}.kmbt",
-            _checkpoint_config(cfg),
+            without_paths(cfg),
             model.params,
             global_step=global_step,
         )
@@ -293,7 +286,7 @@ def _train(
     with log_path.open("w", encoding="utf-8", newline="\n") as log_fh:
         global_step = _run_epochs(cfg, model, vocab, datasets, log_fh, out_dir, val_examples)
     final = out_dir / "final.kmbt"
-    save_checkpoint(final, _checkpoint_config(cfg), model.params, global_step=global_step)
+    save_checkpoint(final, without_paths(cfg), model.params, global_step=global_step)
     return {"log": str(log_path), "checkpoint": str(final), "steps": global_step}
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -305,6 +306,23 @@ def test_pretrain_writes_manifest_and_checkpoints(workspace, tmp_path):
         assert len(digest) == 64
     assert (out / "final.kmbt").exists()
     assert (out / "epoch_001.kmbt").exists()
+
+
+def test_manifest_config_hash_leaves_out_the_paths(workspace, tmp_path):
+    """The same run from a copy of its inputs, written to another directory,
+    reports the same config hash; the config field keeps each run's paths."""
+    copy = tmp_path / "copy"
+    copy.mkdir()
+    for name in ("vocab.txt", "kcg.jsonl", "captions.jsonl", "regions.jsonl"):
+        shutil.copyfile(workspace / name, copy / name)
+    manifests = []
+    for root, out in ((workspace, tmp_path / "run_a"), (copy, tmp_path / "run_b")):
+        assert main(pretrain_args(root, out, "kcg")) == 0
+        manifests.append(json.loads((out / "manifest.json").read_text(encoding="utf-8")))
+    a, b = manifests
+    assert a["config_sha256"] == b["config_sha256"]
+    assert a["config"].pop("paths") != b["config"].pop("paths")
+    assert a["config"] == b["config"]
 
 
 def test_pretrain_reproducible_across_runs(workspace, tmp_path):

@@ -77,12 +77,15 @@ def test_one_valid_line(tmp_path):
 
 
 def test_unnormalized_class_probs_error_names_line_and_field(tmp_path):
+    """A sum off 1, a negative entry (the sum is 1) and a nested list (so is
+    its sum) are each a schema error naming the line, the roi and the field."""
     path = tmp_path / "data.jsonl"
-    bad = valid_row()
-    bad["rois"][0]["class_probs"] = [0.2, 0.2, 0.2, 0.1, 0.1]  # sums to 0.8
-    write_lines(path, [valid_row(source_id="ok"), bad])
-    with pytest.raises(DatasetError, match=r"line 2.*roi 0"):
-        load_jsonl(path)
+    for class_probs in ([0.2, 0.2, 0.2, 0.1, 0.1], [0.6, -0.2, 0.2, 0.2, 0.2], [[0.2, 0.2, 0.2, 0.2, 0.2]]):
+        bad = valid_row()
+        bad["rois"][0]["class_probs"] = class_probs
+        write_lines(path, [valid_row(source_id="ok"), bad])
+        with pytest.raises(DatasetError, match=r"line 2: roi 0 field 'class_probs'"):
+            load_jsonl(path)
 
 
 def test_malformed_json_reports_line(tmp_path):

@@ -1,9 +1,10 @@
 """Source hygiene of the package: every imported name is read somewhere,
 nothing is imported from outside the standard library, numpy and vcgen, the
 inference modules import nothing of the tape, every function, class, method
-and stored attribute is read by package code, every exception class is an
-InputError, only ``vcgen.files`` writes JSON or opens a file to write, and
-only ``vcgen.losses`` draws dropout."""
+and stored attribute is read by package code, every defaulted parameter is
+passed by some call, every exception class is an InputError, only
+``vcgen.files`` writes JSON or opens a file to write, and only
+``vcgen.losses`` draws dropout."""
 
 from __future__ import annotations
 
@@ -301,6 +302,112 @@ def test_unread_attribute_is_found_and_a_string_reads_it():
         ),
     }
     assert unread_attributes(sources) == ["a.Box.count", "a.Box.w", "a.Section.hidden"]
+
+
+def _defaulted_parameters(tree: ast.Module):
+    """(qualified name, callee name, parameter, position) of each defaulted
+    parameter of each function and method in ``tree``, nested ones and
+    keyword-only ones included. The callee name is the one calls use: the
+    function's, or its class's for ``__init__``. The position counts the
+    arguments a call writes, so not a method's ``self`` or ``cls``; it is
+    None for a keyword-only parameter."""
+    owner = {id(sub): node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef) for sub in node.body}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        cls = owner.get(id(node))
+        qualified = f"{cls}.{node.name}" if cls else node.name
+        callee = cls if cls and node.name == "__init__" else node.name
+        positional = node.args.posonlyargs + node.args.args
+        if cls and positional and positional[0].arg in ("self", "cls"):
+            positional = positional[1:]
+        first = len(positional) - len(node.args.defaults)
+        for position, arg in enumerate(positional[first:], start=first):
+            yield qualified, callee, arg.arg, position
+        for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+            if default is not None:
+                yield qualified, callee, arg.arg, None
+
+
+def _passes(call: ast.Call, name: str, position: int | None) -> bool:
+    """Whether ``call`` may set the parameter: it names it, reaches its
+    position, or unpacks ``*`` or ``**`` arguments."""
+    if any(keyword.arg in (name, None) for keyword in call.keywords):
+        return True
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def unset_parameters(package: dict[str, str], callers: list[str]) -> list[str]:
+    """``module.function(parameter)`` of each defaulted parameter (see
+    ``_defaulted_parameters``) of ``package`` (module name -> source) that no
+    call in ``callers`` (sources) passes. A call matches by the bare name it
+    calls, ``f(...)`` or ``x.f(...)``, so a name two callees share can only
+    hide an unset parameter, never report a set one."""
+    calls: dict[str, list[ast.Call]] = {}
+    for source in callers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return [
+        f"{module}.{qualified}({name})"
+        for module, source in package.items()
+        for qualified, callee, name, position in _defaulted_parameters(ast.parse(source))
+        if not any(_passes(call, name, position) for call in calls.get(callee, ()))
+    ]
+
+
+# Where the calls that may set a package parameter live.
+CALLER_DIRS = ("src", "tests", "bench")
+
+
+def test_every_defaulted_parameter_is_passed_by_some_call():
+    """A default that no call overrides is a constant: write it as one."""
+    root = PACKAGE.parents[1]
+    package = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    callers = [p.read_text(encoding="utf-8") for d in CALLER_DIRS for p in sorted((root / d).rglob("*.py"))]
+    assert unset_parameters(package, callers) == []
+
+
+def test_unset_parameter_is_found_in_every_form():
+    package = {
+        "a": (
+            "class Box:\n"
+            "    def __init__(self, size=1, *, colour='red'):\n"
+            "        self.size = size\n"
+            "    def grow(self, by=1, twice=False):\n"
+            "        return by\n"
+            "    @staticmethod\n"
+            "    def make(n=0):\n"
+            "        return Box()\n"
+            "def f(x, flag=True, *rest, key=None, **extra):\n"
+            "    def inner(deep=0):\n"
+            "        return deep\n"
+            "    return inner()\n"
+            "def g(a=1, b=2):\n"
+            "    return a\n"
+            "def h(level=0):\n"
+            "    return level\n"
+        ),
+    }
+    callers = [
+        "from a import Box, f, g, h\n"
+        "Box(2).grow(by=3)\n"
+        "Box.make(3)\n"
+        "f(1, flag=False, key=None)\n",
+        "def run(args, opts):\n"
+        "    g(*args)\n"
+        "    h(**opts)\n"
+        "    return f(1, 2, 3)\n",
+    ]
+    assert unset_parameters(package, callers) == [
+        "a.Box.__init__(colour)", "a.Box.grow(twice)", "a.inner(deep)",
+    ]
+    callers.append("Box(colour='blue').grow(1, True)\n")
+    assert unset_parameters(package, callers) == ["a.inner(deep)"]
 
 
 def _base_names(node: ast.ClassDef) -> list[str]:
