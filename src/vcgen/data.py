@@ -135,12 +135,14 @@ def example_from_dict(
         )
         arrays = []
         for name in ("feat", "class_probs"):
+            values = r[name]
+            # _all_ints's rule for numbers: a JSON string or bool is not one
+            numbers = isinstance(values, list) and set(map(type, values)) <= {int, float}
             try:
-                array = np.asarray(r[name], dtype=np.float64)
-            except (TypeError, ValueError, OverflowError):
+                array = np.asarray(values, dtype=np.float64) if numbers else None
+            except OverflowError:  # an int beyond float64
                 array = None
-            _check(array is not None and array.ndim == 1, line_no,
-                   f"roi {i} field {name!r} must be a list of numbers")
+            _check(array is not None, line_no, f"roi {i} field {name!r} must be a list of numbers")
             with np.errstate(over="ignore"):
                 fits = np.isfinite(array.astype(np.float32)).all()
             if not fits:  # the model runs float32; a value not finite in float64 either is named as such

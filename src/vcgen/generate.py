@@ -140,10 +140,10 @@ def generate_dataset(
     cut into chunks of at most ``SCORE_CHUNK_ROWS``. A chunk's examples are
     encoded over ``exact_batches`` and its rows, whatever their encoder
     length, advance together through one KV cache; a row that emits </s>
-    leaves the cache. Every stacked product runs per row as it would alone,
-    so a row's tokens do not depend on ``num_samples``, on the other
-    examples in the file or on when the other rows stop. Results keep the
-    input order.
+    leaves the cache. A row's products do not depend on the other rows
+    (``linear`` runs them as fixed 8-row tiles, attention per row), so a
+    row's tokens do not depend on ``num_samples``, on the other examples in
+    the file or on when the other rows stop. Results keep the input order.
     """
     config.validate()
     items = []

@@ -535,8 +535,9 @@ class Model:
         states [rows, 1, d], with the uncached decoder's bits. Self-attention
         writes the position's keys and values into the cache and reads the
         row's positions so far; cross-attention runs once per run of rows,
-        over keys cut at their encoder length. Rows are [1, d] slices, never
-        one [rows, d] matrix, so a row's states do not depend on the others.
+        over keys cut at their encoder length. Rows are [1, d] slices, which
+        ``linear`` runs as fixed 8-row tiles, so a row's states do not
+        depend on the others.
         """
         t = cache.length
         if t >= cache.self_k[0].shape[2]:

@@ -34,6 +34,9 @@ DEFAULT_DTYPE = np.float32
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
+# Row count of the tiles that one-row slices run as in ``linear_kernel``.
+TILE_ROWS = 8
+
 # Finite stand-in for -inf in attention masks; exp(x - max) underflows to
 # exactly 0.0 for both float32 and float64, keeping outputs finite.
 NEG_MASK_VALUE = -1e9
@@ -245,8 +248,23 @@ def scale(x: Tensor, factor: float) -> Tensor:
 
 
 def linear_kernel(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``x @ w + b`` on arrays: the forward of :func:`linear`."""
-    out = x @ w
+    """``x @ w + b`` on arrays: the forward of :func:`linear`.
+
+    When every slice of ``x`` is one row (decoding's [S, 1, k] states), the
+    S rows run as one stacked product over zero-padded [TILE_ROWS, k] tiles:
+    at a fixed row count OpenBLAS keeps one kernel, so a row's bits do not
+    depend on its tile-mates or its position. Every other shape runs
+    ``x @ w``, whose slices each have the bits of that slice alone.
+    """
+    if x.ndim < 3 or x.shape[-2] != 1:
+        out = x @ w
+    else:
+        k, n = w.shape
+        rows = x.reshape(-1, k)
+        count = len(rows)
+        if count % TILE_ROWS:
+            rows = np.concatenate([rows, np.zeros((-count % TILE_ROWS, k), dtype=rows.dtype)])
+        out = (rows.reshape(-1, TILE_ROWS, k) @ w).reshape(-1, n)[:count].reshape(x.shape[:-1] + (n,))
     out += b
     return out
 
@@ -255,12 +273,12 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Affine map ``x @ w + b`` of the last axis, as one tape node.
 
     ``w`` is a [k, n] matrix applied to every [m, k] slice of ``x``, and
-    ``b`` a length-n bias. Each slice of the stacked product is the same
-    numpy product as that slice alone, so a row's result does not depend on
-    how many rows share the stack. Value and gradients have the bits of the
-    unfused ``add(matmul(x, w), b)``: backward treats the stacked rows of
-    ``x`` as one [rows, k] matrix, so each gradient is a single 2-D GEMM
-    with no per-slice reduction.
+    ``b`` a length-n bias. The forward is :func:`linear_kernel`: a slice of
+    m >= 2 rows has the bits of that slice's product alone, and one-row
+    slices run as fixed 8-row tiles, so in either case a row's result does
+    not depend on how many rows share the stack. Backward treats the
+    stacked rows of ``x`` as one [rows, k] matrix, so each gradient is a
+    single 2-D GEMM with no per-slice reduction.
     """
     x_shape = x.data.shape
     if w.ndim != 2 or len(x_shape) < 2 or x_shape[-1] != w.shape[0] or b.shape != w.shape[1:]:

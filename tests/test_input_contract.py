@@ -396,6 +396,30 @@ def test_region_feature_beyond_float32_exits_2_before_training(ws, tmp_path):
     )
 
 
+@pytest.mark.parametrize("name", ["feat", "class_probs"])
+@pytest.mark.parametrize("spelling", ["strings", "bools"])
+def test_region_values_that_are_not_json_numbers_exit_2(ws, tmp_path, name, spelling):
+    """Region values spelt as JSON strings ("1", "2e0") or as booleans are
+    not numbers, though numpy would convert both: filter refuses the row as
+    it reads it, naming the file, line, roi and field, and opens no output
+    file. The strings keep each value and the booleans are one-hot, so the
+    row would otherwise pass every other region check."""
+    rows = [json.loads(text) for text in (ws / "candidates.jsonl").read_text(encoding="utf-8").splitlines()]
+    values = rows[1]["rois"][0][name]
+    if spelling == "strings":
+        rows[1]["rois"][0][name] = [repr(float(v)) for v in values]
+    else:
+        rows[1]["rois"][0][name] = [i == 0 for i in range(len(values))]
+    candidates = tmp_path / "spelt.jsonl"
+    write_rows(candidates, rows)
+    out = tmp_path / "out"
+    out.mkdir()
+    code, err = run(filter_argv(ws, out, candidates=candidates))
+    assert code == EXIT_DATA
+    assert error_line(err) == f"error: {candidates}: line 2: roi 0 field {name!r} must be a list of numbers"
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("mode", ["greedy", "nucleus"])
 def test_negative_seed_exits_2_naming_the_seed(ws, tmp_path, mode):
     code, err = run(generate_argv(ws, tmp_path / "gen.jsonl", extra=("--mode", mode, "--seed", "-1")))

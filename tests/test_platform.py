@@ -15,11 +15,23 @@ D, D_FFN = 128, 256  # d_model and d_ffn of the desk model
 
 STACKED_SLICES = (
     "a slice of a stacked product must be bitwise the product of that slice "
-    "alone. tensor.linear runs stacked per-slice products and relies on it, so "
-    "that a decoding row's states do not depend on the other rows of its "
-    "chunk; data.exact_batches relies on it, so that an example scores as it "
-    "would alone in its batch"
+    "alone. tensor.linear_kernel runs every slice of two or more rows as one "
+    "stacked product and relies on it in the T >= 2 training and scoring "
+    "forwards; data.exact_batches relies on it, so that an example scores as "
+    "it would alone in its batch; and decoding's attention relies on it for "
+    "its one-query slices. Decoding's one-row projections do not: "
+    "tensor.linear_kernel runs them as 8-row tiles"
 )
+
+TILE_ROWS_INDEPENDENT = (
+    "a row's bits in a stacked product of 8-row tiles must not depend on its "
+    "position in its tile or on its tile-mates, whether zeros or other rows. "
+    "tensor.linear_kernel runs decoding's one-row slices as zero-padded "
+    "8-row tiles and relies on it for the decoding row-independence "
+    "contract: a decoding row's states and logits do not depend on the "
+    "other rows that step with it"
+)
+TILE_TRIALS = 40
 
 
 def _assert_slices_are_lone_products(x: np.ndarray, w: np.ndarray) -> None:
@@ -33,7 +45,10 @@ def _assert_slices_are_lone_products(x: np.ndarray, w: np.ndarray) -> None:
 @pytest.mark.parametrize("rows", [2, 5, 64])
 @pytest.mark.parametrize("k, n", [(D, D), (D, D_FFN), (D_FFN, D)])
 def test_decode_row_slices_are_lone_products(rows, k, n):
-    """Decoding's [S, 1, k] rows through a projection or feed-forward weight."""
+    """[S, 1, k] one-row slices through a projection or feed-forward weight.
+    Decoding's projections run such rows as 8-row tiles (the tile tests
+    below); this pins the one-row case of the stacked-slice fact that
+    exact_batches and decoding's one-query attention products stand on."""
     rng = np.random.default_rng([rows, k, n])
     x = rng.normal(size=(rows, 1, k)).astype(np.float32)
     w = (rng.normal(size=(k, n)) * 0.02).astype(np.float32)
@@ -59,6 +74,48 @@ def test_lm_head_row_slices_are_lone_products(vocab, rows):
     x = rng.normal(size=(rows, 1, D)).astype(np.float32)
     assert not emb.T.flags.c_contiguous
     _assert_slices_are_lone_products(x, emb.T)
+
+
+def _assert_tile_rows_are_independent(w: np.ndarray, dtype) -> None:
+    """Each trial puts one row in three [8, k] tiles of one stacked product,
+    at three positions: among zeros, among random rows, and among random
+    rows again; every copy must have the bits of the row alone at the top
+    of a zero tile."""
+    k = w.shape[0]
+    rng = np.random.default_rng([k, w.shape[1], np.dtype(dtype).itemsize])
+    for trial in range(TILE_TRIALS):
+        row = rng.normal(size=k).astype(dtype)
+        alone = np.zeros((1, 8, k), dtype=dtype)
+        alone[0, 0] = row
+        tiles = np.concatenate([np.zeros((1, 8, k), dtype=dtype), rng.normal(size=(2, 8, k)).astype(dtype)])
+        positions = rng.integers(0, 8, size=3)
+        tiles[np.arange(3), positions] = row
+        expected = (alone @ w)[0, 0]
+        got = (tiles @ w)[np.arange(3), positions]
+        for mates, result in zip(("zeros", "random rows", "random rows"), got):
+            assert np.array_equal(result, expected), (
+                f"{np.dtype(dtype).name} [8, {k}] @ [{', '.join(map(str, w.shape))}] tiles, trial {trial}, "
+                f"row among {mates}: {TILE_ROWS_INDEPENDENT}"
+            )
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k, n", [(D, D), (D, D_FFN), (D_FFN, D), (16, 16), (16, 32), (32, 16)])
+def test_tile_rows_do_not_depend_on_their_tile_mates(dtype, k, n):
+    """Decoding's rows as 8-row tiles through a projection or feed-forward
+    weight, at the desk model's shapes and at 16-wide ones."""
+    rng = np.random.default_rng([k, n])
+    _assert_tile_rows_are_independent((rng.normal(size=(k, n)) * 0.02).astype(dtype), dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("vocab", [54, 1000])
+def test_lm_head_tile_rows_do_not_depend_on_their_tile_mates(dtype, vocab):
+    """Decoding's rows as 8-row tiles through the LM head, the transposed
+    view of the [V, d] token embedding."""
+    emb = (np.random.default_rng(vocab).normal(size=(vocab, D)) * 0.02).astype(dtype)
+    assert not emb.T.flags.c_contiguous
+    _assert_tile_rows_are_independent(emb.T, dtype)
 
 
 MASKED_KEYS = (

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vcgen
 from vcgen import synthetic, train
@@ -34,6 +36,7 @@ from vcgen.tensor import (
     kl_divergence,
     layer_norm,
     linear,
+    linear_kernel,
     log_softmax,
     reshape,
     scale,
@@ -90,8 +93,8 @@ def test_matmul_2d_right_operand_matches_per_slice_loop():
 
 
 def test_matmul_stacked_rows_are_bitwise_single_row_products():
-    """Each [1, d] slice of a stacked [S, 1, d] @ [d, d] product equals the
-    1-row product alone, so cached decoding rows cannot see each other."""
+    """Each [1, d] slice of a stacked [S, 1, d] @ [d, d] product of the
+    reference matmul equals the 1-row product alone."""
     rng = np.random.default_rng(4)
     d = 128
     w = Tensor(rng.normal(size=(d, d)).astype(np.float32))
@@ -107,6 +110,27 @@ def test_matmul_rejects_stacked_right_operand_with_other_leading_dims():
         matmul(t64(np.zeros((3, 4))), t64(np.zeros((2, 4, 5))))
     with pytest.raises(ValueError, match="matmul shape mismatch"):
         matmul(t64(np.zeros((3, 2, 4))), t64(np.zeros((2, 4, 5))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 64), k=st.integers(1, 48), n=st.integers(1, 48), seed=st.integers(0, 2**32 - 1))
+def test_linear_kernel_one_row_slices_are_each_row_alone(rows, k, n, seed):
+    """Decoding's [S, 1, k] rows, which linear_kernel runs as 8-row tiles:
+    each row has the bits of that row alone as [1, 1, k], the tape's linear
+    has the bits of ARRAYS.linear, and the result is the float64 product
+    within float32 rounding."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(rows, 1, k)).astype(np.float32)
+    w = (rng.normal(size=(k, n)) / np.sqrt(k)).astype(np.float32)
+    b = rng.normal(size=n).astype(np.float32)
+    out = linear_kernel(x, w, b)
+    assert out.shape == (rows, 1, n) and out.dtype == np.float32
+    for r in range(rows):
+        assert np.array_equal(out[r], linear_kernel(x[r : r + 1], w, b)[0]), f"row {r} of {rows}"
+    assert np.array_equal(linear(Tensor(x), Tensor(w), Tensor(b)).data, ARRAYS.linear(x, w, b))
+    exact = x.astype(np.float64) @ w.astype(np.float64) + b
+    bound = (k + 1) * np.finfo(np.float32).eps * (np.abs(x) @ np.abs(w).astype(np.float64) + np.abs(b))
+    assert (np.abs(out - exact) <= bound).all()
 
 
 def test_softmax_uniform_logits():
