@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
@@ -105,13 +106,92 @@ def _annotations(obj: dict, name: str, fields: tuple, n_rois: int, n_labels: int
     return entries
 
 
+def _numbers(values) -> bool:
+    """_all_ints's rule for numbers: a list of JSON numbers, none a string or
+    a bool, and no int beyond float64."""
+    types = set(map(type, values)) if isinstance(values, list) else {str}
+    if not types <= {int, float}:
+        return False
+    try:
+        if int in types:
+            list(map(float, values))  # an int beyond float64 raises
+    except OverflowError:
+        return False
+    return True
+
+
+# The reader checks a block of lines once their RoI fields hold this many
+# numbers, which bounds what a read holds beyond its examples.
+BLOCK_NUMBERS = 1 << 16
+
+
+class _RoIBlock:
+    """The RoI fields of a block of lines, each added once its type is
+    checked, in the order the lines check them. ``check`` runs the value
+    checks in one array pass per (field, width) and raises the first
+    failure in that order; ``flush`` then fills each example's ``rois`` with
+    rows of the checked arrays."""
+
+    def __init__(self) -> None:
+        self.fields: list[tuple[list, int | None, int, str, list]] = []  # (rois, line_no, roi, name, values)
+        self.size = 0
+
+    def add(self, rois: list, line_no: int | None, roi: int, name: str, values: list) -> None:
+        self.fields.append((rois, line_no, roi, name, values))
+        self.size += len(values)
+
+    def check(self) -> list[np.ndarray]:
+        """Each field's float64 row. A field's values must be finite in
+        float32, and those of 'class_probs' then >= 0 and sum to 1 within 1e-4."""
+        groups: dict[tuple[str, int], list[int]] = {}
+        for k, (*_, name, values) in enumerate(self.fields):
+            groups.setdefault((name, len(values)), []).append(k)
+        rows: list = [None] * len(self.fields)
+        failures = []
+        for (name, width), members in groups.items():
+            flat = list(chain.from_iterable(self.fields[k][4] for k in members))
+            array = np.array(flat, dtype=np.float64).reshape(len(members), width)
+            with np.errstate(over="ignore", invalid="ignore"):  # the model runs float32
+                passed = [np.isfinite(array.astype(np.float32)).all(axis=1)]
+                sums = array.sum(axis=1)
+                if name == "class_probs":
+                    passed += [(array >= 0).all(axis=1), np.abs(sums - 1.0) <= 1e-4]
+            for stage, ok in enumerate(passed):
+                if not ok.all():
+                    j = int(ok.argmin())  # a value not finite in float64 either is named as such
+                    finite = "numbers finite in float32" if np.isfinite(array[j]).all() else "finite numbers"
+                    rule = (f"must hold {finite}", "must hold numbers >= 0",
+                            f"must sum to 1 within 1e-4, got {sums[j]:.6f}")[stage]
+                    failures.append((members[j], stage, rule))
+            for k, row in zip(members, array):
+                rows[k] = row
+        if failures:
+            k, _, rule = min(failures)
+            _, line_no, roi, name, _ = self.fields[k]
+            _check(False, line_no, f"roi {roi} field {name!r} {rule}")
+        return rows
+
+    def flush(self) -> None:
+        """Check the block, then hand each example its RoIFeatures."""
+        rows = self.check()
+        for (rois, *_), feat, class_probs in zip(self.fields[::2], rows[::2], rows[1::2]):
+            rois.append(RoIFeature(feat, class_probs))
+        self.fields, self.size = [], 0
+
+
 def example_from_dict(
     obj: dict,
-    line_no: int | None = None,
+    line_no: int | None,
+    block: _RoIBlock,
     n_attr: int | None = None,
     n_rel: int | None = None,
     task_override: TaskType | None = None,
 ) -> MultimodalExample:
+    """One record, with its structure checked here, the RoI numbers rule
+    included, and its RoI fields added to ``block``; the example's ``rois``
+    stay empty until ``block.flush()`` checks their values. An error raised
+    here comes after every field already in the block, in the order the
+    checks run, so the reader runs ``block.check()`` before raising it."""
     _check(isinstance(obj, dict), line_no, "record is not a JSON object")
     if task_override is None:
         raw_task = obj.get("task")
@@ -133,35 +213,14 @@ def example_from_dict(
             line_no,
             f"roi {i} must be an object with 'feat' and 'class_probs'",
         )
-        arrays = []
         for name in ("feat", "class_probs"):
-            values = r[name]
-            # _all_ints's rule for numbers: a JSON string or bool is not one
-            numbers = isinstance(values, list) and set(map(type, values)) <= {int, float}
-            try:
-                array = np.asarray(values, dtype=np.float64) if numbers else None
-            except OverflowError:  # an int beyond float64
-                array = None
-            _check(array is not None, line_no, f"roi {i} field {name!r} must be a list of numbers")
-            with np.errstate(over="ignore"):
-                fits = np.isfinite(array.astype(np.float32)).all()
-            if not fits:  # the model runs float32; a value not finite in float64 either is named as such
-                kind = "numbers finite in float32" if np.isfinite(array).all() else "finite numbers"
-                _check(False, line_no, f"roi {i} field {name!r} must hold {kind}")
-            arrays.append(array)
-        feat, class_probs = arrays
-        _check((class_probs >= 0).all(), line_no, f"roi {i} field 'class_probs' must hold numbers >= 0")
-        total = float(class_probs.sum())
-        _check(abs(total - 1.0) <= 1e-4, line_no,
-               f"roi {i} field 'class_probs' must sum to 1 within 1e-4, got {total:.6f}")
-        rois.append(RoIFeature(feat, class_probs))
-    if rois:
-        _check(
-            all(len(r.feat) == len(rois[0].feat) for r in rois)
-            and all(len(r.class_probs) == len(rois[0].class_probs) for r in rois),
-            line_no,
-            "rois must share feat/class_probs widths",
-        )
+            _check(_numbers(r[name]), line_no, f"roi {i} field {name!r} must be a list of numbers")
+            block.add(rois, line_no, i, name, r[name])
+    _check(
+        len({len(r["feat"]) for r in rois_raw}) <= 1 and len({len(r["class_probs"]) for r in rois_raw}) <= 1,
+        line_no,
+        "rois must share feat/class_probs widths",
+    )
 
     target = obj.get("target", "")
     _check(isinstance(target, str), line_no, "field 'target' must be a string")
@@ -171,7 +230,7 @@ def example_from_dict(
     event = obj.get("event")
     _check(event is None or isinstance(event, str), line_no, "field 'event' must be a string or null")
 
-    n_rois = len(rois)
+    n_rois = len(rois_raw)
     attributes = _annotations(obj, "attributes", ("roi_idx", "attr_label"), n_rois, n_attr, line_no)
     relations = _annotations(obj, "relations", ("subj_idx", "obj_idx", "rel_label"), n_rois, n_rel, line_no)
 
@@ -203,25 +262,42 @@ def example_to_dict(example: MultimodalExample) -> dict:
     }
 
 
-def _read_jsonl(path: str | Path, parse: Callable[[object, int], object]) -> list:
-    """``parse(obj, line_no)`` of each non-blank line of a UTF-8 JSONL file
-    (lines end at LF), in order; every DatasetError names the file."""
+def _json_lines(fh) -> Iterator[tuple[int, object]]:
+    """(line number, value) of each non-blank line of a UTF-8 JSONL file;
+    lines end at LF."""
+    for line_no, raw in enumerate(fh, start=1):
+        try:
+            line = raw.decode("utf-8")
+            if not line.strip():
+                continue
+            obj = json.loads(line)
+        except UnicodeDecodeError as exc:
+            raise DatasetError(f"line {line_no}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
+        except json.JSONDecodeError as exc:
+            raise DatasetError(f"line {line_no}: malformed JSON ({exc.msg})") from None
+        except RecursionError:
+            raise DatasetError(f"line {line_no}: JSON nested too deeply") from None
+        yield line_no, obj
+
+
+def _read_jsonl(path: str | Path, parse: Callable[[object, int, _RoIBlock], object]) -> list:
+    """``parse(obj, line_no, block)`` of each line of a JSONL file, in order.
+    The RoI values of each block of ``BLOCK_NUMBERS`` numbers are checked
+    once its lines are parsed. The DatasetError raised is the first in line
+    order, and names the file."""
     records = []
+    block = _RoIBlock()
     try:
         with Path(path).open("rb") as fh:
-            for line_no, raw in enumerate(fh, start=1):
-                try:
-                    line = raw.decode("utf-8")
-                    if not line.strip():
-                        continue
-                    obj = json.loads(line)
-                except UnicodeDecodeError as exc:
-                    raise DatasetError(f"line {line_no}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
-                except json.JSONDecodeError as exc:
-                    raise DatasetError(f"line {line_no}: malformed JSON ({exc.msg})") from None
-                except RecursionError:
-                    raise DatasetError(f"line {line_no}: JSON nested too deeply") from None
-                records.append(parse(obj, line_no))
+            try:
+                for line_no, obj in _json_lines(fh):
+                    records.append(parse(obj, line_no, block))
+                    if block.size >= BLOCK_NUMBERS:
+                        block.flush()
+            except DatasetError:
+                block.check()  # a value error on an earlier line, or earlier on this one, comes first
+                raise  # (if the block's own check raised, check raises the same error again)
+            block.flush()
     except DatasetError as exc:
         raise DatasetError(f"{path}: {exc}") from None
     return records
@@ -229,7 +305,7 @@ def _read_jsonl(path: str | Path, parse: Callable[[object, int], object]) -> lis
 
 def load_jsonl(path: str | Path, n_attr: int | None = None, n_rel: int | None = None) -> list[MultimodalExample]:
     """Parse and validate a dataset file; fails fast naming the file and line."""
-    return _read_jsonl(path, lambda obj, line_no: example_from_dict(obj, line_no, n_attr, n_rel))
+    return _read_jsonl(path, lambda obj, line_no, block: example_from_dict(obj, line_no, block, n_attr, n_rel))
 
 
 def save_jsonl(path: str | Path, examples: Sequence[MultimodalExample]) -> None:
@@ -237,11 +313,11 @@ def save_jsonl(path: str | Path, examples: Sequence[MultimodalExample]) -> None:
     write_jsonl(path, map(example_to_dict, examples))
 
 
-def _candidate(obj, line_no: int) -> tuple[int, str, MultimodalExample]:
+def _candidate(obj, line_no: int, block: _RoIBlock) -> tuple[int, str, MultimodalExample]:
     relation = obj.get("relation") if isinstance(obj, dict) else None
     _check(isinstance(relation, str), line_no, "candidate rows need a string 'relation' field")
     task = map_comet_relation(relation, line_no)
-    return line_no, relation, example_from_dict(obj, line_no, task_override=task)
+    return line_no, relation, example_from_dict(obj, line_no, block, task_override=task)
 
 
 def load_candidates_jsonl(path: str | Path) -> list[tuple[int, str, MultimodalExample]]:
@@ -250,7 +326,7 @@ def load_candidates_jsonl(path: str | Path) -> list[tuple[int, str, MultimodalEx
     return _read_jsonl(path, _candidate)
 
 
-def _generation_row(obj, line_no: int) -> dict | None:
+def _generation_row(obj, line_no: int, block: _RoIBlock) -> dict | None:
     if line_no == 1 and isinstance(obj, dict) and "source_id" not in obj:
         return None  # the header
     _check(isinstance(obj, dict), line_no, "generation rows must be JSON objects")
@@ -381,47 +457,60 @@ class PaddedBatch:
         return len(self.items)
 
 
+def _prefix_mask(lengths: Sequence[int], width: int) -> np.ndarray:
+    """[len(lengths), width] bool, True at the first ``lengths[i]`` places of row i."""
+    return np.arange(width) < np.asarray(lengths)[:, None]
+
+
+def _padded(rows: list[np.ndarray], width: int) -> np.ndarray:
+    """[len(rows), width] int64 ids: each row's, then the pad id."""
+    out = np.full((len(rows), width), PAD_ID, dtype=np.int64)
+    out[_prefix_mask([len(r) for r in rows], width)] = np.concatenate(rows)
+    return out
+
+
+def _flat_index(parts: list[np.ndarray], width: int) -> np.ndarray:
+    """Row i's places ``parts[i]`` as flat indices of [len(parts), width]."""
+    return np.repeat(np.arange(len(parts)) * width, [len(p) for p in parts]) + np.concatenate(parts)
+
+
 def pad_batch(items: Sequence[tuple[AssembledInput, MultimodalExample]]) -> PaddedBatch:
-    """Pad (assembled, example) pairs into one batch, in the given order."""
+    """Pad (assembled, example) pairs into one batch, in the given order.
+
+    Each array is filled in one pass over the batch: the id rows through a
+    mask of the real positions, the region rows through their flat indices."""
     items = list(items)
     if not items:
         raise ValueError("pad_batch needs at least one item")
-    n = len(items)
-    enc_len = max(a.enc_len for a, _ in items)
-    dec_len = max(a.dec_len for a, _ in items)
-    n_rois = max(len(ex.rois) for _, ex in items)
-    d_visual = next((len(ex.rois[0].feat) for _, ex in items if ex.rois), 0)
-    enc_ids = np.full((n, enc_len), PAD_ID, dtype=np.int64)
-    enc_mask = np.zeros((n, enc_len), dtype=bool)
-    dec_ids = np.full((n, dec_len), PAD_ID, dtype=np.int64)
-    any_labels = any(a.dec_labels is not None for a, _ in items)
-    dec_labels = np.full((n, dec_len), PAD_ID, dtype=np.int64) if any_labels else None
-    roi_feats = np.zeros((n, n_rois, d_visual))
-    roi_index, slot_index = [], []
-    for row, (a, ex) in enumerate(items):
+    for a, ex in items:
         if len(a.visual_slots) != len(ex.rois):
             raise ValueError(f"{len(a.visual_slots)} visual slots but {len(ex.rois)} RoI features")
-        enc_ids[row, : a.enc_len] = a.enc_ids
-        enc_mask[row, : a.enc_len] = True
-        dec_ids[row, : a.dec_len] = a.dec_ids
-        if dec_labels is not None and a.dec_labels is not None:
-            dec_labels[row, : len(a.dec_labels)] = a.dec_labels
-        if ex.rois:
-            roi_feats[row, : len(ex.rois)] = np.stack([r.feat for r in ex.rois])
-            roi_feats[row, a.mrm_roi_indices] = 0.0
-        roi_index.extend(row * n_rois + np.arange(len(ex.rois)))
-        slot_index.extend(row * enc_len + a.visual_slots)
+    assembled = [a for a, _ in items]
+    n = len(items)
+    enc_len = max(a.enc_len for a in assembled)
+    dec_len = max(a.dec_len for a in assembled)
+    roi_counts = [len(ex.rois) for _, ex in items]
+    n_rois = max(roi_counts)
+    d_visual = next((len(ex.rois[0].feat) for _, ex in items if ex.rois), 0)
+    labels = [a.dec_labels for a in assembled]
+    no_labels = np.zeros(0, dtype=np.int64)
+    roi_feats = np.zeros((n, n_rois, d_visual))
+    roi_index = np.flatnonzero(_prefix_mask(roi_counts, n_rois))
+    region_rows = roi_feats.reshape(n * n_rois, d_visual)
+    region_rows[roi_index] = [r.feat for _, ex in items for r in ex.rois]
+    region_rows[_flat_index([a.mrm_roi_indices for a in assembled], n_rois)] = 0.0
     return PaddedBatch(
         items=items,
         enc_len=enc_len,
         dec_len=dec_len,
-        enc_ids=enc_ids,
-        enc_mask=enc_mask,
-        dec_ids=dec_ids,
-        dec_labels=dec_labels,
+        enc_ids=_padded([a.enc_ids for a in assembled], enc_len),
+        enc_mask=_prefix_mask([a.enc_len for a in assembled], enc_len),
+        dec_ids=_padded([a.dec_ids for a in assembled], dec_len),
+        dec_labels=None if all(l is None for l in labels) else _padded(
+            [no_labels if l is None else l for l in labels], dec_len),
         roi_feats=roi_feats,
-        roi_index=np.asarray(roi_index, dtype=np.int64),
-        slot_index=np.asarray(slot_index, dtype=np.int64),
+        roi_index=roi_index,
+        slot_index=_flat_index([a.visual_slots for a in assembled], enc_len),
     )
 
 

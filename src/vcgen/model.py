@@ -108,7 +108,8 @@ class ModelConfig:
 @dataclass
 class RoIFeature:
     """Precomputed region feature plus the detector's class distribution,
-    1-D float64 arrays; ``data.example_from_dict`` checks them at read."""
+    1-D float64 arrays; the JSONL reader checks them, and hands them out as
+    rows of one array per field and width."""
 
     feat: np.ndarray
     class_probs: np.ndarray

@@ -659,14 +659,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None) -> Tenso
 def mean_nll_kernel(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean of -log softmax(logits)[label] over each [T, V] slice of
     [..., T, V] logits, with [..., T] integer labels, and the log
-    probabilities: the forward of :func:`cross_entropy`. Each slice is
-    reduced alone, so its mean, in the logits' dtype, is the one it gets as
-    a batch of its own."""
+    probabilities: the forward of :func:`cross_entropy`. One reduction over
+    the contiguous last axis of the [..., T] losses sums each slice alone,
+    so its mean, in the logits' dtype, is the one it gets as a batch of its
+    own."""
     logp = log_softmax_kernel(logits)
     nll = -np.take_along_axis(logp, labels[..., None], axis=-1)[..., 0]
-    n = labels.shape[-1]
-    means = [row.sum() / n for row in nll.reshape(-1, n)]
-    return np.array(means, dtype=logits.dtype).reshape(labels.shape[:-1]), logp
+    return np.asarray(nll.sum(axis=-1) / labels.shape[-1], dtype=logits.dtype), logp
 
 
 def cross_entropy(logits: Tensor, targets) -> Tensor:

@@ -2,7 +2,9 @@
 
 Deliberately plain and step-by-step; nothing here shares code with the
 package paths it checks, apart from ``nucleus_candidates``, a one-row view
-of the package's top-p ranking for tests that check it on fixed rows.
+of the package's top-p ranking for tests that check it on fixed rows, and
+the reference reader, which shares the package's line decoding and the
+checks of the fields after the regions, leaving the region checks its own.
 """
 
 from __future__ import annotations
@@ -14,9 +16,18 @@ from collections import Counter
 
 import numpy as np
 
-from vcgen.data import pad_batch
+from vcgen.data import (
+    DatasetError,
+    MultimodalExample,
+    PaddedBatch,
+    _annotations,
+    _check,
+    _json_lines,
+    map_comet_relation,
+    pad_batch,
+)
 from vcgen.generate import _top_p_prefix
-from vcgen.model import assemble_input
+from vcgen.model import RoIFeature, assemble_input
 from vcgen.tensor import (
     ARRAYS,
     NEG_MASK_VALUE,
@@ -29,9 +40,10 @@ from vcgen.tensor import (
     kl_divergence,
     layer_norm,
     log_softmax,
+    log_softmax_kernel,
     scatter_rows,
 )
-from vcgen.vocab import BOS_ID, EOS_ID, N_RESERVED
+from vcgen.vocab import BOS_ID, EOS_ID, GENERATION_TASKS, N_RESERVED, PAD_ID, TaskType
 
 from ops import concat, mul, unfused_attention, unfused_linear, unfused_split_heads
 
@@ -201,6 +213,153 @@ def per_example_losses(model, items, wanted):
         rows = model.mlp(concat(mrm[0]), "mrm_head")
         terms["mrm"] = kl_divergence(Tensor(np.stack(mrm[1]).astype(rows.dtype)), log_softmax(rows))
     return terms
+
+
+# ---------------------------------------------------------------------------
+# reading, batching and the mean NLL, one row at a time
+
+
+def reference_example_from_dict(obj, line_no=None, n_attr=None, n_rel=None, task_override=None):
+    """One record, every check run as the line is read: each region's
+    fields converted and checked for type, range, sign and sum in turn."""
+    _check(isinstance(obj, dict), line_no, "record is not a JSON object")
+    if task_override is None:
+        raw_task = obj.get("task")
+        _check(
+            isinstance(raw_task, str) and raw_task in TaskType._value2member_map_,
+            line_no,
+            f"field 'task' must be one of {[t.value for t in TaskType]}, got {obj.get('task')!r}",
+        )
+        task = TaskType(raw_task)
+    else:
+        task = task_override
+
+    rois_raw = obj.get("rois", [])
+    _check(isinstance(rois_raw, list), line_no, "field 'rois' must be a list")
+    rois = []
+    for i, r in enumerate(rois_raw):
+        _check(
+            isinstance(r, dict) and "feat" in r and "class_probs" in r,
+            line_no,
+            f"roi {i} must be an object with 'feat' and 'class_probs'",
+        )
+        arrays = []
+        for name in ("feat", "class_probs"):
+            values = r[name]
+            numbers = isinstance(values, list) and set(map(type, values)) <= {int, float}
+            try:
+                array = np.asarray(values, dtype=np.float64) if numbers else None
+            except OverflowError:  # an int beyond float64
+                array = None
+            _check(array is not None, line_no, f"roi {i} field {name!r} must be a list of numbers")
+            with np.errstate(over="ignore"):
+                fits = np.isfinite(array.astype(np.float32)).all()
+            if not fits:
+                kind = "numbers finite in float32" if np.isfinite(array).all() else "finite numbers"
+                _check(False, line_no, f"roi {i} field {name!r} must hold {kind}")
+            arrays.append(array)
+        feat, class_probs = arrays
+        _check((class_probs >= 0).all(), line_no, f"roi {i} field 'class_probs' must hold numbers >= 0")
+        total = float(class_probs.sum())
+        _check(abs(total - 1.0) <= 1e-4, line_no,
+               f"roi {i} field 'class_probs' must sum to 1 within 1e-4, got {total:.6f}")
+        rois.append(RoIFeature(feat, class_probs))
+    if rois:
+        _check(
+            all(len(r.feat) == len(rois[0].feat) for r in rois)
+            and all(len(r.class_probs) == len(rois[0].class_probs) for r in rois),
+            line_no,
+            "rois must share feat/class_probs widths",
+        )
+
+    target = obj.get("target", "")
+    _check(isinstance(target, str), line_no, "field 'target' must be a string")
+    if task in GENERATION_TASKS:
+        _check(bool(target.strip()), line_no, f"field 'target' must be non-empty for task {task.value!r}")
+
+    event = obj.get("event")
+    _check(event is None or isinstance(event, str), line_no, "field 'event' must be a string or null")
+
+    attributes = _annotations(obj, "attributes", ("roi_idx", "attr_label"), len(rois), n_attr, line_no)
+    relations = _annotations(obj, "relations", ("subj_idx", "obj_idx", "rel_label"), len(rois), n_rel, line_no)
+
+    source_id = obj.get("source_id", "")
+    _check(isinstance(source_id, str), line_no, "field 'source_id' must be a string")
+    return MultimodalExample(task=task, rois=rois, event_text=event, target_text=target,
+                             attributes=attributes, relations=relations, source_id=source_id)
+
+
+def _reference_read(path, parse):
+    records = []
+    try:
+        with open(path, "rb") as fh:
+            for line_no, obj in _json_lines(fh):
+                records.append(parse(obj, line_no))
+    except DatasetError as exc:
+        raise DatasetError(f"{path}: {exc}") from None
+    return records
+
+
+def reference_load_jsonl(path, n_attr=None, n_rel=None):
+    """``data.load_jsonl``, one line fully checked before the next is read."""
+    return _reference_read(path, lambda obj, line_no: reference_example_from_dict(obj, line_no, n_attr, n_rel))
+
+
+def reference_load_candidates(path):
+    """``data.load_candidates_jsonl``, one line fully checked before the next is read."""
+    def candidate(obj, line_no):
+        relation = obj.get("relation") if isinstance(obj, dict) else None
+        _check(isinstance(relation, str), line_no, "candidate rows need a string 'relation' field")
+        task = map_comet_relation(relation, line_no)
+        return line_no, relation, reference_example_from_dict(obj, line_no, task_override=task)
+
+    return _reference_read(path, candidate)
+
+
+def reference_pad_batch(items):
+    """``data.pad_batch``, one item at a time."""
+    items = list(items)
+    if not items:
+        raise ValueError("pad_batch needs at least one item")
+    n = len(items)
+    enc_len = max(a.enc_len for a, _ in items)
+    dec_len = max(a.dec_len for a, _ in items)
+    n_rois = max(len(ex.rois) for _, ex in items)
+    d_visual = next((len(ex.rois[0].feat) for _, ex in items if ex.rois), 0)
+    enc_ids = np.full((n, enc_len), PAD_ID, dtype=np.int64)
+    enc_mask = np.zeros((n, enc_len), dtype=bool)
+    dec_ids = np.full((n, dec_len), PAD_ID, dtype=np.int64)
+    any_labels = any(a.dec_labels is not None for a, _ in items)
+    dec_labels = np.full((n, dec_len), PAD_ID, dtype=np.int64) if any_labels else None
+    roi_feats = np.zeros((n, n_rois, d_visual))
+    roi_index, slot_index = [], []
+    for row, (a, ex) in enumerate(items):
+        if len(a.visual_slots) != len(ex.rois):
+            raise ValueError(f"{len(a.visual_slots)} visual slots but {len(ex.rois)} RoI features")
+        enc_ids[row, : a.enc_len] = a.enc_ids
+        enc_mask[row, : a.enc_len] = True
+        dec_ids[row, : a.dec_len] = a.dec_ids
+        if dec_labels is not None and a.dec_labels is not None:
+            dec_labels[row, : len(a.dec_labels)] = a.dec_labels
+        if ex.rois:
+            roi_feats[row, : len(ex.rois)] = np.stack([r.feat for r in ex.rois])
+            roi_feats[row, a.mrm_roi_indices] = 0.0
+        roi_index.extend(row * n_rois + np.arange(len(ex.rois)))
+        slot_index.extend(row * enc_len + a.visual_slots)
+    return PaddedBatch(
+        items=items, enc_len=enc_len, dec_len=dec_len, enc_ids=enc_ids, enc_mask=enc_mask,
+        dec_ids=dec_ids, dec_labels=dec_labels, roi_feats=roi_feats,
+        roi_index=np.asarray(roi_index, dtype=np.int64), slot_index=np.asarray(slot_index, dtype=np.int64),
+    )
+
+
+def per_row_mean_nll(logits, labels):
+    """``tensor.mean_nll_kernel``'s means, one [T] row of losses summed at a time."""
+    logp = log_softmax_kernel(logits)
+    nll = -np.take_along_axis(logp, labels[..., None], axis=-1)[..., 0]
+    n = labels.shape[-1]
+    means = [row.sum() / n for row in nll.reshape(-1, n)]
+    return np.array(means, dtype=logits.dtype).reshape(labels.shape[:-1])
 
 
 # ---------------------------------------------------------------------------
