@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import InputError
 from .files import json_text, output_file
-from .model import ModelConfig, check_param_shapes
+from .model import ModelConfig, aligned_copy, check_param_shapes
 from .tensor import Tensor
 
 MAGIC = b"KMBT"
@@ -119,7 +119,8 @@ class _Reader:
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
     """Parse and validate; tensor shapes must agree with the embedded config,
-    and every value must be finite."""
+    and every value must be finite. Each tensor is read into an
+    ``aligned_copy``."""
     blob = Path(path).read_bytes()
     reader = _Reader(blob, path)
     if reader.take(4) != MAGIC:
@@ -155,7 +156,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             raise CheckpointError(f"{path}: implausible ndim {ndim} for tensor {name!r}")
         shape = tuple(reader.u32() for _ in range(ndim))
         raw = reader.take(4 * math.prod(shape))
-        data = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+        data = aligned_copy(np.frombuffer(raw, dtype="<f4").reshape(shape), np.float32)
         if not np.isfinite(data).all():
             raise CheckpointError(f"{path}: tensor {name!r} holds a non-finite value")
         if name.startswith(OPT_PREFIX):
@@ -192,5 +193,8 @@ def check_model_config(checkpoint: Checkpoint, config: ModelConfig) -> None:
 
 
 def params_as_tensors(checkpoint: Checkpoint) -> dict[str, Tensor]:
+    """Trainable tensors over the checkpoint's float32 arrays themselves, not
+    copies: AdamW updates a parameter in place, so training a ``Model`` built
+    from them mutates ``checkpoint.params``."""
     return {name: Tensor(data.astype(np.float32, copy=False), requires_grad=True)
             for name, data in checkpoint.params.items()}

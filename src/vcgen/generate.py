@@ -189,7 +189,8 @@ def _decode_rows(
     cache = model.start_decoding(encodings, row_example, max_len)
     rngs = None
     if config.mode == "nucleus":
-        rngs = [np.random.default_rng([_mix_seed(config.seed, i), k]) for i, k in rows]
+        seeds = [_mix_seed(config.seed, i) for i in distinct.tolist()]
+        rngs = [np.random.default_rng([seeds[e], k]) for e, (_, k) in zip(row_example.tolist(), rows)]
     tokens: list[list[int]] = [[] for _ in rows]
     live = np.arange(len(rows))  # the row behind each cache row
     ids = np.full(len(rows), BOS_ID, dtype=np.int64)

@@ -308,9 +308,25 @@ def check_param_shapes(config: ModelConfig, shapes: Mapping[str, tuple[int, ...]
 
 INIT_STD = 0.02
 
+# Every parameter starts on a boundary of this many bytes: OpenBLAS's small
+# sgemm reads the weight unpacked, and ran up to 1.8x slower (same bits) off it.
+PARAM_ALIGNMENT = 64
+
+
+def aligned_copy(array: np.ndarray, dtype) -> np.ndarray:
+    """A C-contiguous copy of ``array`` cast to ``dtype``, whose data starts
+    on a ``PARAM_ALIGNMENT``-byte boundary."""
+    nbytes = array.size * np.dtype(dtype).itemsize
+    raw = np.empty(nbytes + PARAM_ALIGNMENT, dtype=np.uint8)
+    start = -raw.ctypes.data % PARAM_ALIGNMENT
+    out = raw[start : start + nbytes].view(dtype).reshape(array.shape)
+    out[...] = array
+    return out
+
 
 def init_params(config: ModelConfig, seed_or_rng, dtype=np.float32) -> dict[str, Tensor]:
-    """Random initialization: N(0, 0.02) matrices, unit norm gains, zero biases."""
+    """Random initialization: N(0, 0.02) matrices, unit norm gains, zero
+    biases, each in an ``aligned_copy``."""
     config.validate()
     rng = np.random.default_rng(seed_or_rng)
     params: dict[str, Tensor] = {}
@@ -319,9 +335,9 @@ def init_params(config: ModelConfig, seed_or_rng, dtype=np.float32) -> dict[str,
             data = np.ones(shape)
         elif len(shape) == 1:
             data = np.zeros(shape)
-        else:
-            data = rng.normal(0.0, INIT_STD, size=shape)
-        params[name] = Tensor(data.astype(dtype), requires_grad=True)
+        else:  # rng.normal(0.0, INIT_STD, shape)'s bits; its + 0.0 turns -0.0 into +0.0
+            data = rng.standard_normal(shape) * INIT_STD + 0.0
+        params[name] = Tensor(aligned_copy(data, dtype), requires_grad=True)
     return params
 
 

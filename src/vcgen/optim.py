@@ -20,7 +20,8 @@ class AdamW:
         p <- p - lr * (m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps)
 
     Parameters whose grad is None (untouched by the step's loss) are skipped
-    entirely: no moment update, no decay.
+    entirely: no moment update, no decay. The new values are written into
+    each parameter's own array, which so keeps its buffer and alignment.
     """
 
     def __init__(
@@ -49,9 +50,9 @@ class AdamW:
             g = p.grad
             if g is None:
                 continue
-            # The formulas above through two fresh buffers, one of which becomes
-            # the new parameter: the whole-array expressions' bits when g has
-            # the parameter's dtype. One check refuses a non-finite g and a
+            # The formulas above through two fresh buffers and the parameter's
+            # own array: the whole-array expressions' bits when g has the
+            # parameter's dtype. One check refuses a non-finite g and a
             # bias-corrected second moment past float32 (it would stop its element).
             m, v = self._m[name], self._v[name]
             with np.errstate(over="ignore"):
@@ -72,11 +73,9 @@ class AdamW:
             update /= denom
             update *= self.lr
             if self.weight_decay != 0.0 and p.ndim > 1:
-                new_data = np.multiply(p.data, 1.0 - self.lr * self.weight_decay, out=denom)
-                new_data -= update
+                np.subtract(np.multiply(p.data, 1.0 - self.lr * self.weight_decay, out=denom), update, out=p.data)
             else:
-                new_data = np.subtract(p.data, update, out=update)
-            p.data = new_data.astype(p.dtype, copy=False)
+                np.subtract(p.data, update, out=p.data)
 
     # Checkpoint plumbing: moments exported under reserved name prefixes.
 

@@ -5,10 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from vcgen.checkpoint import load_checkpoint, params_as_tensors, save_checkpoint
+from vcgen.config import RunConfig, to_dict
 from vcgen.errors import InputError
+from vcgen.model import PARAM_ALIGNMENT, init_params
 from vcgen.optim import AdamW
 from vcgen.tensor import Tensor
 
+from helpers import tiny_config, tiny_vocab
 from oracles import adamw_step_reference, adamw_trace_reference
 
 
@@ -145,3 +149,42 @@ def test_twenty_steps_match_whole_array_update_bitwise(dtype):
         assert np.array_equal(mine[name].data, ref[name].data), name
         assert np.array_equal(opt._m[name], m[name]), name
         assert np.array_equal(opt._v[name], v[name]), name
+
+
+def _misaligned(params: dict[str, Tensor]) -> list[str]:
+    return [name for name, p in params.items() if p.data.ctypes.data % PARAM_ALIGNMENT]
+
+
+def _steps_keep_arrays_aligned(params: dict[str, Tensor], steps: int = 3) -> None:
+    """Every parameter keeps its array object, and so its alignment,
+    through ``steps`` AdamW steps on random gradients of its dtype."""
+    rng = np.random.default_rng(5)
+    opt = AdamW(params, lr=1e-2, weight_decay=0.01)
+    arrays = {name: p.data for name, p in params.items()}
+    start = {name: p.data.copy() for name, p in params.items()}
+    for _ in range(steps):
+        for p in params.values():
+            p.grad = rng.normal(size=p.shape).astype(p.dtype)
+        opt.step()
+        assert [name for name, p in params.items() if p.data is not arrays[name]] == []
+        assert _misaligned(params) == []
+    assert [name for name, p in params.items() if np.array_equal(p.data, start[name])] == []
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_initialized_parameters_start_aligned_and_steps_update_them_in_place(dtype):
+    params = init_params(tiny_config(len(tiny_vocab())), 0, dtype)
+    assert all(p.dtype == dtype and p.data.flags.c_contiguous for p in params.values())
+    assert _misaligned(params) == []
+    _steps_keep_arrays_aligned(params)
+
+
+def test_loaded_parameters_start_aligned_and_steps_update_them_in_place(tmp_path):
+    config = tiny_config(len(tiny_vocab()))
+    path = tmp_path / "model.kmbt"
+    save_checkpoint(path, to_dict(RunConfig(model=config)), init_params(config, 0))
+    ckpt = load_checkpoint(path)
+    params = params_as_tensors(ckpt)
+    assert all(p.data is ckpt.params[name] and p.data.flags.c_contiguous for name, p in params.items())
+    assert _misaligned(params) == []
+    _steps_keep_arrays_aligned(params)

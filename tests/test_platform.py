@@ -8,6 +8,8 @@ names the contract and the code that would break.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,66 @@ def test_lm_head_tile_rows_do_not_depend_on_their_tile_mates(dtype, vocab):
     emb = (np.random.default_rng(vocab).normal(size=(vocab, D)) * 0.02).astype(dtype)
     assert not emb.T.flags.c_contiguous
     _assert_tile_rows_are_independent(emb.T, dtype)
+
+
+OFFSET_FREE = (
+    "a product's bits must not depend on where its operands start in memory, "
+    "their offsets mod 64 bytes: the kernels run faster over a 64-byte-aligned "
+    "weight but must not round differently. model.aligned_copy puts every "
+    "parameter on a 64-byte boundary, while activations land wherever the "
+    "heap puts them; the contract that logs, checkpoints and generations do "
+    "not depend on where arrays land relies on it"
+)
+OFFSETS = (0, 16, 32, 48)
+
+
+def _at_offset(array: np.ndarray, offset: int) -> np.ndarray:
+    """A C-contiguous copy of ``array`` whose data starts ``offset`` bytes
+    past a 64-byte boundary."""
+    raw = np.empty(array.nbytes + 64 + offset, dtype=np.uint8)
+    start = -raw.ctypes.data % 64 + offset
+    out = raw[start : start + array.nbytes].view(array.dtype).reshape(array.shape)
+    out[...] = array
+    assert out.ctypes.data % 64 == offset
+    return out
+
+
+def _assert_offset_free(x: np.ndarray, w: np.ndarray, transposed: bool = False) -> None:
+    """``x @ w`` (``x @ w.T`` if ``transposed``) with each operand at every
+    offset has the bits of the product with both at offset 0."""
+    def product(x_offset, w_offset):
+        stored = _at_offset(w, w_offset)
+        return _at_offset(x, x_offset) @ (stored.T if transposed else stored)
+
+    expected = product(0, 0)
+    shape = f"{x.dtype.name} [{', '.join(map(str, x.shape))}] @ [{', '.join(map(str, w.shape))}]{'.T' if transposed else ''}"
+    for x_offset, w_offset in itertools.product(OFFSETS, OFFSETS):
+        assert np.array_equal(product(x_offset, w_offset), expected), (
+            f"{shape}, x at offset {x_offset}, w at offset {w_offset}: {OFFSET_FREE}"
+        )
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k, n", [(D, D), (D, D_FFN), (D_FFN, D)])
+@pytest.mark.parametrize("rows, length", [(5, 8), (33, 14), (16, 30)])
+def test_products_do_not_depend_on_their_operands_offsets(rows, length, k, n, dtype):
+    """Projection and feed-forward weights under decoding's [S, 8, k] one-row
+    tiles, a scoring chunk's [33, 14, k] and a training batch's [16, 30, k]
+    stacked products."""
+    rng = np.random.default_rng([rows, length, k, n])
+    x = rng.normal(size=(rows, length, k)).astype(dtype)
+    _assert_offset_free(x, (rng.normal(size=(k, n)) * 0.02).astype(dtype))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("vocab", [54, 1000])
+@pytest.mark.parametrize("rows, length", [(5, 8), (33, 14)])
+def test_lm_head_products_do_not_depend_on_their_operands_offsets(rows, length, vocab, dtype):
+    """Decoding tiles and a scoring chunk through the LM head, the transposed
+    view of the [V, d] token embedding."""
+    rng = np.random.default_rng([rows, length, vocab])
+    x = rng.normal(size=(rows, length, D)).astype(dtype)
+    _assert_offset_free(x, (rng.normal(size=(vocab, D)) * 0.02).astype(dtype), transposed=True)
 
 
 MASKED_KEYS = (
