@@ -337,7 +337,8 @@ def _generate_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", required=True)
     p.add_argument("--mode", choices=MODES, default=defaults.mode)
     p.add_argument("--top-p", type=float, default=defaults.top_p)
-    p.add_argument("--num-samples", type=int, default=defaults.num_samples)
+    p.add_argument("--num-samples", type=int, default=defaults.num_samples,
+                   help="nucleus generations per example; greedy writes one per example")
     p.add_argument("--max-len", type=int, default=defaults.max_len)
     p.add_argument("--seed", type=int, default=defaults.seed)
     p.add_argument("--use-event", choices=("true", "false"), default="true")

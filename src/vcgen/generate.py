@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -60,15 +59,6 @@ def _top_p_prefix(probs: np.ndarray, top_p: float) -> tuple[np.ndarray, np.ndarr
     return order, ranked / mass[:, None], width
 
 
-@functools.cache
-def _allowed_token_ids(vocab_size: int) -> np.ndarray:
-    """Everything a decoder may emit: regular tokens plus </s>. Built once
-    per vocabulary size and shared read-only."""
-    ids = np.concatenate(([EOS_ID], np.arange(N_RESERVED, vocab_size)))
-    ids.setflags(write=False)
-    return ids
-
-
 def sample_next_token(
     logits: np.ndarray,
     config: GenerationConfig,
@@ -84,9 +74,9 @@ def sample_next_token(
     searched on the right). So a row gets the token, and leaves its
     generator in the state, that ``rngs[j].choice(ids, p=renormed)`` would.
     """
-    allowed = _allowed_token_ids(logits.shape[-1])
     masked = np.full(logits.shape, -np.inf)
-    masked[:, allowed] = logits[:, allowed]
+    masked[:, EOS_ID] = logits[:, EOS_ID]
+    masked[:, N_RESERVED:] = logits[:, N_RESERVED:]
     if config.mode == "greedy":
         return masked.argmax(axis=-1)
     exp = np.exp(masked - masked.max(axis=-1, keepdims=True))

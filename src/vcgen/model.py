@@ -335,8 +335,8 @@ def init_params(config: ModelConfig, seed_or_rng, dtype=np.float32) -> dict[str,
             data = np.ones(shape)
         elif len(shape) == 1:
             data = np.zeros(shape)
-        else:  # rng.normal(0.0, INIT_STD, shape)'s bits; its + 0.0 turns -0.0 into +0.0
-            data = rng.standard_normal(shape) * INIT_STD + 0.0
+        else:
+            data = rng.normal(0.0, INIT_STD, shape)
         params[name] = Tensor(aligned_copy(data, dtype), requires_grad=True)
     return params
 
@@ -350,18 +350,19 @@ class DecoderCache:
     """Incremental decoding state of a set of rows, each decoding over one
     unpadded encoding.
 
-    Every buffer is row-aligned: ``cross_k``/``cross_v`` hold each layer's
-    cross-attention keys and values, [rows, H, T_max, dk], row j's in its
-    first ``lengths[j]`` (encoder length) positions; ``self_k``/``self_v``
-    its self-attention ones, [rows, H, max_len, dk], filled for the first
-    ``length`` positions. ``runs`` are the maximal runs of consecutive rows
-    of one encoder length, as (rows, length).
+    Every buffer is stacked over decoder layers and row-aligned on axis 1:
+    ``cross_k``/``cross_v`` hold the cross-attention keys and values,
+    [layers, rows, H, T_max, dk], row j's in its first ``lengths[j]``
+    (encoder length) positions; ``self_k``/``self_v`` the self-attention
+    ones, [layers, rows, H, max_len, dk], filled for the first ``length``
+    positions. ``runs`` are the maximal runs of consecutive rows of one
+    encoder length, as (rows, length).
     """
 
-    cross_k: list[np.ndarray]
-    cross_v: list[np.ndarray]
-    self_k: list[np.ndarray]
-    self_v: list[np.ndarray]
+    cross_k: np.ndarray
+    cross_v: np.ndarray
+    self_k: np.ndarray
+    self_v: np.ndarray
     lengths: np.ndarray
     runs: list[tuple[slice, int]]
     length: int = 0
@@ -371,23 +372,23 @@ class DecoderCache:
         front of every buffer, in place. The self-attention caches move only
         their filled positions: a step writes its position before it reads it."""
         idx = np.asarray(rows, dtype=np.int64)
-        self.cross_k = [_keep_rows(k, idx, None) for k in self.cross_k]
-        self.cross_v = [_keep_rows(v, idx, None) for v in self.cross_v]
-        self.self_k = [_keep_rows(k, idx, self.length) for k in self.self_k]
-        self.self_v = [_keep_rows(v, idx, self.length) for v in self.self_v]
+        self.cross_k = _keep_rows(self.cross_k, idx, None)
+        self.cross_v = _keep_rows(self.cross_v, idx, None)
+        self.self_k = _keep_rows(self.self_k, idx, self.length)
+        self.self_v = _keep_rows(self.self_v, idx, self.length)
         self.lengths = self.lengths[idx]
         self.runs = _runs(self.lengths)
 
 
 def _keep_rows(buffer: np.ndarray, idx: np.ndarray, positions: int | None) -> np.ndarray:
-    """Move rows ``idx`` (distinct) of a [rows, H, T, dk] buffer to its
-    front, in place, with their first ``positions`` positions (all for
+    """Move rows ``idx`` (distinct) of a [layers, rows, H, T, dk] buffer to
+    its front, in place, with their first ``positions`` positions (all for
     None), and return the front. Rows already in place are not copied."""
     moved = np.flatnonzero(idx != np.arange(len(idx)))
     if len(moved):
         first = moved[0]
-        buffer[first : len(idx), :, :positions] = buffer[idx[first:], :, :positions]
-    return buffer[: len(idx)]
+        buffer[:, first : len(idx), :, :positions] = buffer[:, idx[first:], :, :positions]
+    return buffer[:, : len(idx)]
 
 
 def _runs(lengths: np.ndarray) -> list[tuple[slice, int]]:
@@ -531,19 +532,18 @@ class Model:
         """
         row_example = np.asarray(row_example, dtype=np.int64)
         lengths = np.asarray([len(encoding) for encoding in encodings], dtype=np.int64)[row_example]
-        layers, heads = range(self.config.n_dec_layers), self.config.n_heads
-        dk = self.config.d_model // heads
+        layers, heads = self.config.n_dec_layers, self.config.n_heads
         cross_k, cross_v, self_k, self_v = (
-            [np.zeros((len(row_example), heads, positions, dk), dtype=self.dtype) for _ in layers]
+            np.zeros((layers, len(row_example), heads, positions, self.config.d_model // heads), dtype=self.dtype)
             for positions in (lengths.max(), lengths.max(), max_len, max_len)
         )
         for length in np.unique(lengths):
             rows = np.flatnonzero(lengths == length)
             members, row_member = np.unique(row_example[rows], return_inverse=True)
             stacked = np.stack([encodings[e] for e in members])
-            for i in layers:
-                cross_k[i][rows, :, :length] = self._heads(stacked, f"dec.{i}.cross_attn", "k", ARRAYS)[row_member]
-                cross_v[i][rows, :, :length] = self._heads(stacked, f"dec.{i}.cross_attn", "v", ARRAYS)[row_member]
+            for i in range(layers):
+                cross_k[i, rows, :, :length] = self._heads(stacked, f"dec.{i}.cross_attn", "k", ARRAYS)[row_member]
+                cross_v[i, rows, :, :length] = self._heads(stacked, f"dec.{i}.cross_attn", "v", ARRAYS)[row_member]
         return DecoderCache(cross_k, cross_v, self_k, self_v, lengths, _runs(lengths))
 
     def decode_step(self, ids: np.ndarray, cache: DecoderCache) -> np.ndarray:
@@ -557,7 +557,7 @@ class Model:
         depend on the others.
         """
         t = cache.length
-        if t >= cache.self_k[0].shape[2]:
+        if t >= cache.self_k.shape[3]:
             raise ValueError(f"decoder cache holds {t} positions and is full")
         ops = ARRAYS
 

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from vcgen import data
@@ -60,6 +60,16 @@ def _roi_field(row: dict, roi: int, name: str) -> list | None:
     return rois[roi % len(rois)].get(name)
 
 
+def _numeric_probs(row: dict, roi: int, count: int | None = None) -> bool:
+    """Whether the roi has class_probs whose first ``count`` entries (all
+    for None) take float arithmetic: an earlier fault may have put a string,
+    a list, null or an int past float64 there."""
+    values = _roi_field(row, roi, "class_probs")
+    return bool(values) and all(
+        isinstance(v, float) or (isinstance(v, int) and abs(v) < 2**1023) for v in values[:count]
+    )
+
+
 def _inject(row: dict, fault: str, roi: int, name: str, entry: int, scale: float):
     """``row`` with one fault; returns the row, or BAD_LINE for a line that
     is not JSON."""
@@ -76,10 +86,10 @@ def _inject(row: dict, fault: str, roi: int, name: str, entry: int, scale: float
     elif fault == "negative_prob" and _roi_field(row, roi, "class_probs") is not None:
         values = _roi_field(row, roi, "class_probs")
         values[:] = [1.25, -0.25] + [0.0] * max(len(values) - 2, 0)
-    elif fault == "sum_off" and _roi_field(row, roi, "class_probs"):
+    elif fault == "sum_off" and _numeric_probs(row, roi):
         values = _roi_field(row, roi, "class_probs")
         values[:] = [v * scale for v in values]
-    elif fault == "sum_edge" and _roi_field(row, roi, "class_probs"):
+    elif fault == "sum_edge" and _numeric_probs(row, roi, 1):
         values = _roi_field(row, roi, "class_probs")
         values[0] += (1e-4 if scale > 1 else -1e-4) + (scale - 1) * 1e-12
     elif fault == "int_probs" and _roi_field(row, roi, "class_probs") is not None:
@@ -169,6 +179,9 @@ def _outcome(load, path) -> list | str:
     block=st.sampled_from([1, 8, 30, data.BLOCK_NUMBERS]),
     n_labels=st.sampled_from([None, 3]),
 )
+@example(seed=0, n_rows=1, faults=[("int_beyond_float64", 0, 0, "class_probs", 0, 0.5),
+                                   ("sum_edge", 0, 0, "feat", 0, 0.5)],
+         candidate=False, block=1, n_labels=None)
 def test_block_reader_matches_the_per_line_reader(tmp_path_factory, seed, n_rows, faults, candidate, block, n_labels):
     """Valid rows plus up to three faults, several on one line at times:
     the same examples, or the identical DatasetError text, at every block

@@ -14,13 +14,12 @@ from hypothesis import strategies as st
 from vcgen.data import SCORE_CHUNK_ROWS, pad_batch
 from vcgen.generate import (
     GenerationConfig,
-    _allowed_token_ids,
     _top_p_prefix,
     generate,
     generate_dataset,
     sample_next_token,
 )
-from vcgen.model import Model, assemble_input
+from vcgen.model import DecoderCache, Model, _runs, assemble_input
 from vcgen.synthetic import make_rois
 from vcgen.tensor import ARRAYS, TAPE, Tape, Tensor
 from vcgen.vocab import BOS_ID, EOS_ID, N_RESERVED
@@ -293,8 +292,8 @@ def test_decode_step_rows_over_encodings_of_three_lengths_match_one_encoding_dec
             if step == 2:
                 kept = [2, 4, 5, 0]  # drops both rows over encoding 0
                 cache.keep(kept)
-                for buffer in cache.self_k + cache.self_v:
-                    buffer[:, :, cache.length :] = np.nan
+                for buffer in (cache.self_k, cache.self_v):
+                    buffer[:, :, :, cache.length :] = np.nan
                 alone = [alone[j] for j in kept]
                 assert len(cache.runs) == 3
             ids = tokens[step, : len(alone)]
@@ -323,19 +322,48 @@ def test_decode_step_records_nothing_on_an_active_tape():
                 assert np.array_equal(states, frozen_states), f"{n_dec_layers} decoder layers"
 
 
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n_layers=st.sampled_from(DEC_LAYERS), lengths=st.lists(st.integers(1, 4), min_size=1, max_size=7))
+def test_cache_keep_moves_each_kept_row_with_what_it_held(data, n_layers, lengths):
+    """After any sequence of ``keep``s of distinct rows, with steps that fill
+    positions between them, each kept row's cross-attention keys and values
+    and its filled self-attention positions hold what they held before, in
+    every layer, and the runs are those of the kept rows' encoder lengths."""
+    heads, dk, max_len = 2, 3, 5
+    lengths = np.asarray(lengths)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    cross_k, cross_v = rng.standard_normal((2, n_layers, len(lengths), heads, lengths.max(), dk))
+    self_k, self_v = np.zeros((2, n_layers, len(lengths), heads, max_len, dk))
+    cache = DecoderCache(cross_k, cross_v, self_k, self_v, lengths, _runs(lengths))
+    before = {name: getattr(cache, name).copy() for name in ("cross_k", "cross_v", "self_k", "self_v")}
+    origin = np.arange(len(lengths))  # the starting row behind each cache row
+    for _ in range(data.draw(st.integers(1, 6))):
+        if cache.length < max_len and data.draw(st.booleans()):
+            for name in ("self_k", "self_v"):
+                written = rng.standard_normal((n_layers, len(origin), heads, dk))
+                getattr(cache, name)[:, :, :, cache.length] = written
+                before[name][:, :, :, cache.length][:, origin] = written
+            cache.length += 1
+            continue
+        order = data.draw(st.permutations(range(len(origin))))
+        kept = order[: data.draw(st.integers(1, len(origin)))]
+        cache.keep(kept)
+        origin = origin[kept]
+        for name in ("cross_k", "cross_v"):
+            assert np.array_equal(getattr(cache, name), before[name][:, origin])
+        for name in ("self_k", "self_v"):
+            filled = before[name][:, origin, :, : cache.length]
+            assert np.array_equal(getattr(cache, name)[:, :, :, : cache.length], filled)
+        assert cache.lengths.tolist() == lengths[origin].tolist()
+        assert cache.runs == _runs(cache.lengths)
+
+
 def test_nucleus_rows_do_not_depend_on_other_rows(gen_setup):
     vocab, model, kcg, _ = gen_setup
     five = generate(model, vocab, kcg, GenerationConfig(mode="nucleus", max_len=8, num_samples=5, seed=7))
     three = generate(model, vocab, kcg, GenerationConfig(mode="nucleus", max_len=8, num_samples=3, seed=7))
     assert sorted({len(seq) for seq in five}) != [8]  # some row stopped at </s> and left the batch
     assert five[:3] == three
-
-
-def test_allowed_token_ids_are_built_once_and_read_only():
-    ids = _allowed_token_ids(40)
-    assert ids is _allowed_token_ids(40)
-    assert not ids.flags.writeable
-    assert ids.tolist() == [EOS_ID, *range(N_RESERVED, 40)]
 
 
 def _variants(example, n, config, seed=0):
