@@ -396,8 +396,6 @@ def filter_dataset(
     scored: Sequence[ScoredExample], threshold: float
 ) -> tuple[list[ScoredExample], list[ScoredExample]]:
     """Partition by strict avg_ce < threshold ("below"); order preserved."""
-    if np.isnan(threshold):
-        raise InputError("filter threshold must not be NaN")
     kept = [s for s in scored if s.avg_ce < threshold]
     dropped = [s for s in scored if not (s.avg_ce < threshold)]
     return kept, dropped
@@ -482,9 +480,6 @@ def pad_batch(items: Sequence[tuple[AssembledInput, MultimodalExample]]) -> Padd
     items = list(items)
     if not items:
         raise ValueError("pad_batch needs at least one item")
-    for a, ex in items:
-        if len(a.visual_slots) != len(ex.rois):
-            raise ValueError(f"{len(a.visual_slots)} visual slots but {len(ex.rois)} RoI features")
     assembled = [a for a, _ in items]
     n = len(items)
     enc_len = max(a.enc_len for a in assembled)
@@ -549,8 +544,6 @@ def make_batches(
     The shuffle is a deterministic permutation of the given seed; the last
     partial batch is retained.
     """
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     order = np.random.default_rng(seed).permutation(np.arange(len(items)))
     return [
         pad_batch([items[i] for i in order[start : start + batch_size]])

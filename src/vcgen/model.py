@@ -425,8 +425,6 @@ class Model:
     # ``ARRAYS`` (arrays).
 
     def _positions(self, length: int, ops: Ops, start: int = 0) -> Operand:
-        if start + length > self.config.max_positions:
-            raise ValueError(f"sequence length {start + length} exceeds max_positions {self.config.max_positions}")
         return ops.gather_rows(ops.param(self.params["pos_emb.weight"]), np.arange(start, start + length))
 
     def embed(self, batch: "PaddedBatch", ops: Ops = TAPE) -> Operand:

@@ -127,8 +127,6 @@ def build_vocab(corpus: Iterable[str], min_freq: int = 1) -> Vocabulary:
     Regular tokens are ordered by (descending count, then lexicographic) and
     assigned ids from 18 upward; the reserved tokens always hold 0..17.
     """
-    if min_freq < 1:
-        raise ValueError(f"min_freq must be >= 1, got {min_freq}")
     counts: Counter[str] = Counter()
     for line in corpus:
         counts.update(line.lower().split())

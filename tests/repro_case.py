@@ -2,11 +2,18 @@
 
 The acceptance suite rebuilds these runs from scratch and compares the loss
 logs byte-for-byte against the committed fixtures. The bits hold only under
-the OpenBLAS core (kernel set) the fixtures were made with, which
-``repro_blas_core.txt`` names. Regenerate (only when the training math
-intentionally changes) with:
+the OpenBLAS core (kernel set) the fixtures were made with:
+``repro_blas_core.txt`` names the core of ``repro_pretrain_log.jsonl`` and
+``repro_finetune_log.jsonl``, and each other core has its own pair,
+``repro_pretrain_log.<core>.jsonl`` and ``repro_finetune_log.<core>.jsonl``
+(``tests/test_blas_cores.py`` compares every core this CPU runs with its
+pair). Regenerate (only when the training math intentionally changes) the
+pair of each core with:
 
-    python3 tests/repro_case.py
+    OPENBLAS_CORETYPE=<core> python3 tests/repro_case.py
+
+Given a directory, the script writes the logs there under the same names
+and leaves the fixtures as they are.
 """
 
 from __future__ import annotations
@@ -100,21 +107,27 @@ def run_repro_finetune(root: Path) -> Path:
     return Path(result["log"])
 
 
-def main() -> int:
+def core_fixtures(core: str) -> tuple[Path, Path]:
+    """The pretrain and finetune log fixtures of OpenBLAS core ``core``."""
+    if core == BLAS_CORE_FIXTURE.read_text(encoding="utf-8").strip():
+        return PRETRAIN_FIXTURE, FINETUNE_FIXTURE
+    return tuple(path.with_suffix(f".{core}.jsonl") for path in (PRETRAIN_FIXTURE, FINETUNE_FIXTURE))
+
+
+def main(argv: list[str]) -> int:
     import tempfile
 
+    out = Path(argv[0]) if argv else FIXTURES
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         build_workspace(root)
-        pre_log = run_repro_pretrain(root)
-        ft_log = run_repro_finetune(root)
-        FIXTURES.mkdir(exist_ok=True)
-        shutil.copyfile(pre_log, PRETRAIN_FIXTURE)
-        shutil.copyfile(ft_log, FINETUNE_FIXTURE)
-        BLAS_CORE_FIXTURE.write_text(blas_core() + "\n", encoding="utf-8")
-        print(f"wrote {PRETRAIN_FIXTURE}, {FINETUNE_FIXTURE} and {BLAS_CORE_FIXTURE}")
+        logs = run_repro_pretrain(root), run_repro_finetune(root)
+        written = [out / fixture.name for fixture in core_fixtures(blas_core())]
+        for log, path in zip(logs, written):
+            shutil.copyfile(log, path)
+        print(f"wrote {' and '.join(map(str, written))}")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -285,6 +285,20 @@ def test_joint_steps_as_often_as_the_longest_stream_has_batches(workspace, tmp_p
         assert [k for k in ("kcg", "ap", "rp", "mlm", "mrm") if k in record] == ["kcg", "ap", "rp"]
 
 
+def test_pretrain_mrm_on_captions_with_no_regions_logs_no_step(workspace, tmp_path):
+    """Captions with no regions give mrm nothing to mask, so every step has
+    no loss term: the step is skipped before its terms are combined, and
+    pretrain exits 0 with no step line."""
+    captions = tmp_path / "no_regions.jsonl"
+    rows = [json.loads(line) for line in (workspace / "captions.jsonl").read_text(encoding="utf-8").splitlines()]
+    captions.write_text("".join(json.dumps({**row, "rois": []}) + "\n" for row in rows), encoding="utf-8")
+    out = tmp_path / "run_no_regions"
+    args = pretrain_args(workspace, out, "mrm")
+    args[args.index("--paths.caption_data") + 1] = str(captions)
+    assert main(args) == 0
+    assert [r for r in read_log(out / "train_log.jsonl") if r["kind"] == "step"] == []
+
+
 def test_pretrain_empty_dataset_errors(workspace, tmp_path, capsys):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")

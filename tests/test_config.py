@@ -102,6 +102,10 @@ def test_validate_rejects_bad_mixes():
     cfg.schedule.seed = -1  # the seed streams take no negative entropy
     with pytest.raises(ValueError, match="seed >= 0"):
         cfg.validate()
+    cfg.schedule.seed = 0
+    cfg.schedule.batch_size = 0
+    with pytest.raises(ValueError, match="batch_size >= 1"):
+        cfg.validate()
 
 
 @pytest.mark.parametrize("field, value", [("n_heads", True), ("vocab_size", 20.0), ("d_ffn", "256")])

@@ -102,6 +102,19 @@ def test_out_of_range_attribute_index(tmp_path):
         load_jsonl(path)
 
 
+@pytest.mark.parametrize("pair, rule", [((0, 2), r"indices \(0, 2\) out of range for 2 rois"),
+                                        ((1, 1), r"pair \(1, 1\) must name two distinct rois")])
+def test_relation_pair_outside_the_regions_names_the_line(tmp_path, pair, rule):
+    """A relation index past the row's regions, or a pair naming one region
+    twice, is refused as the file is read; training indexes the regions by
+    these pairs and checks them nowhere else."""
+    path = tmp_path / "data.jsonl"
+    roi = valid_row()["rois"][0]
+    write_lines(path, [valid_row(source_id="ok"), valid_row(rois=[roi, roi], relations=[[*pair, 0]])])
+    with pytest.raises(DatasetError, match=f"line 2: relation {rule}"):
+        load_jsonl(path)
+
+
 def test_label_bounds_enforced_when_configured(tmp_path):
     path = tmp_path / "data.jsonl"
     write_lines(path, [valid_row(attributes=[[0, 9]])])
@@ -381,11 +394,6 @@ def test_filter_infinite_threshold_keeps_everything():
     assert len(kept) == 2 and not dropped
 
 
-def test_filter_rejects_nan_threshold():
-    with pytest.raises(ValueError, match="NaN"):
-        filter_dataset(fake_scored([1.0]), threshold=float("nan"))
-
-
 def test_filter_partition_and_monotonicity():
     rng = np.random.default_rng(0)
     scored = fake_scored(list(rng.uniform(0, 8, size=60)))
@@ -460,11 +468,6 @@ def test_batch_padding_and_masks():
         assert batch.enc_mask[row, : a.enc_len].all()
         assert not batch.enc_mask[row, a.enc_len :].any()
         assert (batch.enc_ids[row, a.enc_len :] == 0).all()
-
-
-def test_batch_size_validation():
-    with pytest.raises(ValueError, match="batch_size"):
-        make_batches(assembled_items(2), batch_size=0)
 
 
 _SHAPE_VOCAB = tiny_vocab()

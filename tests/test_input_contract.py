@@ -19,16 +19,16 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vcgen.checkpoint import load_checkpoint, save_checkpoint
 from vcgen.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from vcgen.config import PRESET_MODELS, RunConfig, leaf_fields, to_dict
-from vcgen.data import load_candidates_jsonl, save_jsonl, score_dataset
+from vcgen.data import example_to_dict, load_candidates_jsonl, save_jsonl, score_dataset
 from vcgen.model import MAX_PARAMS, Model, ModelConfig
 from vcgen.optim import AdamW
-from vcgen.synthetic import full_corpus_lines, make_candidate_rows, make_vcg_dataset
+from vcgen.synthetic import full_corpus_lines, make_candidate_rows, make_caption_dataset, make_vcg_dataset
 from vcgen.tensor import Tensor
 from vcgen.vocab import EOS_ID, Vocabulary, build_vocab
 
@@ -470,6 +470,36 @@ def test_gradient_whose_square_overflows_exits_2_as_a_diverged_run(ws, tmp_path,
     assert (tmp_path / "run" / "train_log.jsonl").read_text(encoding="utf-8") == ""
 
 
+# Ten detector classes of 0.1, the last raised by 9.9949748e-5: the float64
+# sum is 1 + 9.995e-5, within the reader's 1e-4 of 1, and the float32 cast
+# training runs on sums to 1.0001.
+BOUNDARY_CLASS_PROBS = [0.1] * 9 + [0.1 + 9.9949748e-5]
+
+
+def pretrain_rows(ws: Path, root: Path, tasks: str, captions: list, regions: list) -> tuple[int, str]:
+    """``run`` of a one-epoch ``pretrain`` of ``tasks`` on these caption and
+    region rows, with the config of ``ws`` and its output under ``root``."""
+    write_rows(root / "captions.jsonl", captions)
+    write_rows(root / "regions.jsonl", regions)
+    with cwd(root):
+        return run(["pretrain", "--config", str(ws / "config.json"), "--tasks", tasks,
+                    "--paths.caption_data", str(root / "captions.jsonl"),
+                    "--paths.region_data", str(root / "regions.jsonl")])
+
+
+def test_class_probs_the_reader_accepts_train_mrm(ws, tmp_path):
+    """The reader owns the class_probs rule, and training trusts it: a row
+    whose float64 sum is within 1e-4 of 1 trains mrm, though its float32
+    cast sums to 1.0001."""
+    captions = [example_to_dict(ex) for ex in make_caption_dataset(8, seed=1)]
+    for row in captions:
+        for roi in row["rois"]:
+            roi["class_probs"] = BOUNDARY_CLASS_PROBS
+    assert pretrain_rows(ws, tmp_path, "mrm", captions, []) == (EXIT_OK, "")
+    steps = [json.loads(line) for line in (tmp_path / "run" / "train_log.jsonl").read_text("utf-8").splitlines()]
+    assert steps and all("mrm" in step for step in steps)
+
+
 @pytest.mark.parametrize("threshold", ["inf", "-inf", "nan"])
 def test_non_finite_threshold_exits_2_before_any_output(ws, tmp_path, threshold):
     code, err = run([*filter_argv(ws, tmp_path), f"--threshold={threshold}"])
@@ -673,6 +703,63 @@ def test_fuzzed_candidate_rows_exit_0_or_2(ws, field, value, line):
         candidates = Path(tmp) / "c.jsonl"
         write_rows(candidates, rows)
         assert run(filter_argv(ws, Path(tmp), candidates=candidates))[0] in (EXIT_OK, EXIT_DATA)
+
+
+F32 = np.finfo(np.float32)
+# Region values at float32's edges: zero, the least subnormal and normal
+# magnitudes, a value whose square overflows, the largest finite value.
+EDGE_VALUES = [v for m in (0.0, float(F32.smallest_subnormal), float(F32.tiny), 1e21, float(F32.max)) for v in (m, -m)]
+
+
+@st.composite
+def class_probs(draw) -> list[float]:
+    """A probability row whose float64 sum is 1 plus an offset inside
+    ±1e-4 by a margin for its rounding, which its largest entry (at least
+    0.1) takes."""
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=MODEL["n_classes"], max_size=MODEL["n_classes"])
+                   .filter(any))
+    probs = [w / sum(weights) for w in weights]
+    top = probs.index(max(probs))
+    edge = 1e-4 * (1 - 1e-9)
+    probs[top] += draw(st.one_of(st.sampled_from([-edge, edge]), st.floats(-edge, edge)))
+    return probs
+
+
+@st.composite
+def region_rows(draw, task: str) -> dict:
+    """A row of ``task`` with two or three regions; a region_caption row
+    also has attributes and relations whose indices and labels sit at their
+    bounds."""
+    n = draw(st.integers(2, 3))
+    values = st.one_of(st.floats(-1.0, 1.0, width=32), st.sampled_from(EDGE_VALUES))
+    rois = [{"feat": draw(st.lists(values, min_size=MODEL["d_visual"], max_size=MODEL["d_visual"])),
+             "class_probs": draw(class_probs())} for _ in range(n)]
+    row = {"task": task, "target": "a person walks", "rois": rois}
+    if task == "region_caption":
+        edge = st.sampled_from([0, n - 1])
+        row["attributes"] = draw(st.lists(st.tuples(edge, st.sampled_from([0, MODEL["n_attr"] - 1])), max_size=3))
+        pair = st.sampled_from([(0, n - 1), (n - 1, 0)])
+        row["relations"] = [[*draw(pair), draw(st.sampled_from([0, MODEL["n_rel"] - 1]))]
+                            for _ in range(draw(st.integers(0, 2)))]
+    return row
+
+
+BOUNDARY_ROI = {"feat": [0.5] * MODEL["d_visual"], "class_probs": BOUNDARY_CLASS_PROBS}
+
+
+@settings(max_examples=40, deadline=None)
+@given(captions=st.lists(region_rows("caption"), min_size=1, max_size=4),
+       regions=st.lists(region_rows("region_caption"), min_size=1, max_size=2))
+@example(captions=[{"task": "caption", "target": "a person walks", "rois": [BOUNDARY_ROI] * 3}] * 4,
+         regions=[{"task": "region_caption", "target": "", "rois": [BOUNDARY_ROI] * 2,
+                   "attributes": [[1, MODEL["n_attr"] - 1]], "relations": [[1, 0, MODEL["n_rel"] - 1]]}])
+def test_rows_the_reader_accepts_at_each_rule_edge_pretrain_to_exit_0_or_2(ws, captions, regions):
+    """Caption and region rows at the edges of the reader's rules: class
+    sums within ±1e-4 of 1, region values up to float32's limit, region
+    indices and labels at their bounds. One pretrain epoch of every
+    region and caption task exits 0 or 2, never with a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        assert pretrain_rows(ws, Path(tmp), "ap,rp,mlm,mrm", captions, regions)[0] in (EXIT_OK, EXIT_DATA)
 
 
 @settings(max_examples=40, deadline=None)

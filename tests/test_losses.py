@@ -181,21 +181,6 @@ def test_rp_swapping_subject_object_changes_loss():
     assert a != pytest.approx(b, rel=1e-9)
 
 
-def test_rp_out_of_range_pair_raises():
-    vocab, config, model = random_setup(6)
-    rng = np.random.default_rng(4)
-    ex = MultimodalExample(
-        task=TaskType.REGION_CAPTION,
-        rois=make_rois(rng, 2, config.d_visual, config.n_classes),
-        event_text=None,
-        target_text="",
-        relations=[(0, 5, 1)],
-        source_id="r",
-    )
-    with pytest.raises(ValueError, match="out of range"):
-        compute_losses(model, [(assemble_input(ex, vocab, "rp"), ex)], ["rp"])
-
-
 def test_mlm_matches_token_loss_restricted_to_masked_positions():
     vocab, config, model = random_setup(7)
     _, _, caption = tiny_examples()
@@ -280,11 +265,6 @@ def test_combine_losses_linear_in_each_term():
             t1, _ = combine_losses({k: Tensor(np.float64(v)) for k, v in bumped.items()})
             w = weights.get(name)
             assert float(t1.data) - float(t0.data) == pytest.approx(w * delta, rel=1e-12)
-
-
-def test_combine_losses_empty_raises():
-    with pytest.raises(ValueError, match="no loss terms"):
-        combine_losses({})
 
 
 def test_zero_unit_terms_are_omitted():

@@ -188,13 +188,6 @@ def test_embed_shape_is_length_by_d_model(setup):
     assert padded.shape == (2, a.enc_len + 4, config.d_model)
 
 
-def test_embed_slot_roi_count_mismatch(setup):
-    vocab, _, model, kcg, _, _ = setup
-    a = assemble_input(kcg, vocab, "kcg")
-    with pytest.raises(ValueError, match="slots"):
-        pad_batch([(a, dataclasses.replace(kcg, rois=kcg.rois[:1]))])
-
-
 def _mask_multiply_embed(model, batch, ops):
     """The encoder embedding built the long way: token rows times a 0/1
     mask that is 0 at the visual slots, plus the projected regions

@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 
 from vcgen.errors import InputError
 from vcgen.optim import AdamW
-from vcgen.tensor import LAYER_NORM_EPS, Tensor, gelu_kernel, layer_norm_kernel, log_softmax_kernel
+from vcgen.tensor import (LAYER_NORM_EPS, NEG_MASK_VALUE, Tensor, attention_kernel, gelu_kernel, layer_norm_kernel,
+                          log_softmax_kernel)
 
 from oracles import adamw_step_reference
 
@@ -99,6 +100,72 @@ def test_a_finite_float32_kernel_result_is_within_tolerance_of_float64(kernel, x
     finite = np.isfinite(got)
     error = np.abs(got[finite] - want[finite])
     assert np.all(error <= tolerance(wide, want)[finite]), (x, got, want)
+
+
+@st.composite
+def attention_cases(draw) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """q [H, T_q, dk], k and v [H, T_k, dk], and no bias or a key-padding
+    bias that hides some keys, but not all, as ``Model._key_bias`` does."""
+    heads, t_q, t_k = draw(st.integers(1, 2)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    dk = draw(st.integers(1, 8))
+    q = draw(magnitudes(heads * t_q * dk)).reshape(heads, t_q, dk)
+    k, v = (draw(magnitudes(heads * t_k * dk)).reshape(heads, t_k, dk) for _ in range(2))
+    hidden = draw(st.lists(st.booleans(), min_size=t_k, max_size=t_k))
+    bias = None if all(hidden) or not any(hidden) else np.where(hidden, NEG_MASK_VALUE, 0.0).astype(np.float32)
+    return q, k, v, bias
+
+
+SUBNORMAL = float(np.finfo(np.float32).smallest_subnormal)
+
+
+def _attention64(q: np.ndarray, k: np.ndarray, v: np.ndarray, bias: np.ndarray | None) -> tuple:
+    """The float64 context [H, T_q, dk] and the absolute error allowed at each
+    entry. The conditioning term: a float32 score is off by up to dk + 2
+    rounding steps of sum |q||k| / sqrt(dk), by one of the bias and of its
+    distance to the row's max, and by an underflow step per product; a
+    shift common to the row cancels. Each probability then lies within a
+    factor exp(±that) of the oracle's, the row's normalizer too, and the
+    context within the probabilities' errors times |v|, plus T_k rounding
+    steps of the product."""
+    dk, t_k = q.shape[-1], k.shape[-2]
+    factor = 1.0 / math.sqrt(dk)
+    bias = np.zeros(t_k) if bias is None else bias.astype(np.float64)
+    scores = q @ k.swapaxes(-1, -2) * factor + bias
+    probs = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    probs /= probs.sum(axis=-1, keepdims=True)
+    product = (dk + 2) * EPS32 * (np.abs(q) @ np.abs(k).swapaxes(-1, -2)) * factor + dk * SUBNORMAL * factor
+    product += EPS32 * np.abs(bias)
+    drift = product + EPS32 * (scores.max(axis=-1, keepdims=True) - scores + 2 * product.max(axis=-1, keepdims=True))
+    drift = np.minimum(drift + 2 * EPS32, 700.0)
+    rounding = (t_k + 1) * EPS32
+    below = (probs * -np.expm1(-drift)).sum(axis=-1, keepdims=True) + rounding
+    above = (probs * np.expm1(drift)).sum(axis=-1, keepdims=True) + rounding
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = np.where(below < 1, np.exp(drift) / (1 - below) - 1, np.inf)
+        ratio = np.maximum(ratio, 1 - np.exp(-drift) / (1 + above))
+        prob_error = np.fmin(1.0, probs * ratio + 2 * SUBNORMAL)
+    wide_v = np.abs(v)
+    tolerance = prob_error @ wide_v + rounding * ((probs + prob_error) @ wide_v) + t_k * SUBNORMAL
+    return probs @ v, tolerance
+
+
+def _one_head(q, k, v) -> tuple:
+    return tuple(np.array(x, dtype=np.float32).reshape(1, -1, 1) for x in (q, k, v))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=attention_cases())
+@example(case=(*_one_head([3e38], [3e38, -3e38], [3e38, 1.0]), None))
+@example(case=(*_one_head([1e-30, -1e-30], [1e-30, 1e-30, 1.0], [1.0, -1.0, 3e38]),
+               np.array([0.0, 0.0, NEG_MASK_VALUE], dtype=np.float32)))
+def test_a_finite_attention_result_is_within_tolerance_of_float64(case):
+    q, k, v, bias = case
+    heads, t_q, dk = q.shape
+    with np.errstate(all="ignore"):
+        got = attention_kernel(q, k, v, bias)[0].reshape(t_q, heads, dk).swapaxes(0, 1)  # heads split again
+    want, tolerance = _attention64(*(x.astype(np.float64) for x in (q, k, v)), bias)
+    finite = np.isfinite(got)
+    assert np.all(np.abs(got[finite] - want[finite]) <= tolerance[finite]), (case, got, want)
 
 
 @st.composite

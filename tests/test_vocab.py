@@ -38,11 +38,6 @@ def test_build_vocab_min_freq_threshold():
     assert vocab.id_to_token == list(RESERVED_TOKENS)
 
 
-def test_build_vocab_rejects_min_freq_below_one():
-    with pytest.raises(ValueError, match="min_freq"):
-        build_vocab(["a"], min_freq=0)
-
-
 def test_build_vocab_matches_scripted_count_and_sort(tmp_path):
     # 1k synthetic sentences; an independent count-and-sort script fixes ids
     rng = np.random.default_rng(123)
