@@ -476,10 +476,9 @@ def pad_batch(items: Sequence[tuple[AssembledInput, MultimodalExample]]) -> Padd
     """Pad (assembled, example) pairs into one batch, in the given order.
 
     Each array is filled in one pass over the batch: the id rows through a
-    mask of the real positions, the region rows through their flat indices."""
+    mask of the real positions, the region rows through their flat indices.
+    ``items`` is not empty: the batchers pass non-empty slices."""
     items = list(items)
-    if not items:
-        raise ValueError("pad_batch needs at least one item")
     assembled = [a for a, _ in items]
     n = len(items)
     enc_len = max(a.enc_len for a in assembled)

@@ -65,9 +65,8 @@ def plan_mlm_mask(positions, vocab: Vocabulary, rng_or_seed) -> MaskPlan:
 
 
 def plan_mrm_mask(n_regions: int, rng_or_seed) -> MaskPlan:
-    """Mask each region independently with p=0.15 (feature zero-filled later)."""
-    if n_regions < 0:
-        raise ValueError(f"n_regions must be >= 0, got {n_regions}")
+    """Mask each of ``n_regions`` >= 0 regions (an example's RoI count)
+    independently with p=0.15 (feature zero-filled later)."""
     rng = np.random.default_rng(rng_or_seed)
     plan = MaskPlan()
     if n_regions == 0:

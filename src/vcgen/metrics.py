@@ -5,6 +5,9 @@ of internal runs); tokens are whitespace words. When an example carries
 several generated sentences, each one becomes an evaluation unit sharing the
 example's references, so with a uniform sample count the inverse document
 frequencies are unchanged.
+
+Every metric takes a corpus of at least one generated sentence, each unit
+with at least one reference: ``cli.cmd_evaluate`` refuses any other.
 """
 
 from __future__ import annotations
@@ -53,15 +56,11 @@ def bleu2(corpus: EvalCorpus) -> float:
     (ties going to the shorter reference). Returned as a percentage.
     """
     units = corpus.units()
-    if not units:
-        raise ValueError("bleu2 needs a non-empty corpus")
     matches = [0, 0]
     totals = [0, 0]
     c_len = 0
     r_len = 0
     for hyp, refs in units:
-        if not refs:
-            raise ValueError("bleu2 needs at least one reference per example")
         hyp_tokens = hyp.split()
         ref_token_lists = [r.split() for r in refs]
         c_len += len(hyp_tokens)
@@ -96,12 +95,6 @@ def cider(corpus: EvalCorpus) -> float:
     set; idf is ln(N / max(1, df)).
     """
     units = corpus.units()
-    if not units:
-        raise ValueError("cider needs a non-empty corpus")
-    for _, refs in units:
-        if not refs:
-            raise ValueError("cider needs at least one reference per example")
-
     doc_freq: dict[tuple, int] = defaultdict(int)
     for _, refs in units:
         seen = set()
@@ -158,8 +151,6 @@ def unique_metric(sentences: Iterable[str], distinct: bool = False) -> float:
     percent of distinct sentences over the total.
     """
     normalized = [normalize_sentence(s) for s in sentences]
-    if not normalized:
-        raise ValueError("unique_metric needs at least one sentence")
     counts = Counter(normalized)
     if distinct:
         return 100.0 * len(counts) / len(normalized)
@@ -171,8 +162,6 @@ def novel_metric(sentences: Iterable[str], training_sentences: Iterable[str]) ->
     """Percent of sentences absent from the training set (exact match after
     whitespace normalization)."""
     normalized = [normalize_sentence(s) for s in sentences]
-    if not normalized:
-        raise ValueError("novel_metric needs at least one sentence")
     training = {normalize_sentence(s) for s in training_sentences}
     fresh = sum(1 for s in normalized if s not in training)
     return 100.0 * fresh / len(normalized)

@@ -37,9 +37,9 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # Row count of the tiles that one-row slices run as in ``linear_kernel``.
 TILE_ROWS = 8
 
-# Finite stand-in for -inf in attention masks; exp(x - max) underflows to
-# exactly 0.0 for both float32 and float64, keeping outputs finite.
-NEG_MASK_VALUE = -1e9
+# Attention bias of a hidden key: its probability is exactly 0 whatever its
+# score. Every attention row keeps an unmasked key, so its max is finite.
+NEG_MASK_VALUE = -np.inf
 
 
 class Tensor:
@@ -278,11 +278,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     slices run as fixed 8-row tiles, so in either case a row's result does
     not depend on how many rows share the stack. Backward treats the
     stacked rows of ``x`` as one [rows, k] matrix, so each gradient is a
-    single 2-D GEMM with no per-slice reduction.
+    single 2-D GEMM with no per-slice reduction. The shapes are not checked
+    here: ``model.check_param_shapes`` and the model's config own them.
     """
     x_shape = x.data.shape
-    if w.ndim != 2 or len(x_shape) < 2 or x_shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
-        raise ValueError(f"linear shape mismatch: {x_shape} x {w.shape} + {b.shape}")
     k, n = w.shape
     data = linear_kernel(x.data, w.data, b.data)
     w_data = w.data if x.requires_grad else None
@@ -329,10 +328,9 @@ def split_heads_kernel(x: np.ndarray, heads: int) -> np.ndarray:
 
 def split_heads(x: Tensor, heads: int) -> Tensor:
     """Split the last axis of [..., T, d] into heads and move them before
-    the positions: a [..., H, T, d / H] view."""
+    the positions: a [..., H, T, d / H] view. Precondition, not checked
+    here: ``heads`` divides d (``ModelConfig.validate``)."""
     shape = x.shape
-    if shape[-1] % heads != 0:
-        raise ValueError(f"width {shape[-1]} does not split into {heads} heads")
     data = split_heads_kernel(x.data, heads)
 
     def bw(g):
@@ -510,9 +508,7 @@ def log_softmax_kernel(x: np.ndarray) -> np.ndarray:
 
 
 def log_softmax(x: Tensor) -> Tensor:
-    """Log-softmax over the last axis."""
-    if x.shape[-1] == 0:
-        raise ValueError("log_softmax over an empty axis")
+    """Log-softmax over the last axis, not empty (``ModelConfig.validate``)."""
     data = log_softmax_kernel(x.data)
 
     def bw(g):
@@ -550,11 +546,8 @@ def layer_norm_kernel(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> tupl
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
-    if gain.shape != x.shape[-1:] or bias.shape != x.shape[-1:]:
-        raise ValueError(
-            f"layer_norm affine shape mismatch: x {x.shape}, gain {gain.shape}, bias {bias.shape}"
-        )
+    """Normalize the last axis to zero mean / unit variance, then affine by
+    ``gain`` and ``bias`` of its width (``model.check_param_shapes``)."""
     data, xhat, inv_std = layer_norm_kernel(x.data, gain.data, bias.data)
     gain_data = gain.data if x.requires_grad else None
     want_gain, want_bias = gain.requires_grad, bias.requires_grad
@@ -581,10 +574,8 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     """Inverted-scaling dropout; identity when rate == 0.
 
     The keep mask comes from the supplied generator and is treated as a
-    constant in backward.
+    constant in backward. ``rate`` is in [0, 1) (``ModelConfig.validate``).
     """
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if rate == 0.0:
         return x
     keep = rng.random(x.shape) >= rate
@@ -671,19 +662,12 @@ def mean_nll_kernel(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray,
 def cross_entropy(logits: Tensor, targets) -> Tensor:
     """Mean token cross-entropy in nats.
 
-    ``logits`` is [T, V] with T >= 1; ``targets`` a length-T integer sequence.
+    Precondition, not checked here: ``logits`` is [T, V] with T >= 1
+    (``losses.compute_losses``), ``targets`` T ids in [0, V) (the vocabulary,
+    and the reader's label bounds ``n_attr`` and ``n_rel``).
     """
-    if logits.ndim != 2:
-        raise ValueError(f"cross_entropy expects 2-D logits, got {logits.shape}")
     tgt = np.asarray(targets, dtype=np.int64)
-    if tgt.shape != (logits.shape[0],):
-        raise ValueError(f"targets length {tgt.shape} does not match logits rows {logits.shape[0]}")
     n = len(tgt)
-    if n == 0:
-        raise ValueError("cross_entropy needs at least one target")
-    if tgt.min() < 0 or tgt.max() >= logits.shape[1]:
-        raise ValueError(f"target id out of range [0, {logits.shape[1]})")
-
     data, logp = mean_nll_kernel(logits.data, tgt)
     rows = np.arange(n)
 
@@ -698,16 +682,13 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
 def kl_divergence(p: Tensor, log_q: Tensor) -> Tensor:
     """Mean over rows of KL(p || q) with q given in log space.
 
-    Precondition, not checked again here: each row of ``p`` is the reader's
+    Precondition, not checked again here: ``p`` and ``log_q`` are [N, C],
+    N >= 1 (``losses.compute_losses``), and each row of ``p`` is the reader's
     ``class_probs``, entries >= 0 that sum to 1 within 1e-4 in float64 (a
     float32 cast may sum further off). ``p`` is treated as a constant;
     gradients flow to ``log_q`` only. 0 * ln 0 is taken as 0.
     """
-    if p.shape != log_q.shape or p.ndim != 2:
-        raise ValueError(f"kl_divergence expects matching 2-D shapes, got {p.shape} and {log_q.shape}")
     n_rows = p.shape[0]
-    if n_rows == 0:
-        raise ValueError("kl_divergence needs at least one row")
     pd = p.data
     plogp = np.where(pd > 0, pd * np.log(np.where(pd > 0, pd, 1.0)), 0.0)
     per_row = plogp.sum(axis=-1) - (pd * log_q.data).sum(axis=-1)

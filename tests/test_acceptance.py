@@ -350,25 +350,27 @@ def test_acceptance_loss_combination(repro_runs):
     _report("loss-combination")
 
 
-def _first_difference(log: Path, fixture: Path) -> str:
-    """Where a log first differs from its fixture, and the OpenBLAS core
-    that ran against the one the fixtures were made under."""
+def _first_difference(log: Path, fixture: Path, core: str) -> str:
+    """Where a log first differs from the fixture of the OpenBLAS core that
+    ran."""
     ours, theirs = log.read_bytes().splitlines(), fixture.read_bytes().splitlines()
     line = next((i for i, pair in enumerate(zip(ours, theirs)) if pair[0] != pair[1]), min(len(ours), len(theirs)))
     got = ours[line] if line < len(ours) else b"(end of log)"
     want = theirs[line] if line < len(theirs) else b"(end of fixture)"
-    recorded = repro_case.BLAS_CORE_FIXTURE.read_text(encoding="utf-8").strip()
-    return (
-        f"{fixture.name} line {line + 1}: got {got!r}, fixture has {want!r}; "
-        f"OpenBLAS core {repro_case.blas_core()!r} ran, the fixtures were made under {recorded!r}"
-    )
+    return f"{fixture.name} line {line + 1}: got {got!r}, fixture has {want!r}; OpenBLAS core {core!r} ran"
 
 
 def test_acceptance_reproducibility(repro_runs, tmp_path):
+    """The logs equal, byte for byte, the fixtures of the OpenBLAS core
+    that ran; a core with no fixtures fails."""
     root, pre_log, ft_log = repro_runs
-    pre_fixture, ft_fixture = repro_case.PRETRAIN_FIXTURE, repro_case.FINETUNE_FIXTURE
-    assert pre_log.read_bytes() == pre_fixture.read_bytes(), _first_difference(pre_log, pre_fixture)
-    assert ft_log.read_bytes() == ft_fixture.read_bytes(), _first_difference(ft_log, ft_fixture)
+    core = repro_case.blas_core()
+    fixtures = repro_case.core_fixtures(core)
+    missing = [fixture.name for fixture in fixtures if not fixture.exists()]
+    assert not missing, (f"OpenBLAS core {core!r} ran and has no fixture {' or '.join(missing)}; "
+                         f"OPENBLAS_CORETYPE={core} python3 tests/repro_case.py writes them")
+    for log, fixture in zip((pre_log, ft_log), fixtures):
+        assert log.read_bytes() == fixture.read_bytes(), _first_difference(log, fixture, core)
 
     # checkpoints round-trip byte-identically
     ckpt_path = root / "pretrain_run" / "final.kmbt"

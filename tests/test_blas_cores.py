@@ -9,7 +9,8 @@ platform tests, and the decoding contracts that rest on them (a row's
 decoded states and tokens do not depend on the other rows), in one
 subprocess per core, so that they are known to hold on a machine that loads
 any of them. It also runs the repro case under each core, and compares its
-logs with that core's committed fixtures.
+logs with that core's committed fixtures, as the acceptance suite's
+reproducibility test, run under each core too, does.
 """
 
 from __future__ import annotations
@@ -115,3 +116,10 @@ def test_repro_logs_match_the_fixtures_of_the_core(core, tmp_path):
         lines = zip_longest(got.splitlines(), want.splitlines())
         first = next((i for i, (a, b) in enumerate(lines, 1) if a != b), None)
         assert got == want, f"{fixture.name} under {core}: line {first} differs from the fixture"
+
+
+@pytest.mark.parametrize("core", sorted(CORES))
+def test_acceptance_reproducibility_passes_under_the_core(core):
+    """The acceptance suite's reproducibility test compares the logs with
+    the fixtures of the core that runs it."""
+    _run_under(core, RUN_TESTS, str(TESTS / "test_acceptance.py"), "-k", "reproducibility")

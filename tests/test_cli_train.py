@@ -774,6 +774,32 @@ def test_evaluate_missing_reference_names_source_id(workspace, tmp_path, capsys)
     assert rows[0]["source_id"] in capsys.readouterr().err
 
 
+def _empty_generations(gens, tasks):
+    """Clear the generations of every row of ``tasks`` in a generations file."""
+    header, *rows = (json.loads(l) for l in gens.read_text().splitlines())
+    for row in rows:
+        if row["task"] in tasks:
+            row["generations"] = []
+    gens.write_text("\n".join(json.dumps(r) for r in [header, *rows]) + "\n")
+
+
+def test_evaluate_generations_holding_no_generation_exit_2_naming_the_file(tmp_path, capsys):
+    refs, gens = write_eval_pair(tmp_path)
+    _empty_generations(gens, {"before", "after", "intent"})
+    assert main(["evaluate", "--generations", str(gens), "--references", str(refs)]) == 2
+    assert capsys.readouterr().err == f"error: {gens} holds no generations to score\n"
+
+
+def test_evaluate_group_by_task_with_a_task_holding_no_generation_exits_2_naming_the_file(tmp_path, capsys):
+    refs, gens = write_eval_pair(tmp_path)
+    _empty_generations(gens, {"intent"})
+    args = ["evaluate", "--generations", str(gens), "--references", str(refs)]
+    assert main(args) == 0
+    capsys.readouterr()
+    assert main([*args, "--group-by-task"]) == 2
+    assert capsys.readouterr().err == f"error: {gens} holds no generations to score\n"
+
+
 @pytest.mark.parametrize("row, message", [
     ('{"source_id": "before-0", "task": "before", "generations": "walk to the park"}',
      "need a list of strings under 'generations'"),

@@ -476,15 +476,16 @@ def test_gradient_whose_square_overflows_exits_2_as_a_diverged_run(ws, tmp_path,
 BOUNDARY_CLASS_PROBS = [0.1] * 9 + [0.1 + 9.9949748e-5]
 
 
-def pretrain_rows(ws: Path, root: Path, tasks: str, captions: list, regions: list) -> tuple[int, str]:
+def pretrain_rows(ws: Path, root: Path, tasks: str, captions: list, regions: list, extra=()) -> tuple[int, str]:
     """``run`` of a one-epoch ``pretrain`` of ``tasks`` on these caption and
-    region rows, with the config of ``ws`` and its output under ``root``."""
+    region rows, with the config of ``ws`` (and flags ``extra``) and its
+    output under ``root``."""
     write_rows(root / "captions.jsonl", captions)
     write_rows(root / "regions.jsonl", regions)
     with cwd(root):
         return run(["pretrain", "--config", str(ws / "config.json"), "--tasks", tasks,
                     "--paths.caption_data", str(root / "captions.jsonl"),
-                    "--paths.region_data", str(root / "regions.jsonl")])
+                    "--paths.region_data", str(root / "regions.jsonl"), *extra])
 
 
 def test_class_probs_the_reader_accepts_train_mrm(ws, tmp_path):
@@ -760,6 +761,48 @@ def test_rows_the_reader_accepts_at_each_rule_edge_pretrain_to_exit_0_or_2(ws, c
     region and caption task exits 0 or 2, never with a traceback."""
     with tempfile.TemporaryDirectory() as tmp:
         assert pretrain_rows(ws, Path(tmp), "ap,rp,mlm,mrm", captions, regions)[0] in (EXIT_OK, EXIT_DATA)
+
+
+@st.composite
+def few_region_rows(draw, task: str) -> dict:
+    """A row of ``task`` with one or two regions; a region_caption row
+    labels its last region with the last attribute, and relates its two
+    regions, if it has two, by the last relation."""
+    n = draw(st.integers(1, 2))
+    row = {"task": task, "target": "a person walks", "rois": [BOUNDARY_ROI] * n}
+    if task == "region_caption":
+        row["attributes"] = [[n - 1, MODEL["n_attr"] - 1]]
+        row["relations"] = [[0, 1, MODEL["n_rel"] - 1]] if n == 2 else []
+    return row
+
+
+@settings(max_examples=60, deadline=None)
+@given(heads=st.sampled_from([1, 2, 4]), head_width=st.sampled_from([1, 4]),
+       dropout_rate=st.sampled_from([0.0, 0.9]),
+       captions=st.lists(few_region_rows("caption"), min_size=1, max_size=2),
+       regions=st.lists(few_region_rows("region_caption"), min_size=1, max_size=2))
+@example(heads=4, head_width=1, dropout_rate=0.9,
+         captions=[{"task": "caption", "target": "a person walks", "rois": [BOUNDARY_ROI]}],
+         regions=[{"task": "region_caption", "target": "", "rois": [BOUNDARY_ROI],
+                   "attributes": [[0, MODEL["n_attr"] - 1]], "relations": []}])
+def test_models_at_each_config_edge_pretrain_generate_and_filter_to_exit_0_or_2(
+        ws, heads, head_width, dropout_rate, captions, regions):
+    """The shape and range rules that ``ModelConfig.validate``, the reader
+    and ``compute_losses`` own, at their edges: ``d_model`` a multiple of
+    ``n_heads`` down to one wide heads, ``dropout_rate`` 0 and 0.9, rows of
+    one region, labels at ``n_attr - 1`` and ``n_rel - 1``. A pretrain of
+    every task, then generate and filter from its checkpoint, each exit 0
+    or 2, never with a traceback."""
+    model = ["--model.n_heads", str(heads), "--model.d_model", str(heads * head_width),
+             "--model.dropout_rate", str(dropout_rate)]
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        code, _ = pretrain_rows(ws, root, "kcg,ap,rp,mlm,mrm", captions, regions, model)
+        assert code in (EXIT_OK, EXIT_DATA)
+        if code == EXIT_OK:
+            checkpoint = root / "run" / "final.kmbt"
+            assert run(generate_argv(ws, root / "gen.jsonl", checkpoint=checkpoint))[0] in (EXIT_OK, EXIT_DATA)
+            assert run(filter_argv(ws, root, checkpoint=checkpoint))[0] in (EXIT_OK, EXIT_DATA)
 
 
 @settings(max_examples=40, deadline=None)

@@ -385,12 +385,6 @@ def test_lm_head_weight_tying_witness(setup):
     assert np.allclose(other, 0.0, atol=1e-12)
 
 
-def test_rp_head_requires_double_width(setup):
-    _, config, model, *_ = setup
-    with pytest.raises(ValueError, match=f"linear shape mismatch.*{2 * config.d_model}"):
-        model.mlp(Tensor(np.zeros((2, config.d_model))), "rp_head")
-
-
 def test_heads_produce_finite_logits(setup):
     vocab, config, model, kcg, _, _ = setup
     a = assemble_input(kcg, vocab, "kcg")

@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 
 from vcgen.errors import InputError
 from vcgen.optim import AdamW
-from vcgen.tensor import (LAYER_NORM_EPS, NEG_MASK_VALUE, Tensor, attention_kernel, gelu_kernel, layer_norm_kernel,
-                          log_softmax_kernel)
+from vcgen.tensor import (LAYER_NORM_EPS, NEG_MASK_VALUE, Tensor, attention, attention_kernel, gelu_kernel,
+                          layer_norm_kernel, log_softmax_kernel)
 
 from oracles import adamw_step_reference
 
@@ -126,15 +126,17 @@ def _attention64(q: np.ndarray, k: np.ndarray, v: np.ndarray, bias: np.ndarray |
     shift common to the row cancels. Each probability then lies within a
     factor exp(±that) of the oracle's, the row's normalizer too, and the
     context within the probabilities' errors times |v|, plus T_k rounding
-    steps of the product."""
+    steps of the product. A masked key's probability is exactly 0, at any
+    score, so its terms are left out of the row's."""
     dk, t_k = q.shape[-1], k.shape[-2]
     factor = 1.0 / math.sqrt(dk)
     bias = np.zeros(t_k) if bias is None else bias.astype(np.float64)
-    scores = q @ k.swapaxes(-1, -2) * factor + bias
+    masked = bias == NEG_MASK_VALUE
+    scores = np.where(masked, -np.inf, q @ k.swapaxes(-1, -2) * factor + bias)
     probs = np.exp(scores - scores.max(axis=-1, keepdims=True))
     probs /= probs.sum(axis=-1, keepdims=True)
     product = (dk + 2) * EPS32 * (np.abs(q) @ np.abs(k).swapaxes(-1, -2)) * factor + dk * SUBNORMAL * factor
-    product += EPS32 * np.abs(bias)
+    product = np.where(masked, 0.0, product + EPS32 * np.abs(bias))
     drift = product + EPS32 * (scores.max(axis=-1, keepdims=True) - scores + 2 * product.max(axis=-1, keepdims=True))
     drift = np.minimum(drift + 2 * EPS32, 700.0)
     rounding = (t_k + 1) * EPS32
@@ -158,6 +160,7 @@ def _one_head(q, k, v) -> tuple:
 @example(case=(*_one_head([3e38], [3e38, -3e38], [3e38, 1.0]), None))
 @example(case=(*_one_head([1e-30, -1e-30], [1e-30, 1e-30, 1.0], [1.0, -1.0, 3e38]),
                np.array([0.0, 0.0, NEG_MASK_VALUE], dtype=np.float32)))
+@example(case=(*_one_head([1e6], [1e6, -1e6], [1.0, 2.0]), np.array([NEG_MASK_VALUE, 0.0], dtype=np.float32)))
 def test_a_finite_attention_result_is_within_tolerance_of_float64(case):
     q, k, v, bias = case
     heads, t_q, dk = q.shape
@@ -166,6 +169,15 @@ def test_a_finite_attention_result_is_within_tolerance_of_float64(case):
     want, tolerance = _attention64(*(x.astype(np.float64) for x in (q, k, v)), bias)
     finite = np.isfinite(got)
     assert np.all(np.abs(got[finite] - want[finite]) <= tolerance[finite]), (case, got, want)
+
+
+def test_a_masked_key_stays_hidden_at_any_score():
+    """A masked key whose score is far above the bias's magnitude still
+    gets probability 0: the one unmasked key's value comes back."""
+    q, k, v = _one_head([1e6], [1e6, -1e6], [1.0, 2.0])
+    bias = np.array([NEG_MASK_VALUE, 0.0], dtype=np.float32)
+    assert attention_kernel(q, k, v, bias)[0].item() == 2.0
+    assert attention(Tensor(q), Tensor(k), Tensor(v), bias).data.item() == 2.0
 
 
 @st.composite

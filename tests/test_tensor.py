@@ -180,11 +180,6 @@ def test_cross_entropy_matches_scalar_recomputation():
     assert float(cross_entropy(t64(logits), targets).data) == pytest.approx(expected, rel=1e-12)
 
 
-def test_cross_entropy_no_targets_raises():
-    with pytest.raises(ValueError, match="at least one target"):
-        cross_entropy(t64(np.zeros((0, 3))), [])
-
-
 def test_cross_entropy_nonnegative():
     rng = np.random.default_rng(11)
     for _ in range(20):
@@ -388,11 +383,6 @@ def test_dropout_inverted_scaling_and_constant_mask():
     kept = out.data != 0.0
     assert np.allclose(out.data[kept], 1.0 / 0.75)
     assert abs(kept.mean() - 0.75) < 0.02
-
-
-def test_dropout_invalid_rate():
-    with pytest.raises(ValueError, match="rate"):
-        dropout(t64([1.0]), 1.0, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
